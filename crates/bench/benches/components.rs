@@ -1,10 +1,11 @@
 //! Microbenchmarks of the simulator's core data structures: the lock
-//! table, the LRU cache, the event calendar, the FIFO multi-server, and
-//! the random distributions. These are the inner loops of every
-//! simulation run. Runs on the dependency-free
+//! table and its deadlock scan, the LRU cache, the event calendar, the
+//! FIFO multi-server, and the random distributions. These are the inner
+//! loops of every simulation run. Runs on the dependency-free
 //! [`dbshare_bench::minibench`] harness.
 
 use dbshare_bench::minibench::Bench;
+use dbshare_lockmgr::deadlock::{find_cycle, has_cycle};
 use dbshare_lockmgr::{GemLockTable, LockMode, LockTable};
 use dbshare_model::{PageId, PartitionId, TxnId};
 use desim::dist::{Alias, Zipf};
@@ -51,6 +52,32 @@ fn lock_table(b: &Bench) {
             black_box(lt.waits_for_edges());
         });
     }
+}
+
+/// One deadlock scan over the `scale-64` hot-page shape: 64 pages, each
+/// with one write holder and 48 queued writers, and no cycle. The
+/// engine's stage 1 (reduced edges + `has_cycle`) against the full
+/// graph + sort + `find_cycle` that stage 2 runs only on a cycle.
+fn deadlock(b: &Bench) {
+    let mut lt = LockTable::new();
+    for p in 0..64 {
+        lt.request(TxnId::new(p), page(p), LockMode::Write);
+        for w in 0..48 {
+            lt.request(TxnId::new(1000 + p * 48 + w), page(p), LockMode::Write);
+        }
+    }
+    let mut edges = Vec::new();
+    b.bench("deadlock/hot_queues_64x48/reduced_has_cycle", || {
+        edges.clear();
+        lt.reduced_waits_for_edges(&mut edges);
+        black_box(has_cycle(&edges));
+    });
+    b.bench("deadlock/hot_queues_64x48/full_find_cycle", || {
+        let mut edges = lt.waits_for_edges();
+        edges.sort_unstable();
+        edges.dedup();
+        black_box(find_cycle(&edges));
+    });
 }
 
 fn gem_glt(b: &Bench) {
@@ -297,6 +324,7 @@ fn distributions(b: &Bench) {
 fn main() {
     let b = Bench::from_args();
     lock_table(&b);
+    deadlock(&b);
     gem_glt(&b);
     lru(&b);
     calendar(&b);

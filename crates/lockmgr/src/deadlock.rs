@@ -3,15 +3,77 @@
 //! The debit-credit workload is deadlock-free by construction (all
 //! transactions reference the record types in the same order), but the
 //! simulator supports arbitrary reference strings, so a detector is
-//! required. Cycles are found by depth-first search over the waits-for
-//! edges collected from the lock tables; the victim is the youngest
-//! transaction in the cycle (highest id), which restarts after a delay.
+//! required. The engine's scan runs in two stages: [`has_cycle`] checks
+//! a reduced graph (see
+//! [`LockTable::reduced_waits_for_edges`](crate::LockTable::reduced_waits_for_edges))
+//! in linear time, and only when it reports a cycle does [`find_cycle`]
+//! search the full, sorted edge list by depth-first search. The victim
+//! is the youngest transaction in the cycle found (highest id), which
+//! restarts after a delay.
 
 use dbshare_model::TxnId;
-use std::collections::{HashMap, HashSet};
+use desim::fxhash::{self, FxHashMap, FxHashSet};
+
+/// True if the waits-for graph has a cycle. Ids are mapped to dense
+/// indices, the adjacency is laid out as compressed sparse rows, and
+/// Kahn's algorithm peels off nodes without incoming edges: a cycle
+/// exists iff some node is never peeled. O(V + E); duplicate edges are
+/// harmless.
+///
+/// ```rust
+/// use dbshare_lockmgr::deadlock::has_cycle;
+/// use dbshare_model::TxnId;
+/// let t = TxnId::new;
+/// assert!(has_cycle(&[(t(1), t(2)), (t(2), t(3)), (t(3), t(1))]));
+/// assert!(!has_cycle(&[(t(1), t(2)), (t(2), t(3)), (t(1), t(3))]));
+/// ```
+pub fn has_cycle(edges: &[(TxnId, TxnId)]) -> bool {
+    if edges.is_empty() {
+        return false; // the usual scan: nothing waits, nothing to allocate
+    }
+    let mut index: FxHashMap<TxnId, u32> = fxhash::map_with_capacity(edges.len());
+    let mut dense = |t: TxnId| {
+        let next = index.len() as u32;
+        *index.entry(t).or_insert(next)
+    };
+    let arcs: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (dense(a), dense(b))).collect();
+    let nodes = index.len();
+    // Compressed adjacency: row `n` is `succ[start[n]..start[n + 1]]`.
+    // `start` first holds each row's end; filling rows back to front
+    // moves it to the row's start.
+    let mut start = vec![0u32; nodes + 1];
+    let mut indegree = vec![0u32; nodes];
+    for &(a, b) in &arcs {
+        start[a as usize] += 1;
+        indegree[b as usize] += 1;
+    }
+    for i in 1..=nodes {
+        start[i] += start[i - 1];
+    }
+    let mut succ = vec![0u32; arcs.len()];
+    for &(a, b) in &arcs {
+        start[a as usize] -= 1;
+        succ[start[a as usize] as usize] = b;
+    }
+    let mut ready: Vec<u32> = (0..nodes as u32)
+        .filter(|&n| indegree[n as usize] == 0)
+        .collect();
+    let mut peeled = 0;
+    while let Some(n) = ready.pop() {
+        peeled += 1;
+        for &s in &succ[start[n as usize] as usize..start[n as usize + 1] as usize] {
+            indegree[s as usize] -= 1;
+            if indegree[s as usize] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    peeled < nodes
+}
 
 /// Finds one cycle in the waits-for graph, if any, returning the
-/// transactions on it.
+/// transactions on it. Roots are tried in id order and successors in
+/// edge order, so a sorted edge list gives a reproducible cycle.
 ///
 /// ```rust
 /// use dbshare_lockmgr::deadlock::find_cycle;
@@ -22,21 +84,24 @@ use std::collections::{HashMap, HashSet};
 /// assert_eq!(cycle.len(), 2);
 /// ```
 pub fn find_cycle(edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
-    let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
+    let mut adj: FxHashMap<TxnId, Vec<TxnId>> = FxHashMap::default();
     for &(a, b) in edges {
         adj.entry(a).or_default().push(b);
     }
-    let mut visited: HashSet<TxnId> = HashSet::new();
+    let mut visited: FxHashSet<TxnId> = FxHashSet::default();
     let mut nodes: Vec<TxnId> = adj.keys().copied().collect();
     nodes.sort_unstable();
+    // Iterative DFS with an explicit path for cycle extraction. The
+    // stack, path and on-path set are empty again whenever a root
+    // finishes, so one set of buffers serves every root.
+    let mut stack: Vec<(TxnId, usize)> = Vec::new();
+    let mut path: Vec<TxnId> = Vec::new();
+    let mut on_path: FxHashSet<TxnId> = FxHashSet::default();
     for start in nodes {
         if visited.contains(&start) {
             continue;
         }
-        // Iterative DFS with an explicit path for cycle extraction.
-        let mut stack: Vec<(TxnId, usize)> = vec![(start, 0)];
-        let mut path: Vec<TxnId> = Vec::new();
-        let mut on_path: HashSet<TxnId> = HashSet::new();
+        stack.push((start, 0));
         while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
             if *idx == 0 {
                 path.push(node);
@@ -91,6 +156,7 @@ mod tests {
     fn no_cycle_in_dag() {
         let edges = vec![(t(1), t(2)), (t(2), t(3)), (t(1), t(3))];
         assert_eq!(find_cycle(&edges), None);
+        assert!(!has_cycle(&edges));
     }
 
     #[test]
@@ -99,6 +165,7 @@ mod tests {
         let c = find_cycle(&edges).unwrap();
         assert_eq!(c.len(), 2);
         assert!(c.contains(&t(1)) && c.contains(&t(2)));
+        assert!(has_cycle(&edges));
     }
 
     #[test]
@@ -116,6 +183,7 @@ mod tests {
         for x in [2, 3, 4] {
             assert!(c.contains(&t(x)), "{c:?}");
         }
+        assert!(has_cycle(&edges));
     }
 
     #[test]
@@ -124,11 +192,19 @@ mod tests {
         let edges = vec![(t(1), t(1))];
         let c = find_cycle(&edges).unwrap();
         assert_eq!(c, vec![t(1)]);
+        assert!(has_cycle(&edges));
     }
 
     #[test]
     fn empty_graph_no_cycle() {
         assert_eq!(find_cycle(&[]), None);
+        assert!(!has_cycle(&[]));
+    }
+
+    #[test]
+    fn duplicate_edges_are_not_a_cycle() {
+        let edges = vec![(t(1), t(2)), (t(1), t(2)), (t(2), t(3)), (t(1), t(2))];
+        assert!(!has_cycle(&edges));
     }
 
     #[test]
@@ -145,5 +221,13 @@ mod tests {
         assert_eq!(c1, c2);
         // starts from the smallest id: finds the 2-3 cycle
         assert!(c1.contains(&t(2)));
+    }
+
+    #[test]
+    fn later_roots_still_find_cycles() {
+        // Root 1 finishes acyclic; the cycle hangs off root 5 and reuses
+        // the DFS buffers root 1 left empty.
+        let edges = vec![(t(1), t(2)), (t(5), t(6)), (t(6), t(7)), (t(7), t(6))];
+        assert_eq!(find_cycle(&edges), Some(vec![t(6), t(7)]));
     }
 }

@@ -140,6 +140,12 @@ impl GemLockTable {
         self.table.waits_for_edges()
     }
 
+    /// Appends the reduced waits-for edges (same cycles, linear size;
+    /// see [`LockTable::reduced_waits_for_edges`]).
+    pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
+        self.table.reduced_waits_for_edges(out);
+    }
+
     /// Clears the page ownership of every page owned by `node` (the
     /// node crashed and its buffered versions are gone; after log-based
     /// recovery the permanent database is current again). Returns the

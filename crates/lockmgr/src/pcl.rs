@@ -158,6 +158,12 @@ impl GlaState {
         self.table.waits_for_edges()
     }
 
+    /// Appends the reduced waits-for edges (same cycles, linear size;
+    /// see [`LockTable::reduced_waits_for_edges`]).
+    pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
+        self.table.reduced_waits_for_edges(out);
+    }
+
     /// Current holders of `page` (diagnostics).
     pub fn holders_of(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
         self.table.holders(page)

@@ -308,6 +308,44 @@ impl LockTable {
         edges
     }
 
+    /// Appends to `out` a reduced waits-for graph whose transitive
+    /// closure equals that of [`waits_for_edges`](Self::waits_for_edges),
+    /// so it has a cycle exactly when the full graph does.
+    ///
+    /// Every waiter still waits for each incompatible holder. Within a
+    /// queue, a read waits only for the nearest earlier write, and a
+    /// write for every entry back to and including the nearest earlier
+    /// write. Every emitted edge is a full edge; conversely a full edge
+    /// `w_i → w_j` skipped here has an earlier write `w_k` with
+    /// `j < k < i`, so `w_i → w_k` is emitted and `w_k → w_j` (a write
+    /// conflicts with everything) is a full edge over a shorter queue
+    /// distance — a path by induction. That is O(queue × holders +
+    /// queue) edges per page instead of O(queue²).
+    pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
+        for state in self.locks.values() {
+            let mut last_write = None;
+            for (i, w) in state.queue.iter().enumerate() {
+                for &(t, m) in &state.holders {
+                    if t != w.txn && !m.compatible(w.mode) {
+                        out.push((w.txn, t));
+                    }
+                }
+                let priors = match w.mode {
+                    LockMode::Read => last_write.map_or(i..i, |k| k..k + 1),
+                    LockMode::Write => last_write.unwrap_or(0)..i,
+                };
+                for prior in state.queue.range(priors) {
+                    if prior.txn != w.txn {
+                        out.push((w.txn, prior.txn));
+                    }
+                }
+                if w.mode == LockMode::Write {
+                    last_write = Some(i);
+                }
+            }
+        }
+    }
+
     /// Total grants so far (including queued-then-granted).
     pub fn grants(&self) -> u64 {
         self.grants
@@ -499,6 +537,77 @@ mod tests {
         assert!(edges.contains(&(txn(2), txn(1))));
         assert!(edges.contains(&(txn(3), txn(1))));
         assert!(edges.contains(&(txn(3), txn(2)))); // queue ordering edge
+    }
+
+    fn sorted(mut edges: Vec<(TxnId, TxnId)>) -> Vec<(TxnId, TxnId)> {
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    fn reduced(lt: &LockTable) -> Vec<(TxnId, TxnId)> {
+        let mut edges = Vec::new();
+        lt.reduced_waits_for_edges(&mut edges);
+        sorted(edges)
+    }
+
+    #[test]
+    fn reduced_edges_of_a_mixed_queue() {
+        // Holder 1 (W); queue [2 W, 3 R, 4 R, 5 W, 6 R].
+        let mut lt = LockTable::new();
+        lt.request(txn(1), page(1), LockMode::Write);
+        for (t, mode) in [
+            (2, LockMode::Write),
+            (3, LockMode::Read),
+            (4, LockMode::Read),
+            (5, LockMode::Write),
+            (6, LockMode::Read),
+        ] {
+            assert_eq!(lt.request(txn(t), page(1), mode), LockReply::Queued);
+        }
+        let e = |a, b| (txn(a), txn(b));
+        assert_eq!(
+            reduced(&lt),
+            vec![
+                e(2, 1),
+                e(3, 1),
+                e(3, 2),
+                e(4, 1),
+                e(4, 2),
+                e(5, 1),
+                e(5, 2),
+                e(5, 3),
+                e(5, 4),
+                e(6, 1),
+                e(6, 5),
+            ]
+        );
+        // The one full edge left out, 6 → 2, is the path 6 → 5 → 2.
+        let kept = reduced(&lt);
+        let mut skipped = sorted(lt.waits_for_edges());
+        skipped.retain(|x| !kept.contains(x));
+        assert_eq!(skipped, vec![e(6, 2)]);
+    }
+
+    #[test]
+    fn reduced_edges_skip_the_upgraders_own_read_lock() {
+        // 1 and 2 hold reads; 1 queues an upgrade, then 3 a write.
+        let mut lt = LockTable::new();
+        lt.request(txn(1), page(1), LockMode::Read);
+        lt.request(txn(2), page(1), LockMode::Read);
+        assert_eq!(
+            lt.request(txn(1), page(1), LockMode::Write),
+            LockReply::Queued
+        );
+        lt.request(txn(3), page(1), LockMode::Write);
+        let e = |a, b| (txn(a), txn(b));
+        assert_eq!(reduced(&lt), vec![e(1, 2), e(3, 1), e(3, 2)]);
+        assert_eq!(reduced(&lt), sorted(lt.waits_for_edges()));
+        assert!(!crate::deadlock::has_cycle(&reduced(&lt)));
+        // 2 upgrading as well is the classic conversion deadlock.
+        lt.request(txn(2), page(1), LockMode::Write);
+        assert!(reduced(&lt).contains(&e(2, 1)));
+        assert!(crate::deadlock::has_cycle(&reduced(&lt)));
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! produce identical replies, identical grant lists (in order),
 //! identical holder/queue/edge observables, and identical counters —
 //! proving the hash-map backing introduces no iteration-order
-//! dependence anywhere in the table's observable behavior.
+//! dependence anywhere in the table's observable behavior. After every
+//! step the table's reduced waits-for graph is also checked against its
+//! full one: same transitive closure, same cycle verdict, linear size.
 //!
 //! Cases are generated with desim's deterministic RNG (seeded,
 //! reproducible) so the workspace tests without registry dependencies.
 
+use dbshare_lockmgr::deadlock::{find_cycle, has_cycle};
 use dbshare_lockmgr::{LockMode, LockReply, LockTable};
 use dbshare_model::{PageId, PartitionId, TxnId};
 use desim::Rng;
@@ -32,8 +35,16 @@ enum Op {
     ReleaseAll { txn: u8 },
 }
 
-fn random_op(rng: &mut Rng) -> Op {
-    match rng.below(4) {
+/// One random op. Requests are half the default mix, whose streams pile
+/// up and mostly deadlock; `release_heavy` streams cut them to a third,
+/// keeping waits-for graphs sparser and more often acyclic.
+fn random_op(rng: &mut Rng, release_heavy: bool) -> Op {
+    let kind = if release_heavy {
+        [0, 2, 3][rng.below(3) as usize]
+    } else {
+        rng.below(4)
+    };
+    match kind {
         0 | 1 => Op::Request {
             txn: rng.below(10) as u8,
             page: rng.below(5) as u8,
@@ -269,14 +280,66 @@ fn assert_same_observables(lt: &LockTable, model: &RefTable, ctx: &str) {
     );
 }
 
+/// Reachability over the ten test transactions: bit `b` of entry `a`
+/// is set iff a non-empty path leads from `a` to `b`.
+fn closure(edges: &[(TxnId, TxnId)]) -> [u16; 10] {
+    let mut reach = [0u16; 10];
+    for &(a, b) in edges {
+        reach[a.raw() as usize] |= 1 << b.raw();
+    }
+    // Warshall: after round k, paths may pass through nodes 0..=k.
+    for k in 0..10 {
+        for i in 0..10 {
+            if reach[i] & (1 << k) != 0 {
+                reach[i] |= reach[k];
+            }
+        }
+    }
+    reach
+}
+
+/// Checks the reduced waits-for graph against the full one and returns
+/// whether it has a cycle.
+fn assert_reduction_holds(lt: &LockTable, model: &RefTable, ctx: &str) -> bool {
+    let mut reduced = Vec::new();
+    lt.reduced_waits_for_edges(&mut reduced);
+    let mut full = lt.waits_for_edges();
+    full.sort_unstable();
+    full.dedup();
+    assert_eq!(
+        closure(&reduced),
+        closure(&full),
+        "{ctx}: reduced graph changed the transitive closure"
+    );
+    let cyclic = has_cycle(&reduced);
+    assert_eq!(
+        cyclic,
+        find_cycle(&full).is_some(),
+        "{ctx}: cycle verdicts diverged"
+    );
+    let bound: usize = model
+        .locks
+        .values()
+        .map(|s| s.queue.len() * s.holders.len() + 2 * s.queue.len())
+        .sum();
+    assert!(
+        reduced.len() <= bound,
+        "{ctx}: {} reduced edges exceed the bound {bound}",
+        reduced.len()
+    );
+    cyclic
+}
+
 #[test]
 fn fxhash_table_matches_btree_reference_model() {
+    let mut steps = 0;
+    let mut cyclic_steps = 0;
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(0xF0C5 ^ case);
         let mut lt = LockTable::new();
         let mut model = RefTable::default();
         for step in 0..OPS_PER_CASE {
-            let op = random_op(&mut rng);
+            let op = random_op(&mut rng, case % 2 == 1);
             let ctx = format!("case {case} step {step} op {op:?}");
             match op {
                 Op::Request {
@@ -305,6 +368,10 @@ fn fxhash_table_matches_btree_reference_model() {
                 }
             }
             assert_same_observables(&lt, &model, &ctx);
+            steps += 1;
+            if assert_reduction_holds(&lt, &model, &ctx) {
+                cyclic_steps += 1;
+            }
         }
         // Drain: after releasing everyone, both must be quiescent.
         for t in 0..10u8 {
@@ -319,4 +386,9 @@ fn fxhash_table_matches_btree_reference_model() {
         assert!(lt.is_quiescent(), "case {case}: table not quiescent");
         assert!(model.is_quiescent(), "case {case}: model not quiescent");
     }
+    // Both verdicts must be exercised for the reduction check to bite.
+    assert!(
+        cyclic_steps > 0 && cyclic_steps < steps,
+        "{cyclic_steps} of {steps} steps had a cycle"
+    );
 }

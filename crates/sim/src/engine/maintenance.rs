@@ -4,7 +4,7 @@
 
 use super::{Cont, Engine, Event, Job, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
 use crate::metrics::RunReport;
-use dbshare_lockmgr::deadlock::{choose_victim, find_cycle};
+use dbshare_lockmgr::deadlock::{choose_victim, find_cycle, has_cycle};
 use dbshare_model::{CouplingMode, NodeId, PageId, TxnId};
 use dbshare_node::buffer::BufferCounters;
 use desim::trace::TraceEventKind;
@@ -128,37 +128,67 @@ impl Engine {
         }
     }
 
+    /// Appends the waits-for edges of every lock table — the reduced
+    /// graph (stage 1 of [`deadlock_scan`](Self::deadlock_scan)) or the
+    /// full one (stage 2) — plus the pending-writer edges of the read
+    /// optimization.
+    fn collect_waits_for(&self, reduced: bool, out: &mut Vec<(TxnId, TxnId)>) {
+        match self.cfg.coupling {
+            CouplingMode::GemLocking | CouplingMode::LockEngine => {
+                if reduced {
+                    self.glt.reduced_waits_for_edges(out);
+                } else {
+                    out.extend(self.glt.waits_for_edges());
+                }
+            }
+            CouplingMode::Pcl => {
+                for g in &self.gla {
+                    if reduced {
+                        g.reduced_waits_for_edges(out);
+                    } else {
+                        out.extend(g.waits_for_edges());
+                    }
+                }
+            }
+        }
+        // Pending writers wait for locally authorized readers at
+        // other nodes (read optimization).
+        for (&writer, pw) in &self.pending_writes {
+            for ctx in &self.nodes {
+                for reader in ctx.ra.readers(pw.ctx.page) {
+                    if reader != writer {
+                        out.push((writer, reader));
+                    }
+                }
+            }
+        }
+    }
+
     /// Periodic scan: break *every* waits-for cycle (abort the youngest
     /// member of each, re-collecting edges after every abort since an
     /// abort wakes waiters) and abort any waiter past the lock timeout.
+    ///
+    /// Stage 1 checks the reduced graph for a cycle in linear time; it
+    /// has the same transitive closure as the full graph, so the scan
+    /// ends there whenever the full graph is acyclic. Stage 2 picks the
+    /// victim on the full, sorted graph: the youngest member of the
+    /// first cycle its search meets, which a search of the reduced graph
+    /// need not reproduce.
     pub(crate) fn deadlock_scan(&mut self, now: SimTime) {
         if std::env::var_os("DBSHARE_AUDIT").is_some() {
             self.audit_grants(now);
         }
         self.check_watchdog(now);
         let mut guard = 0u32;
+        let mut reduced = Vec::new();
         loop {
-            let mut edges = match self.cfg.coupling {
-                CouplingMode::GemLocking | CouplingMode::LockEngine => self.glt.waits_for_edges(),
-                CouplingMode::Pcl => {
-                    let mut e = Vec::new();
-                    for g in &self.gla {
-                        e.extend(g.waits_for_edges());
-                    }
-                    e
-                }
-            };
-            // Pending writers wait for locally authorized readers at
-            // other nodes (read optimization).
-            for (&writer, pw) in &self.pending_writes {
-                for ctx in &self.nodes {
-                    for reader in ctx.ra.readers(pw.ctx.page) {
-                        if reader != writer {
-                            edges.push((writer, reader));
-                        }
-                    }
-                }
+            reduced.clear();
+            self.collect_waits_for(true, &mut reduced);
+            if !has_cycle(&reduced) {
+                break;
             }
+            let mut edges = Vec::new();
+            self.collect_waits_for(false, &mut edges);
             // The edge list is assembled from hash maps; sort it so
             // victim selection (and thus the whole run) is reproducible.
             edges.sort_unstable();

@@ -118,10 +118,34 @@ impl Workload for DeadlockProne {
     }
 }
 
-#[test]
-fn deadlocks_are_detected_and_resolved() {
+/// Runs [`DeadlockProne`] on 2 nodes over a hot set of `pages` pages
+/// at `tps` transactions per second and node.
+fn deadlock_prone_run(coupling: CouplingMode, pages: u64, tps: f64, measured: u64) -> RunReport {
     let nodes = 2;
     let mut cfg = SystemConfig::debit_credit(nodes);
+    cfg.coupling = coupling;
+    cfg.arrival_tps_per_node = tps;
+    cfg.cpu.per_access_instr = 10_000.0;
+    cfg.buffer_pages_per_node = 64;
+    cfg.run.warmup_txns = 100;
+    cfg.run.measured_txns = measured;
+    let wl = DeadlockProne {
+        nodes,
+        pages,
+        partitions: vec![PartitionConfig {
+            name: "HOT".into(),
+            pages,
+            locking: true,
+            storage: StorageAllocation::disk(4),
+        }],
+        rr: 0,
+    };
+    cfg.partitions = Workload::partitions(&wl).to_vec();
+    Engine::new(cfg, Box::new(wl)).expect("valid").run()
+}
+
+#[test]
+fn deadlocks_are_detected_and_resolved() {
     // Low concurrency (about one transaction in flight at a time, with
     // occasional overlap) over a tiny page set: overlapping pairs often
     // grab the same two pages in opposite order — a genuine deadlock —
@@ -129,24 +153,7 @@ fn deadlocks_are_detected_and_resolved() {
     // transactions over a tiny hot set at higher rates livelock under
     // strict 2PL (every grant head waits on its own second queue),
     // which is the lock *timeout's* job, not the detector's.
-    cfg.arrival_tps_per_node = 5.0;
-    cfg.cpu.per_access_instr = 10_000.0;
-    cfg.buffer_pages_per_node = 64;
-    cfg.run.warmup_txns = 100;
-    cfg.run.measured_txns = 3_000;
-    let wl = DeadlockProne {
-        nodes,
-        pages: 4, // two overlapping txns conflict with high probability
-        partitions: vec![PartitionConfig {
-            name: "HOT".into(),
-            pages: 4,
-            locking: true,
-            storage: StorageAllocation::disk(4),
-        }],
-        rr: 0,
-    };
-    cfg.partitions = Workload::partitions(&wl).to_vec();
-    let r = Engine::new(cfg, Box::new(wl)).expect("valid").run();
+    let r = deadlock_prone_run(CouplingMode::GemLocking, 4, 5.0, 3_000);
     // The run completes (aborted victims restart and eventually commit)
     assert_eq!(r.measured_txns, 3_000);
     assert!(
@@ -168,29 +175,48 @@ fn deadlocks_are_detected_and_resolved() {
 #[test]
 fn both_protocols_handle_the_deadlock_prone_workload() {
     for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
-        let nodes = 2;
-        let mut cfg = SystemConfig::debit_credit(nodes);
-        cfg.coupling = coupling;
-        cfg.arrival_tps_per_node = 5.0;
-        cfg.cpu.per_access_instr = 10_000.0;
-        cfg.buffer_pages_per_node = 64;
-        cfg.run.warmup_txns = 100;
-        cfg.run.measured_txns = 1_500;
-        let wl = DeadlockProne {
-            nodes,
-            pages: 4,
-            partitions: vec![PartitionConfig {
-                name: "HOT".into(),
-                pages: 4,
-                locking: true,
-                storage: StorageAllocation::disk(4),
-            }],
-            rr: 0,
-        };
-        cfg.partitions = Workload::partitions(&wl).to_vec();
-        let r = Engine::new(cfg, Box::new(wl)).expect("valid").run();
+        let r = deadlock_prone_run(coupling, 4, 5.0, 1_500);
         assert_eq!(r.measured_txns, 1_500, "{coupling:?} run must complete");
     }
+}
+
+/// Golden fingerprints of deadlocking runs. The debit-credit goldens
+/// all have `deadlocks=0`, so only these pin victim selection: the
+/// youngest member of the first cycle the detector's sorted search
+/// meets.
+#[test]
+fn golden_deadlock_prone_runs() {
+    // The 16-page runs at 40 TPS/node are long enough to convoy: they
+    // pin victims under deep queues and the timeout aborts as well.
+    let (gem, pcl) = (CouplingMode::GemLocking, CouplingMode::Pcl);
+    let cases = [
+        (gem, 4, 5.0, 1_500, "d372ce0143c2a002"),
+        (pcl, 4, 5.0, 1_500, "545485418e1a2871"),
+        (gem, 16, 40.0, 10_000, "b8dded6c026abdd4"),
+        (pcl, 16, 40.0, 10_000, "7130a2666a9d86da"),
+    ];
+    let mut drifted = Vec::new();
+    for (coupling, pages, tps, measured, golden) in cases {
+        let r = deadlock_prone_run(coupling, pages, tps, measured);
+        let case = format!("{coupling:?} pages={pages} tps={tps}");
+        assert_eq!(r.measured_txns, measured, "{case}: run must complete");
+        assert!(r.deadlock_aborts > 0, "{case}: no deadlock aborts");
+        if pages == 16 {
+            assert!(r.timeout_aborts > 0, "{case}: no timeout aborts");
+        }
+        let got = r.metric_fingerprint();
+        if got != golden {
+            drifted.push(format!(
+                "{case}: {got} (deadlocks={} timeouts={})",
+                r.deadlock_aborts, r.timeout_aborts
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "metrics drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]
