@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--jobs N] [--cores N] [--json PATH] [--nodes 1,2,5,10]
+//! repro [--quick] [--jobs N] [--json PATH] [--nodes 1,2,5,10]
 //!       [--csv DIR] [--svg DIR] [--trace DIR] [--timeline DIR]
 //!       [--profile] [--alloc-stats] [--compare OLD.json]
 //!       [--history [DIR]] [--report [PATH]] [--no-history] [-v]
@@ -16,14 +16,9 @@
 //! figures are flattened into independent jobs and executed on the
 //! `dbshare-harness` worker pool (`--jobs N`, default: all cores);
 //! every run is deterministic, so the printed tables are byte-identical
-//! for any worker count. `--cores N` additionally runs *each* job on
-//! the pipeline engine with N threads (arrival producer, statistics
-//! sink, trace sink; default 1 = the serial event loop) — results,
-//! fingerprints, and exported traces are bit-identical at every
-//! setting, only host wall-clock changes, and the per-job `cores`
-//! value is recorded in the artifact and the experiment store so perf
-//! comparisons stay apples-to-apples. Progress goes to stderr; a per-job artifact
-//! with wall-clocks, seeds, and headline metrics is written to
+//! for any worker count. Each job is one serial event loop on one
+//! thread. Progress goes to stderr; a per-job artifact with
+//! wall-clocks, seeds, and headline metrics is written to
 //! `BENCH_repro.json` (`--json PATH` to relocate). `--verbose`
 //! additionally prints the full per-run reports; `--csv DIR` writes
 //! every report field per figure; `--svg DIR` draws each figure.
@@ -79,7 +74,7 @@
 //! response time, plus a knee verdict per curve — printed to stderr
 //! and written as a JSON sidecar (`BENCH_explain.json`, or the given
 //! path). Everything derives from deterministic report fields, so the
-//! table and sidecar are byte-identical across `--jobs` and `--cores`.
+//! table and sidecar are byte-identical across `--jobs`.
 //! `--knee smoke|full` answers the knee question directly: instead of
 //! the fixed `--scale` grid it bisects the node axis per curve —
 //! hi endpoint first (one job if the curve never saturates), then lo,
@@ -88,9 +83,9 @@
 //! experiment store under `knee-smoke`/`knee-full`, and fingerprint-
 //! match the fixed grid's rows at the same node counts. `--ticker
 //! [SECS]` (default 2) prints a live stderr line per interval — jobs
-//! done/running, aggregate events/s, simulated time, ETA, peak RSS,
-//! and pipeline-lane occupancy — sampled from observer-only gauges
-//! that leave every result bit-identical.
+//! done/running, aggregate events/s, simulated time, ETA, and peak
+//! RSS — sampled from observer-only gauges that leave every result
+//! bit-identical.
 
 use dbshare_bench::chart::Chart;
 use dbshare_bench::html_report;
@@ -568,12 +563,11 @@ fn print_history(store_path: &Path, wanted: &[&Figure]) {
             fig_rows.len()
         );
         eprintln!(
-            "{:<22}{:<18}{:<14}{:>5}{:>6}{:>10}{:>9}{:>11}{:>10}{:>8}{:>14}  vs best prior",
+            "{:<22}{:<18}{:<14}{:>5}{:>10}{:>9}{:>11}{:>10}{:>8}{:>14}  vs best prior",
             "run",
             "when (UTC)",
             "rev",
             "jobs",
-            "cores",
             "events",
             "wall s",
             "events/s",
@@ -583,12 +577,10 @@ fn print_history(store_path: &Path, wanted: &[&Figure]) {
         );
         for (i, row) in fig_rows.iter().enumerate() {
             // Baseline: the best *earlier* run of the identical job
-            // set *and engine thread count*, matching the gate's and
-            // the HTML report's framing — a serial run is never the
-            // wall-clock baseline of a parallel one.
+            // set, matching the gate's and the HTML report's framing.
             let best_prior = fig_rows[..i]
                 .iter()
-                .filter(|p| p.config_set == row.config_set && p.cores == row.cores)
+                .filter(|p| p.config_set == row.config_set)
                 .map(|p| p.events_per_sec())
                 .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))));
             let delta = match best_prior {
@@ -596,12 +588,11 @@ fn print_history(store_path: &Path, wanted: &[&Figure]) {
                 Some(best) => format!("{:+.1}%", (row.events_per_sec() / best - 1.0) * 100.0),
             };
             eprintln!(
-                "{:<22}{:<18}{:<14}{:>5}{:>6}{:>10}{:>9.2}{:>11.0}{:>10.4}{:>8}{:>14}  {delta}",
+                "{:<22}{:<18}{:<14}{:>5}{:>10}{:>9.2}{:>11.0}{:>10.4}{:>8}{:>14}  {delta}",
                 row.run,
                 html_report::utc_datetime(row.created_unix),
                 short_rev(&row.git_revision),
                 row.jobs,
-                row.cores,
                 row.events,
                 row.wall_secs,
                 row.events_per_sec(),
@@ -663,7 +654,6 @@ fn main() {
     let mut trace_dir: Option<String> = None;
     let mut timeline_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut cores: Option<u32> = None;
     let mut json_path = String::from("BENCH_repro.json");
     let mut history_dir = String::from("exphistory");
     let mut show_history = false;
@@ -706,14 +696,6 @@ fn main() {
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => jobs = Some(n),
                     _ => fail(&format!("--jobs takes an integer >= 1, got {v:?}")),
-                }
-            }
-            "--cores" => {
-                i += 1;
-                let v = arg_value(&args, i, "--cores");
-                match v.parse::<u32>() {
-                    Ok(n) if n >= 1 => cores = Some(n),
-                    _ => fail(&format!("--cores takes an integer >= 1, got {v:?}")),
                 }
             }
             "--json" => {
@@ -791,8 +773,8 @@ fn main() {
                 ticker = Some(std::time::Duration::from_secs_f64(secs));
             }
             other if other.starts_with('-') => fail(&format!(
-                "unknown flag {other:?} (try --quick, --jobs, --cores, --json, --nodes, --csv, \
-                 --svg, --trace, --timeline, --profile, --alloc-stats, --compare, --history, \
+                "unknown flag {other:?} (try --quick, --jobs, --json, --nodes, --csv, --svg, \
+                 --trace, --timeline, --profile, --alloc-stats, --compare, --history, \
                  --report, --no-history, --scale, --explain, --knee, --ticker, -v)"
             )),
             other => which.push(other.to_string()),
@@ -887,21 +869,6 @@ fn main() {
     if let Some(n) = jobs {
         harness = harness.workers(n);
     }
-    if let Some(n) = cores {
-        // Oversubscribing engine stages past the physical cores only
-        // adds context-switch overhead to every job, so clamp instead
-        // of silently running N worker threads on fewer CPUs.
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get() as u32)
-            .unwrap_or(1);
-        let n = if n > host {
-            eprintln!("repro: --cores {n} exceeds host_cpus {host}; clamping to {host}");
-            host
-        } else {
-            n
-        };
-        harness = harness.cores(n);
-    }
     if !no_history {
         harness = harness.history(History {
             path: store_path.clone(),
@@ -948,7 +915,7 @@ fn main() {
 
     // Attribution: a pure function of the (deterministic) reports, so
     // the stderr table and the sidecar are byte-identical across
-    // --jobs and --cores.
+    // --jobs.
     if let Some(sidecar_path) = &explain_to {
         let explains: Vec<explain::FigureExplain> = wanted
             .iter()

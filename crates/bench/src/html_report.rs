@@ -3,19 +3,17 @@
 //! Sits next to [`chart`](crate::chart) (the per-figure SVG renderer)
 //! but reads the *store*, not a single run: one section per figure
 //! with a trend table over every recorded run (host event rate,
-//! allocations/event, wall, engine cores), inline sparklines for host
-//! events/s *and* the simulated headline metrics (throughput TPS and
-//! mean response — flat lines by construction, since results are
-//! bit-identical run to run; any kink is a regression), an events/s
-//! vs engine-cores sparkline when the store holds runs at more than
-//! one `cores` setting, a result-set hash that makes metric drift
-//! visible at a glance (two runs with the same config column and
+//! allocations/event, wall), inline sparklines for host events/s *and*
+//! the simulated headline metrics (throughput TPS and mean response —
+//! flat lines by construction, since results are bit-identical run to
+//! run; any kink is a regression), a result-set hash that makes metric
+//! drift visible at a glance (two runs with the same config column and
 //! different result column produced different simulated results for
 //! the same configuration), and the delta against the best comparable
-//! earlier run — comparable meaning same job set *and* same engine
-//! thread count. Rendering is pure string building over [`Record`]s —
-//! deterministic for a given store, no timestamps of its own, so
-//! re-rendering an unchanged store is byte-identical.
+//! earlier run — comparable meaning the same job set. Rendering is
+//! pure string building over [`Record`]s — deterministic for a given
+//! store, no timestamps of its own, so re-rendering an unchanged store
+//! is byte-identical.
 
 use dbshare_expstore::{fnv1a_hex, short_rev, FigureRun, Record};
 
@@ -54,17 +52,16 @@ pub fn render(records: &[Record]) -> String {
         out.push_str(&sparklines(records, &fig_rows));
         out.push_str(
             "<table>\n<tr><th>run</th><th>when (UTC)</th><th>rev</th><th>jobs</th>\
-             <th>cores</th><th>events</th><th>wall s</th><th>events/s</th><th>allocs/ev</th>\
+             <th>events</th><th>wall s</th><th>events/s</th><th>allocs/ev</th>\
              <th>rss MB</th><th>binding</th><th>TPS</th><th>resp ms</th>\
              <th>config</th><th>results</th><th>vs best prior</th></tr>\n",
         );
         for (i, row) in fig_rows.iter().enumerate() {
-            // Best *earlier* run of the identical job set at the same
-            // engine thread count: the store's regression baseline. A
-            // serial run never baselines a parallel one.
+            // Best *earlier* run of the identical job set: the store's
+            // regression baseline.
             let best_prior = fig_rows[..i]
                 .iter()
-                .filter(|p| p.config_set == row.config_set && p.cores == row.cores)
+                .filter(|p| p.config_set == row.config_set)
                 .map(|p| p.events_per_sec())
                 .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))));
             let delta = match best_prior {
@@ -95,7 +92,7 @@ pub fn render(records: &[Record]) -> String {
                 _ => "<td class=\"na\">&mdash;</td>".to_string(),
             };
             out.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
+                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
                  <td>{:.2}</td><td>{:.0}</td><td>{:.4}</td>\
                  {rss}{binding}<td>{tps:.1}</td><td>{resp:.1}</td>\
                  <td class=\"hash\">{}</td><td class=\"hash\">{}</td>{}</tr>\n",
@@ -103,7 +100,6 @@ pub fn render(records: &[Record]) -> String {
                 utc_datetime(row.created_unix),
                 escape(short_rev(&row.git_revision)),
                 row.jobs,
-                row.cores,
                 row.events,
                 row.wall_secs,
                 row.events_per_sec(),
@@ -175,7 +171,7 @@ fn util_stack(records: &[Record], figure: &str) -> String {
 fn result_set(records: &[Record], row: &FigureRun) -> String {
     let mut pairs: Vec<String> = records
         .iter()
-        .filter(|r| r.run == row.run && r.figure == row.figure && r.cores == row.cores)
+        .filter(|r| r.run == row.run && r.figure == row.figure)
         .map(|r| format!("{}:{}", r.config_fingerprint, r.metric_fingerprint))
         .collect();
     pairs.sort_unstable();
@@ -183,15 +179,15 @@ fn result_set(records: &[Record], row: &FigureRun) -> String {
 }
 
 /// Job-mean simulated headline metrics (throughput TPS, mean response
-/// ms) of one figure-run's rows. Cores-invariant by the engine's
-/// bit-identity guarantee, so the report plots them as drift alarms.
+/// ms) of one figure-run's rows. Bit-identical run to run for an
+/// unchanged job set, so the report plots them as drift alarms.
 fn sim_metrics(records: &[Record], row: &FigureRun) -> (f64, f64) {
     let mut tps = 0.0;
     let mut resp = 0.0;
     let mut n = 0usize;
     for r in records
         .iter()
-        .filter(|r| r.run == row.run && r.figure == row.figure && r.cores == row.cores)
+        .filter(|r| r.run == row.run && r.figure == row.figure)
     {
         tps += r.throughput_tps;
         resp += r.mean_response_ms;
@@ -230,8 +226,7 @@ fn spark_svg(values: &[f64], color: &str, label: &str, decimals: usize) -> Strin
 }
 
 /// The figure's sparkline block: host events/s and the simulated
-/// headline metrics across runs, plus events/s vs engine cores when
-/// the store holds more than one `cores` setting.
+/// headline metrics across runs.
 fn sparklines(records: &[Record], rows: &[&FigureRun]) -> String {
     let mut out = String::new();
     let rates: Vec<f64> = rows.iter().map(|r| r.events_per_sec()).collect();
@@ -246,28 +241,6 @@ fn sparklines(records: &[Record], rows: &[&FigureRun]) -> String {
         "sim mean resp ms (job mean)",
         1,
     ));
-
-    // Best events/s per distinct cores value, ascending — the speedup
-    // curve a multi-core host should show rising.
-    let mut per_cores: Vec<(u32, f64)> = Vec::new();
-    for row in rows {
-        let rate = row.events_per_sec();
-        match per_cores.iter_mut().find(|(c, _)| *c == row.cores) {
-            Some((_, best)) => *best = best.max(rate),
-            None => per_cores.push((row.cores, rate)),
-        }
-    }
-    if per_cores.len() >= 2 {
-        per_cores.sort_unstable_by_key(|(c, _)| *c);
-        let curve: Vec<f64> = per_cores.iter().map(|(_, v)| *v).collect();
-        let labels: Vec<String> = per_cores.iter().map(|(c, _)| c.to_string()).collect();
-        out.push_str(&spark_svg(
-            &curve,
-            "#7c3aed",
-            &format!("best events/s at cores {}", labels.join(", ")),
-            0,
-        ));
-    }
     out
 }
 
@@ -345,7 +318,6 @@ mod tests {
             curve: "c".into(),
             nodes,
             seed: 1,
-            cores: 1,
             host_cpus: 8,
             config_fingerprint: format!("cfg{figure}{nodes}"),
             metric_fingerprint: metric.into(),
@@ -381,6 +353,12 @@ mod tests {
         // Sampled peak RSS lands in its own column.
         assert!(page.contains("<th>rss MB</th>"), "missing RSS column");
         assert!(page.contains("<td>64</td>"), "missing RSS cell: {page}");
+        // fig41's two runs draw host and simulated-metric sparklines.
+        assert!(page.contains("sim TPS"), "missing TPS sparkline: {page}");
+        assert!(
+            page.contains("sim mean resp"),
+            "missing response sparkline: {page}"
+        );
         // Escapes interpolated text.
         assert!(!page.contains("<script"), "sanity");
     }
@@ -414,37 +392,6 @@ mod tests {
         // The binding resource's stack cell is bolded; exactly one per
         // attributed job row.
         assert_eq!(page.matches("class=\"bind\"").count(), 1, "{page}");
-    }
-
-    #[test]
-    fn parallel_rows_split_and_draw_the_cores_sparkline() {
-        let mut fast_parallel = rec("r2", 1_754_100_000, "fig41", 1, 0.5, "m1");
-        fast_parallel.cores = 4;
-        let records = vec![
-            rec("r1", 1_754_000_000, "fig41", 1, 2.0, "m1"),
-            rec("r2", 1_754_100_000, "fig41", 1, 2.0, "m1"),
-            fast_parallel,
-        ];
-        let page = render(&records);
-        // The cores=4 row has no comparable (same-cores) prior, so its
-        // delta cell is the em-dash, not a percentage against r1 —
-        // 2 baseline dashes plus one unattributed-binding dash per row.
-        assert_eq!(
-            page.matches("class=\"na\"").count(),
-            5,
-            "first serial row and first cores=4 row both lack a baseline: {page}"
-        );
-        // Two distinct cores values => the events/s-vs-cores sparkline.
-        assert!(
-            page.contains("best events/s at cores 1, 4"),
-            "missing cores sparkline: {page}"
-        );
-        // Simulated metrics are plotted too.
-        assert!(page.contains("sim TPS"), "missing TPS sparkline: {page}");
-        assert!(
-            page.contains("sim mean resp"),
-            "missing response sparkline: {page}"
-        );
     }
 
     #[test]

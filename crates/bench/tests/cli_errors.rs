@@ -1,5 +1,5 @@
-//! CLI error paths of the `repro` binary: unusable export
-//! destinations must exit 2 with a clear message *before* any
+//! CLI error paths of the `repro` binary: unknown flags and unusable
+//! export destinations must exit 2 with a clear message *before* any
 //! simulation runs — not an hour into a sweep.
 
 use std::fs;
@@ -58,4 +58,34 @@ fn unwritable_export_dir_exits_2_before_running() {
             "{flag}: validation did not fail fast"
         );
     }
+}
+
+/// `--cores` (the removed engine thread count) is an unknown flag like
+/// any other: exit 2 before a single figure runs, the flag named in the
+/// error, and no longer offered in the list of valid flags.
+#[test]
+fn unknown_flag_exits_2_before_running() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--cores", "2", "fig41"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "expected exit 2, got {:?}",
+        output.status
+    );
+    assert!(output.stdout.is_empty(), "a figure ran before the error");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown flag \"--cores\""),
+        "stderr must name the unknown flag, got: {stderr}"
+    );
+    let (_, hints) = stderr
+        .split_once("(try")
+        .unwrap_or_else(|| panic!("stderr must list the valid flags, got: {stderr}"));
+    assert!(
+        hints.contains("--jobs") && !hints.contains("--cores"),
+        "flag hints must not offer --cores, got: {stderr}"
+    );
 }

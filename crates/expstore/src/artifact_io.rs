@@ -66,9 +66,6 @@ pub fn records_from_artifact(doc: &Json) -> Result<Vec<Record>, String> {
             curve: str_field("curve")?,
             nodes: num_field("nodes")? as u16,
             seed: num_field("seed")? as u64,
-            // Lenient like the store's own parse: artifacts written
-            // before the parallel engine carry no cores field.
-            cores: row.get("cores").and_then(Json::as_f64).unwrap_or(1.0) as u32,
             host_cpus,
             config_fingerprint: str_field("config_fingerprint")?,
             metric_fingerprint: row
@@ -132,7 +129,6 @@ mod tests {
                     ("curve", Json::Str("GEM".into())),
                     ("nodes", Json::Num(2.0)),
                     ("seed", Json::Num(42.0)),
-                    ("cores", Json::Num(2.0)),
                     ("config_fingerprint", Json::Str("cfg".into())),
                     ("metric_fingerprint", Json::Str("met".into())),
                     ("wall_secs", Json::Num(0.5)),
@@ -145,6 +141,17 @@ mod tests {
         ])
     }
 
+    /// The fixture's first record row, for in-place edits.
+    fn first_row(doc: &mut Json) -> &mut Json {
+        match doc {
+            Json::Obj(fields) => match fields.iter_mut().find(|(k, _)| k == "records") {
+                Some((_, Json::Arr(rows))) => &mut rows[0],
+                _ => panic!("fixture has a records array"),
+            },
+            _ => panic!("fixture is an object"),
+        }
+    }
+
     #[test]
     fn converts_records_with_provenance() {
         let records = records_from_artifact(&artifact_doc()).expect("converts");
@@ -155,23 +162,25 @@ mod tests {
         assert_eq!(r.figure, "fig41");
         assert_eq!(r.nodes, 2);
         assert_eq!(r.metric_fingerprint, "met");
-        assert_eq!(r.cores, 2);
         assert_eq!(r.host_cpus, 16);
     }
 
     #[test]
-    fn pre_parallel_artifacts_default_cores_and_host_cpus() {
+    fn legacy_artifacts_with_and_without_cores_convert() {
+        // Artifacts that recorded a per-row engine thread count
+        // (`cores`) convert exactly like current ones: the key is
+        // ignored.
+        let current = records_from_artifact(&artifact_doc()).expect("converts");
         let mut doc = artifact_doc();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "host_cpus");
-            if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "records") {
-                if let Json::Obj(row) = &mut rows[0] {
-                    row.retain(|(k, _)| k != "cores");
-                }
-            }
-        }
-        let records = records_from_artifact(&doc).expect("legacy artifact converts");
-        assert_eq!(records[0].cores, 1);
+        first_row(&mut doc).set("cores", Json::Num(2.0));
+        let records = records_from_artifact(&doc).expect("artifact with cores converts");
+        assert_eq!(records, current);
+        assert_eq!(records[0].host_cpus, 16);
+
+        // Older artifacts carry neither key; the host count reads 0.
+        let mut doc = artifact_doc();
+        doc.remove("host_cpus");
+        let records = records_from_artifact(&doc).expect("artifact without cores converts");
         assert_eq!(records[0].host_cpus, 0);
     }
 
@@ -184,13 +193,7 @@ mod tests {
     #[test]
     fn pre_fingerprint_artifacts_read_with_empty_metric_fingerprint() {
         let mut doc = artifact_doc();
-        if let Json::Obj(fields) = &mut doc {
-            if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "records") {
-                if let Json::Obj(row) = &mut rows[0] {
-                    row.retain(|(k, _)| k != "metric_fingerprint");
-                }
-            }
-        }
+        first_row(&mut doc).remove("metric_fingerprint");
         let records = records_from_artifact(&doc).expect("still converts");
         assert_eq!(records[0].metric_fingerprint, "");
     }

@@ -117,11 +117,6 @@ pub struct FigureRun {
     pub git_revision: String,
     /// Figure key.
     pub figure: String,
-    /// Engine threads per job (`Record::cores`). Part of the grouping
-    /// key: a serial and a parallel run of the same figure aggregate
-    /// into separate rows, so wall-clock comparisons stay
-    /// apples-to-apples.
-    pub cores: u32,
     /// Jobs aggregated into this row.
     pub jobs: usize,
     /// Summed host wall seconds.
@@ -153,7 +148,7 @@ impl FigureRun {
 }
 
 /// Folds records into [`FigureRun`] aggregates, preserving the order
-/// in which (run, figure, cores) triples first appear in the log.
+/// in which (run, figure) pairs first appear in the log.
 pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
     let mut rows: Vec<FigureRun> = Vec::new();
     let mut configs: Vec<Vec<&str>> = Vec::new();
@@ -161,14 +156,13 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
     for r in records {
         let at = rows
             .iter()
-            .position(|row| row.run == r.run && row.figure == r.figure && row.cores == r.cores)
+            .position(|row| row.run == r.run && row.figure == r.figure)
             .unwrap_or_else(|| {
                 rows.push(FigureRun {
                     run: r.run.clone(),
                     created_unix: r.created_unix,
                     git_revision: r.provenance.git_revision.clone(),
                     figure: r.figure.clone(),
-                    cores: r.cores,
                     jobs: 0,
                     wall_secs: 0.0,
                     events: 0,
@@ -226,7 +220,6 @@ mod tests {
             curve: "c".into(),
             nodes,
             seed: 1,
-            cores: 1,
             host_cpus: 4,
             config_fingerprint: format!("cfg-{figure}-{nodes}"),
             metric_fingerprint: format!("met-{figure}-{nodes}"),
@@ -329,25 +322,5 @@ mod tests {
             .find(|r| r.run == "r2" && r.figure == "fig41")
             .expect("r2/fig41");
         assert_eq!(r2fig41.binding, None);
-    }
-
-    #[test]
-    fn figure_runs_split_by_cores() {
-        // One run executing the same figure serially and at cores=4
-        // must yield two aggregate rows, not one blended average.
-        let mut records = sample();
-        let mut parallel = rec("r1", "fig41", 1, "revA", 0.4, 1000);
-        parallel.cores = 4;
-        records.push(parallel);
-        let rows = figure_runs(&records);
-        let fig41_r1: Vec<_> = rows
-            .iter()
-            .filter(|r| r.run == "r1" && r.figure == "fig41")
-            .collect();
-        assert_eq!(fig41_r1.len(), 2);
-        assert_eq!(fig41_r1[0].cores, 1);
-        assert_eq!(fig41_r1[0].jobs, 2);
-        assert_eq!(fig41_r1[1].cores, 4);
-        assert_eq!(fig41_r1[1].jobs, 1);
     }
 }

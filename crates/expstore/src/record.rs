@@ -9,7 +9,9 @@
 //! seconds, events, allocations). Records serialize to one compact
 //! JSON line each ([`Record::to_line`]) and parse back losslessly
 //! ([`Record::from_line`]); the field order is fixed so re-rendering a
-//! parsed record is byte-identical.
+//! record this version wrote is byte-identical. Keys of older layouts
+//! that no field holds any more (the engine thread count) are ignored
+//! on parse and dropped on re-render.
 
 use crate::json::Json;
 
@@ -46,15 +48,9 @@ pub struct Record {
     pub nodes: u16,
     /// The run's master seed.
     pub seed: u64,
-    /// Host threads the engine used for this job
-    /// (`RunControl::cores`; 1 = the serial event loop). Results are
-    /// bit-identical at every setting, but wall-clock is not — trend
-    /// comparisons must only pair rows with equal `cores`. Rows
-    /// written before this field existed parse as 1.
-    pub cores: u32,
     /// Logical CPUs of the host that executed the job (0 when unknown
-    /// or on rows written before this field existed). Context for
-    /// reading parallel speedups.
+    /// or on rows written before this field existed). Host provenance
+    /// for reading wall-clock numbers.
     pub host_cpus: u32,
     /// FNV-1a hash of the job's complete configuration.
     pub config_fingerprint: String,
@@ -140,7 +136,6 @@ impl Record {
             ("curve", Json::Str(self.curve.clone())),
             ("nodes", Json::Num(f64::from(self.nodes))),
             ("seed", Json::Num(self.seed as f64)),
-            ("cores", Json::Num(f64::from(self.cores))),
             ("host_cpus", Json::Num(f64::from(self.host_cpus))),
             (
                 "config_fingerprint",
@@ -224,10 +219,10 @@ impl Record {
             curve: str_field("curve")?,
             nodes: num_field("nodes")? as u16,
             seed: num_field("seed")? as u64,
-            // Optional with defaults: rows written before the parallel
-            // engine carry neither field and stay readable (still
-            // schema v1 — new rows always render both).
-            cores: doc.get("cores").and_then(Json::as_f64).unwrap_or(1.0) as u32,
+            // Optional with a default: older rows carry no host CPU
+            // count and stay readable (still schema v1). Keys this
+            // reader does not know, such as the engine thread count
+            // legacy rows recorded, are ignored.
             host_cpus: doc.get("host_cpus").and_then(Json::as_f64).unwrap_or(0.0) as u32,
             config_fingerprint: str_field("config_fingerprint")?,
             metric_fingerprint: str_field("metric_fingerprint")?,
@@ -296,7 +291,6 @@ mod tests {
             curve: "GEM, NOFORCE".into(),
             nodes,
             seed,
-            cores: 1,
             host_cpus: 8,
             config_fingerprint: format!("cfg{figure}{nodes}"),
             metric_fingerprint: format!("met{figure}{nodes}"),
@@ -381,15 +375,22 @@ mod tests {
     }
 
     #[test]
-    fn rows_without_cores_fields_parse_with_defaults() {
-        // A pre-parallel-engine v1 row (no cores / host_cpus keys)
-        // must stay readable — the committed baseline history depends
-        // on it.
-        let mut doc = sample("fig41", 2, 7).to_json();
-        doc.remove("cores");
-        doc.remove("host_cpus");
-        let back = Record::from_json(&doc).expect("legacy row parses");
-        assert_eq!(back.cores, 1);
+    fn legacy_rows_with_and_without_cores_parse() {
+        // The committed baseline history holds rows that recorded an
+        // engine thread count (`cores`) and older rows that carry
+        // neither it nor `host_cpus`. Both must stay readable; the
+        // `cores` key is ignored and dropped on re-render.
+        let rec = sample("fig41", 2, 7);
+        let mut with_cores = rec.to_json();
+        with_cores.set("cores", Json::Num(2.0));
+        let back = Record::from_json(&with_cores).expect("row with cores parses");
+        assert_eq!(back, rec);
+        assert_eq!(back.host_cpus, 8);
+        assert_eq!(back.to_line(), rec.to_line());
+
+        let mut without = rec.to_json();
+        without.remove("host_cpus");
+        let back = Record::from_json(&without).expect("row without cores parses");
         assert_eq!(back.host_cpus, 0);
     }
 

@@ -1,6 +1,7 @@
 //! Store integration tests against a real file: append/read
-//! round-trips, index queries, torn-write recovery, and byte-identical
-//! re-serialization of the store's JSON values.
+//! round-trips, the committed baseline history, index queries,
+//! torn-write recovery, and byte-identical re-serialization of the
+//! store's JSON values.
 
 use dbshare_expstore::{figure_runs, Index, Json, Provenance, Record, Store};
 use std::fs;
@@ -37,7 +38,6 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         curve: format!("curve of {figure}, \"quoted\""),
         nodes,
         seed: 0xD5_0000 + u64::from(nodes),
-        cores: 1,
         host_cpus: 8,
         config_fingerprint: format!("cfg-{figure}-{nodes}"),
         metric_fingerprint: format!("met-{figure}-{nodes}"),
@@ -53,6 +53,20 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         next_utilization: None,
         utils: None,
     }
+}
+
+/// The committed baseline history holds rows from every layout this
+/// schema version has written, legacy `cores` keys included: every
+/// line must load as a record, with nothing dropped as a torn write.
+#[test]
+fn committed_history_reads_every_line_without_recovery() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/history.jsonl");
+    let text = fs::read_to_string(&path).expect("committed history is readable");
+    let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+    assert!(lines > 0, "committed history is empty");
+    let read = Store::new(&path).read().expect("committed history parses");
+    assert!(read.recovery.is_none(), "recovery: {:?}", read.recovery);
+    assert_eq!(read.records.len(), lines);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! verdict — then the lo endpoint, then bisects until the bracket is
 //! no wider than a quarter of the original span. Every probe is built
 //! from the same [`ScalePreset::spec`] the fixed grid uses, runs
-//! through the ordinary [`Harness`] job pool (so `--jobs`, `--cores`,
+//! through the ordinary [`Harness`] job pool (so `--jobs`,
 //! the ticker, and history persistence all apply), and lands in the
 //! experiment store as a row whose config fingerprint matches the
 //! grid's point at that node count.

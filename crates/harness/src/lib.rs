@@ -83,8 +83,6 @@ pub struct Outcome {
     pub results: Vec<JobResult>,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Engine threads each job ran with (`RunControl::cores`).
-    pub cores: u32,
     /// Logical CPUs of the host that executed the run (0 when the
     /// count was unreadable).
     pub host_cpus: u32,
@@ -148,7 +146,6 @@ impl Outcome {
                     curve: res.job.curve.clone(),
                     nodes: res.job.nodes,
                     seed: res.job.spec.seed(),
-                    cores: res.job.cores,
                     host_cpus: self.host_cpus,
                     config_fingerprint: fingerprint(&res.job.spec),
                     metric_fingerprint: res.report.metric_fingerprint(),
@@ -190,7 +187,6 @@ pub struct History {
 #[derive(Debug, Clone)]
 pub struct Harness {
     workers: usize,
-    cores: u32,
     progress: bool,
     observe: Observe,
     history: Option<History>,
@@ -209,7 +205,6 @@ impl Harness {
     pub fn new() -> Self {
         Harness {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cores: 1,
             progress: false,
             observe: Observe::default(),
             history: None,
@@ -220,16 +215,6 @@ impl Harness {
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Sets the engine thread count every job runs with (clamped to at
-    /// least 1; 1 = the serial event loop). Results are bit-identical
-    /// at every setting — only host wall-clock changes — so the
-    /// recorded `cores` value exists to keep perf comparisons
-    /// apples-to-apples, not to distinguish outputs.
-    pub fn cores(mut self, n: u32) -> Self {
-        self.cores = n.max(1);
         self
     }
 
@@ -286,7 +271,6 @@ impl Harness {
                         nodes,
                         spec,
                         observe: self.observe,
-                        cores: self.cores,
                     });
                 }
             }
@@ -344,7 +328,6 @@ impl Harness {
             figures,
             results,
             workers: self.workers,
-            cores: self.cores,
             host_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()) as u32,
             total_wall_secs,
             created_unix,

@@ -6,12 +6,11 @@
 //! events); this module's thread samples those gauges on a wall-clock
 //! cadence and prints one stderr line per tick — jobs done/running,
 //! aggregate event rate, simulated time reached, an ETA from committed
-//! transactions, current peak RSS, and pipeline-lane occupancy for
-//! `--cores > 1` jobs. Strictly observer-only: the sampler never
-//! writes into the simulation, and `sim/tests/explain.rs` pins that a
-//! gauge-carrying run reports bit-identical metrics. Everything goes
-//! to stderr, so captured stdout stays byte-identical with the ticker
-//! on or off.
+//! transactions, and current peak RSS. Strictly observer-only: the
+//! sampler never writes into the simulation, and `sim/tests/explain.rs`
+//! pins that a gauge-carrying run reports bit-identical metrics.
+//! Everything goes to stderr, so captured stdout stays byte-identical
+//! with the ticker on or off.
 
 use crate::rss;
 use dbshare_sim::ProgressGauge;
@@ -106,27 +105,6 @@ impl TickerState {
             line.push_str(&format!(" | {:.0}%", fraction * 100.0));
         }
         line.push_str(&format!(" | rss {} MB", rss::format_mb(rss::peak_rss_mb())));
-
-        // Pipeline lanes (present only for --cores > 1 jobs): the peak
-        // occupancy per stage across running jobs, as a fill percent.
-        let mut lanes: Vec<(&'static str, f64, u64)> = Vec::new();
-        for (_, snap) in &snaps {
-            for (label, stats) in &snap.lanes {
-                match lanes.iter_mut().find(|(l, _, _)| l == label) {
-                    Some((_, occ, stalls)) => {
-                        *occ = occ.max(stats.occupancy());
-                        *stalls += stats.stalls;
-                    }
-                    None => lanes.push((label, stats.occupancy(), stats.stalls)),
-                }
-            }
-        }
-        for (label, occ, stalls) in lanes {
-            line.push_str(&format!(" | lane {label} occ {occ:.1}"));
-            if stalls > 0 {
-                line.push_str(&format!(" stalls {stalls}"));
-            }
-        }
         line
     }
 }

@@ -323,13 +323,6 @@ pub struct RunControl {
     /// emits a `Watchdog` trace event if tracing is on). `None`
     /// disables the watchdog entirely.
     pub watchdog_secs: Option<f64>,
-    /// Host threads the engine may use for one run (`1` = the fully
-    /// serial event loop). Extra cores run deterministic pipeline
-    /// stages — arrival pre-generation, statistics folding, trace
-    /// sinking — and results stay bit-identical at every setting; see
-    /// DESIGN.md. Values beyond the stage count are accepted and
-    /// clamped to the stages the run can actually use.
-    pub cores: u32,
 }
 
 impl Default for RunControl {
@@ -340,7 +333,6 @@ impl Default for RunControl {
             measured_txns: 20_000,
             max_sim_secs: None,
             watchdog_secs: None,
-            cores: 1,
         }
     }
 }
@@ -518,9 +510,6 @@ impl SystemConfig {
         if self.run.measured_txns == 0 {
             return Err(ConfigError::new("measured_txns must be positive"));
         }
-        if self.run.cores == 0 {
-            return Err(ConfigError::new("cores must be >= 1"));
-        }
         if let Some(c) = self.crash {
             if c.node >= self.nodes {
                 return Err(ConfigError::new("crash node out of range"));
@@ -678,12 +667,8 @@ mod tests {
         c.buffer_pages_per_node = 0;
         assert!(c.validate().is_err());
 
-        let mut c = good.clone();
-        c.run.measured_txns = 0;
-        assert!(c.validate().is_err());
-
         let mut c = good;
-        c.run.cores = 0;
+        c.run.measured_txns = 0;
         assert!(c.validate().is_err());
     }
 

@@ -541,28 +541,11 @@ impl Engine {
                 }
             }
         }
-        // Pipeline diagnostics (`--cores > 1`): stage-lane delivery
-        // counters and the calendar depth, so a stuck pipelined run
-        // shows whether a lane stalled or the event queue drained.
-        for &(label, ref watch) in &self.pipe_watches {
-            let s = watch.stats();
-            eprintln!(
-                "  PIPE {label}: batches={} items={} occupancy={:.1} partial={} locks={} stalls={}",
-                s.batches,
-                s.items,
-                s.occupancy(),
-                s.partial,
-                s.locks,
-                s.stalls,
-            );
-        }
-        if self.cfg.run.cores > 1 {
-            eprintln!(
-                "  CAL depth={} scheduled={}",
-                self.cal.len(),
-                self.cal.total_scheduled()
-            );
-        }
+        eprintln!(
+            "  CAL depth={} scheduled={}",
+            self.cal.len(),
+            self.cal.total_scheduled()
+        );
     }
 
     // ------------------------------------------------------------------

@@ -524,7 +524,7 @@ impl Engine {
         let waited = (now - t.wait_since).as_nanos();
         let delay_ms = (now - t.wait_since).as_millis_f64();
         t.end_io_wait(now);
-        self.stats_page_req_delay(delay_ms);
+        self.metrics.page_req_delay.record(delay_ms);
         let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
         if let Some((victim, _)) = evicted {
             self.start_evict_write(now, node, victim);

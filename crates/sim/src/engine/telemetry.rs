@@ -46,9 +46,8 @@ impl Engine {
         self.tracer = Some(sink);
     }
 
-    /// Emits one trace record if a sink is installed (directly, or via
-    /// the trace stage of a pipeline run). Integer-only arguments and
-    /// a cheap early-out: free when tracing is off.
+    /// Emits one trace record if a sink is installed. Integer-only
+    /// arguments and a cheap early-out: free when tracing is off.
     #[inline]
     pub(crate) fn emit(
         &mut self,
@@ -59,21 +58,17 @@ impl Engine {
         page: Option<PageId>,
         arg: u64,
     ) {
-        if self.tracer.is_none() && self.trace_stage.is_none() {
+        let Some(tracer) = self.tracer.as_mut() else {
             return;
-        }
-        let ev = TraceEvent {
+        };
+        tracer.record(&TraceEvent {
             at,
             kind,
             node: node.raw(),
             txn: txn.map_or(NO_TXN, |t| t.raw()),
             page: page.map_or(NO_PAGE, |p| pack_page(p.partition().raw(), p.number())),
             arg,
-        };
-        match self.trace_stage.as_mut() {
-            Some(stage) => stage.push(ev),
-            None => self.tracer.as_mut().expect("sink installed").record(&ev),
-        }
+        });
     }
 
     /// Cumulative buffer hits and misses across all nodes and
@@ -267,7 +262,7 @@ impl Engine {
         if self.observe.trace && self.tracer.is_none() {
             self.tracer = Some(Box::new(VecSink::new()));
         }
-        let now = self.run_to_end();
+        let now = self.run_loop();
         let timeline = self.flush_timeline(now);
         let trace = self
             .tracer

@@ -119,33 +119,19 @@ impl RunSpec {
     /// are the observations across repeated invocations, which is what
     /// makes trace files diffable.
     pub fn execute_observed(&self, observe: Observe) -> (RunReport, Observations) {
-        let mut engine = self.engine();
-        engine.set_observe(observe);
-        engine.run_observed()
+        self.execute_instrumented(observe, None)
     }
 
-    /// Executes the run on `cores` host threads with the given
-    /// observation settings. The report and observations are
-    /// bit-identical to [`execute_observed`](RunSpec::execute_observed)
-    /// at every `cores` value (the pipeline stages preserve the serial
-    /// event and fold order; see the engine's `parallel` module) —
-    /// only wall-clock changes.
-    pub fn execute_with(&self, cores: u32, observe: Observe) -> (RunReport, Observations) {
-        self.execute_instrumented(cores, observe, None)
-    }
-
-    /// Executes the run on `cores` host threads, optionally publishing
-    /// coarse progress into `progress` for a sampling thread to read.
-    /// The gauge is observer-only: the report and observations are
-    /// bit-identical with and without it, at every `cores` value.
+    /// [`execute_observed`](RunSpec::execute_observed), optionally
+    /// publishing coarse progress into `progress` for a sampling thread
+    /// to read. The gauge is observer-only: the report and observations
+    /// are bit-identical with and without it.
     pub fn execute_instrumented(
         &self,
-        cores: u32,
         observe: Observe,
         progress: Option<std::sync::Arc<ProgressGauge>>,
     ) -> (RunReport, Observations) {
         let mut engine = self.engine();
-        engine.set_cores(cores);
         engine.set_observe(observe);
         if let Some(gauge) = progress {
             engine.set_progress(gauge);

@@ -2,10 +2,14 @@
 //! *bit-identical* metrics to the seed engine for pinned seeds. The
 //! constants below were captured from the pre-optimization build; any
 //! hot-path change (hashing, slab indexing, calendar layout) that
-//! perturbs event order or arithmetic shows up here immediately.
+//! perturbs event order or arithmetic shows up here immediately. The
+//! scale, truncated and crash constants were captured before the
+//! arrival and statistics paths were folded back into the event loop.
 
-use dbshare_model::{CouplingMode, RoutingStrategy, UpdateStrategy};
-use dbshare_sim::experiments::{debit_credit_run, DebitCreditRun, RunLength, RunSpec};
+use dbshare_model::{CouplingMode, CrashConfig, RoutingStrategy, SystemConfig, UpdateStrategy};
+use dbshare_sim::experiments::{debit_credit_run, DebitCreditRun, RunLength, RunSpec, ScaleRun};
+use dbshare_sim::{Engine, Observe};
+use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
 
 /// One run's fingerprint: every floating-point metric as exact bits,
 /// every counter as-is. Formatted as one line per field so failures
@@ -53,13 +57,6 @@ fn run(coupling: CouplingMode, update: UpdateStrategy, nodes: u16) -> String {
     fingerprint(&debit_credit_run(params(coupling, update, nodes)))
 }
 
-/// The same run on the pipeline engine (`RunControl::cores > 1`).
-fn run_at_cores(coupling: CouplingMode, update: UpdateStrategy, nodes: u16, cores: u32) -> String {
-    let spec = RunSpec::DebitCredit(params(coupling, update, nodes));
-    let (report, _) = spec.execute_with(cores, Default::default());
-    fingerprint(&report)
-}
-
 #[test]
 fn golden_gem_noforce_2_nodes() {
     let got = run(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2);
@@ -102,23 +99,84 @@ fn golden_pcl_force_3_nodes() {
     );
 }
 
-/// The pipeline engine must hit the very same golden bits at every
-/// `cores` value — each stage count (source at 2, +stats at 3, +trace
-/// clamp at 4) reproduces the serial event and fold order exactly.
+/// A miniature `ScaleRun` (the spec shape `--scale` executes, shrunk
+/// to test size) under full observation: the metric fingerprint plus
+/// the trace-event and timeline-window counts.
 #[test]
-fn golden_gem_noforce_holds_on_the_pipeline_engine() {
-    let serial = run(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2);
-    for cores in [2, 3, 4] {
-        let got = run_at_cores(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2, cores);
-        assert_eq!(got, serial, "GEM/NOFORCE drifted at cores={cores}");
+fn golden_scale_runs_under_full_observation() {
+    for (coupling, metrics, trace_events, windows) in [
+        (CouplingMode::GemLocking, "16241c81b6bda45e", 25_467, 11),
+        (CouplingMode::Pcl, "52d07061ec1209a5", 25_195, 11),
+    ] {
+        let spec = RunSpec::Scale(ScaleRun {
+            nodes: 4,
+            accounts: 4_000,
+            coupling,
+            tps_per_node: 100.0,
+            page_metadata_budget: 64,
+            run: RunLength {
+                warmup: 200,
+                measured: 2_000,
+            },
+            seed: 0xDB5_4A6E,
+        });
+        let (report, obs) = spec.execute_observed(Observe::full());
+        assert_eq!(
+            (
+                report.metric_fingerprint().as_str(),
+                obs.trace.len(),
+                obs.timeline.len()
+            ),
+            (metrics, trace_events, windows),
+            "{coupling:?} scale run drifted"
+        );
     }
 }
 
+/// A 4-node GEM debit-credit engine under random routing, optionally
+/// capped in simulated time and with a node crash injected.
+fn gem_engine(crash: Option<CrashConfig>, max_sim_secs: Option<f64>) -> Engine {
+    let tps = 100.0;
+    let nodes = 4;
+    let mut cfg = SystemConfig::debit_credit(nodes);
+    cfg.coupling = CouplingMode::GemLocking;
+    cfg.routing = RoutingStrategy::Random;
+    cfg.crash = crash;
+    cfg.run.warmup_txns = 200;
+    cfg.run.measured_txns = 2_000;
+    cfg.run.max_sim_secs = max_sim_secs;
+    let wl = DebitCreditWorkload::new(DebitCredit::new(nodes, tps), tps, RoutingStrategy::Random);
+    cfg.partitions = Workload::partitions(&wl).to_vec();
+    Engine::new(cfg, Box::new(wl)).expect("valid config")
+}
+
+/// A run cut off by `max_sim_secs` mid-stream, with arrivals still
+/// scheduled past the cap.
 #[test]
-fn golden_pcl_force_holds_on_the_pipeline_engine() {
-    let serial = run(CouplingMode::Pcl, UpdateStrategy::Force, 3);
-    for cores in [2, 3, 4] {
-        let got = run_at_cores(CouplingMode::Pcl, UpdateStrategy::Force, 3, cores);
-        assert_eq!(got, serial, "PCL/FORCE drifted at cores={cores}");
-    }
+fn golden_truncated_gem_run() {
+    let report = gem_engine(None, Some(2.0)).run();
+    assert!(report.truncated, "run must actually truncate");
+    assert_eq!(
+        report.metric_fingerprint(),
+        "366b4ccbe3e85de5",
+        "truncated GEM run drifted"
+    );
+}
+
+/// A crash/recovery schedule: aborts, rerouted arrivals, and restart
+/// draws.
+#[test]
+fn golden_crash_gem_run() {
+    let crash = CrashConfig {
+        node: 1,
+        at_secs: 3.0,
+        recovery_secs: 2.0,
+    };
+    let report = gem_engine(Some(crash), None).run();
+    assert!(report.crash_aborts > 0, "crash must bite");
+    assert_eq!(
+        report.metric_fingerprint(),
+        "4424c6f3a08c5e87",
+        "crashed GEM run drifted"
+    );
 }

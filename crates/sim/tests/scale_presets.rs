@@ -1,19 +1,12 @@
-//! The `--scale` family's two load-bearing invariants.
-//!
-//! 1. `page_metadata_budget` is a *capacity* knob, not a semantic one:
-//!    a run with every page-keyed pre-allocation capped (lazy
-//!    materialization beyond the budget) must produce a report
-//!    bit-identical to the historical dense pre-sizing, at any budget,
-//!    over any seed.
-//! 2. Scale presets inherit the engine's cross-`cores` bit-identity:
-//!    a `ScaleRun` executed on the pipeline engine matches the serial
-//!    engine, report and observations both.
+//! The `--scale` family's load-bearing invariant:
+//! `page_metadata_budget` is a *capacity* knob, not a semantic one. A
+//! run with every page-keyed pre-allocation capped (lazy
+//! materialization beyond the budget) must produce a report
+//! bit-identical to the historical dense pre-sizing, at any budget,
+//! over any seed. (`golden.rs` pins a miniature `ScaleRun` itself.)
 
 use dbshare_model::{CouplingMode, RoutingStrategy, UpdateStrategy};
-use dbshare_sim::experiments::{
-    debit_credit_run_with, DebitCreditRun, RunLength, RunSpec, ScaleRun,
-};
-use dbshare_sim::Observe;
+use dbshare_sim::experiments::{debit_credit_run_with, DebitCreditRun, RunLength};
 
 const QUICK: RunLength = RunLength {
     warmup: 200,
@@ -48,39 +41,6 @@ fn sparse_page_metadata_matches_dense_baseline() {
                 );
                 assert_eq!(sparse.metric_fingerprint(), dense.metric_fingerprint());
             }
-        }
-    }
-}
-
-/// A miniature `ScaleRun` (the same spec shape `--scale` executes,
-/// shrunk to test size) must be bit-identical across engine thread
-/// counts — the full sweep's 1-vs-2-core check without the hour of
-/// wall-clock.
-#[test]
-fn scale_runs_are_identical_across_cores() {
-    for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
-        let spec = RunSpec::Scale(ScaleRun {
-            nodes: 4,
-            accounts: 4_000,
-            coupling,
-            tps_per_node: 100.0,
-            page_metadata_budget: 64,
-            run: QUICK,
-            seed: 0xDB5_4A6E,
-        });
-        let (base_report, base_obs) = spec.execute_with(1, Observe::full());
-        assert!(
-            base_report.measured_txns > 0,
-            "scale spec must actually run"
-        );
-        for cores in [2, 4] {
-            let (report, obs) = spec.execute_with(cores, Observe::full());
-            assert_eq!(
-                format!("{report:?}"),
-                format!("{base_report:?}"),
-                "scale report drifted at cores={cores} (coupling {coupling:?})"
-            );
-            assert_eq!(obs, base_obs, "observations drifted at cores={cores}");
         }
     }
 }
