@@ -28,7 +28,48 @@ use std::collections::BTreeSet;
 struct GlaPage {
     seqno: u64,
     /// Nodes holding a read authorization.
-    ra: BTreeSet<NodeId>,
+    ra: NodeSet,
+}
+
+/// A set of nodes: ids below 64 as the bits of one word, larger ids in
+/// a boxed spill set that only systems of more than 64 nodes allocate.
+/// Below 64 nodes, inserting needs no allocation and draining no
+/// pointer chase.
+#[derive(Debug, Clone, Default)]
+struct NodeSet {
+    low: u64,
+    // Boxed so that the empty spill costs one word in every `GlaPage`.
+    #[allow(clippy::box_collection)]
+    high: Option<Box<BTreeSet<NodeId>>>,
+}
+
+impl NodeSet {
+    fn insert(&mut self, node: NodeId) {
+        match node.index() {
+            i if i < 64 => self.low |= 1 << i,
+            _ => {
+                self.high.get_or_insert_default().insert(node);
+            }
+        }
+    }
+
+    /// Empties the set, returning its members other than `except` in
+    /// ascending order.
+    fn take_except(&mut self, except: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut bits = std::mem::take(&mut self.low);
+        while bits != 0 {
+            let node = NodeId::new(bits.trailing_zeros() as u16);
+            bits &= bits - 1;
+            if node != except {
+                out.push(node);
+            }
+        }
+        if let Some(high) = self.high.take() {
+            out.extend(high.into_iter().filter(|&n| n != except));
+        }
+        out
+    }
 }
 
 /// Outcome of a lock request processed at a GLA node.
@@ -43,7 +84,8 @@ pub struct GlaOutcome {
     /// (read optimization enabled, read mode, granted).
     pub ra_granted: bool,
     /// Nodes whose read authorizations must be revoked before this
-    /// write lock may be granted to the requester. Empty for reads.
+    /// write lock may be granted to the requester, in ascending node
+    /// order and without the requester's own node. Empty for reads.
     pub revoke: Vec<NodeId>,
 }
 
@@ -106,8 +148,7 @@ impl GlaState {
             }
             LockMode::Write => {
                 // All RAs except the writer's own node become invalid.
-                revoke = entry.ra.iter().copied().filter(|&n| n != from).collect();
-                entry.ra.clear();
+                revoke = entry.ra.take_except(from);
                 if read_optimization && reply != LockReply::Queued {
                     // the writer's node may keep reading its own copy
                     entry.ra.insert(from);
@@ -362,6 +403,44 @@ mod tests {
         assert_eq!(r.reply, LockReply::Granted);
         // node 1 is the writer: only node 2's RA is revoked
         assert_eq!(r.revoke, vec![node(2)]);
+    }
+
+    /// RAs granted to nodes on both sides of the 64-bit word, out of
+    /// order and repeatedly: a write revokes each other holder once,
+    /// in ascending order, and never the writer's own node.
+    #[test]
+    fn write_revokes_each_other_ra_once_in_ascending_order() {
+        let readers = [70u16, 3, 64, 63, 0, 3, 200, 70, 9, 64];
+        for writer in [3u16, 64, 5] {
+            let mut gla = GlaState::new();
+            for (i, &n) in readers.iter().enumerate() {
+                let t = txn(i as u64);
+                let r = gla.request(t, node(n), page(1), LockMode::Read, false, true);
+                assert!(r.ra_granted);
+                gla.release_all(t);
+            }
+            // a queued grant records its RA through `grant_ra`
+            gla.grant_ra(page(1), node(65));
+            let r = gla.request(txn(99), node(writer), page(1), LockMode::Write, false, true);
+            let mut want: Vec<NodeId> = [0u16, 3, 9, 63, 64, 65, 70, 200]
+                .into_iter()
+                .filter(|&n| n != writer)
+                .map(node)
+                .collect();
+            assert_eq!(r.revoke, want, "writer {writer}");
+            // the writer kept its own RA; nothing else survives
+            gla.release_all(txn(99));
+            let r = gla.request(txn(100), node(1), page(1), LockMode::Write, false, true);
+            want = vec![node(writer)];
+            assert_eq!(r.revoke, want, "writer {writer}, second write");
+        }
+    }
+
+    /// The page directory holds an entry per locked page: a larger
+    /// entry shows up as resident memory on every PCL workload.
+    #[test]
+    fn gla_page_stays_within_three_words() {
+        assert!(std::mem::size_of::<GlaPage>() <= 24);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! consumed by the lock manager, so it lives here in the shared model.
 
 use crate::{NodeId, PageId};
-use std::collections::HashMap;
 
 /// Per-partition GLA assignment rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,9 +21,17 @@ pub enum PartitionGla {
         /// Pages per unit.
         unit_pages: u64,
     },
-    /// Explicit per-page assignment (trace workloads); pages absent
-    /// from the map fall back to hashing.
-    PerPage(HashMap<u64, NodeId>),
+    /// Pages are grouped into chunks of `chunk_pages` pages, and chunk
+    /// `c` (pages `c * chunk_pages ..`) is assigned to `nodes[c]`
+    /// (trace workloads: the routing heuristics assign lock authority
+    /// per chunk). A `None` slot, or a chunk past the end of `nodes`,
+    /// falls back to hashing.
+    Chunked {
+        /// Pages per chunk (positive).
+        chunk_pages: u64,
+        /// GLA node per chunk, indexed by chunk number.
+        nodes: Vec<Option<NodeId>>,
+    },
     /// Pages of this partition are hashed across nodes.
     Hashed,
     /// Every page of this partition is assigned to one fixed node
@@ -81,10 +88,12 @@ impl GlaMap {
                 let unit = (page.number() / unit_pages).min(units - 1);
                 NodeId::new((unit as u128 * self.nodes as u128 / *units as u128) as u16)
             }
-            Some(PartitionGla::PerPage(map)) => map
-                .get(&page.number())
-                .copied()
-                .unwrap_or_else(|| self.hash_node(page)),
+            Some(PartitionGla::Chunked { chunk_pages, nodes }) => {
+                usize::try_from(page.number() / chunk_pages)
+                    .ok()
+                    .and_then(|chunk| nodes.get(chunk).copied().flatten())
+                    .unwrap_or_else(|| self.hash_node(page))
+            }
             Some(PartitionGla::Fixed(node)) => *node,
             Some(PartitionGla::Hashed) | None => self.hash_node(page),
         }
@@ -155,13 +164,72 @@ mod tests {
     }
 
     #[test]
-    fn per_page_with_hash_fallback() {
-        let mut m = HashMap::new();
-        m.insert(7u64, NodeId::new(2));
-        let map = GlaMap::new(3, vec![PartitionGla::PerPage(m)]);
-        assert_eq!(map.gla_of(page(0, 7)), NodeId::new(2));
-        let fallback = map.gla_of(page(0, 8));
-        assert!(fallback.index() < 3);
+    fn chunked_with_hash_fallback() {
+        let map = GlaMap::new(
+            3,
+            vec![PartitionGla::Chunked {
+                chunk_pages: 4,
+                nodes: vec![None, Some(NodeId::new(2))],
+            }],
+        );
+        for n in 4..8 {
+            assert_eq!(map.gla_of(page(0, n)), NodeId::new(2));
+        }
+        // an empty slot and a chunk past the end both hash
+        for n in [0, 3, 8, 1 << 40] {
+            assert_eq!(map.gla_of(page(0, n)), map.hash_node(page(0, n)));
+        }
+    }
+
+    /// The chunk rule answers exactly like a per-page reference: every
+    /// page of an assigned chunk expanded into a `HashMap`, and every
+    /// other page hashed. Seeded random assignments leave some chunks
+    /// unreferenced, and the probes run past the last chunk.
+    #[test]
+    fn chunked_matches_a_per_page_reference() {
+        use desim::Rng;
+        use std::collections::HashMap;
+        let mut rng = Rng::seed_from_u64(0x61A);
+        for _ in 0..40 {
+            let nodes = 2 + rng.below(7) as u16;
+            let files = 1 + rng.below(3) as usize;
+            let chunk_pages = 1 + rng.below(16);
+            let mut rules = Vec::new();
+            let mut reference: Vec<HashMap<u64, NodeId>> = Vec::new();
+            for _ in 0..files {
+                let chunks = rng.below(12) as usize;
+                let mut slots = vec![None; chunks];
+                let mut per_page = HashMap::new();
+                for (chunk, slot) in slots.iter_mut().enumerate() {
+                    if rng.below(3) == 0 {
+                        continue; // unreferenced chunk
+                    }
+                    let node = NodeId::new(rng.below(u64::from(nodes)) as u16);
+                    *slot = Some(node);
+                    let first = chunk as u64 * chunk_pages;
+                    for p in first..first + chunk_pages {
+                        per_page.insert(p, node);
+                    }
+                }
+                rules.push(PartitionGla::Chunked {
+                    chunk_pages,
+                    nodes: slots,
+                });
+                reference.push(per_page);
+            }
+            let map = GlaMap::new(nodes, rules);
+            for (file, per_page) in reference.iter().enumerate() {
+                let end = 14 * chunk_pages;
+                for n in (0..end).chain([u64::MAX / 2, u64::MAX]) {
+                    let p = page(file as u16, n);
+                    let want = per_page
+                        .get(&n)
+                        .copied()
+                        .unwrap_or_else(|| map.hash_node(p));
+                    assert_eq!(map.gla_of(p), want, "file {file} page {n}");
+                }
+            }
+        }
     }
 
     #[test]

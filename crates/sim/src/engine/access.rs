@@ -52,8 +52,8 @@ impl Engine {
         }
         // Covering lock already held (trace transactions may touch a
         // page repeatedly): no new request.
-        if self.holds_covering(id, page, mode) {
-            let seqno = self.txn(id).page_seqnos.get(&page).copied().unwrap_or(0);
+        if let Some(held) = t.locks.get(&page).filter(|l| l.mode().covers(mode)) {
+            let seqno = held.seqno();
             self.acquire_page(now, id, seqno, None, true);
             return;
         }
@@ -86,18 +86,6 @@ impl Engine {
         }
     }
 
-    fn holds_covering(&self, id: TxnId, page: PageId, mode: LockMode) -> bool {
-        let t = self.txn(id);
-        if t.held_gem.contains(&page) {
-            return matches!(self.glt.held_mode(id, page), Some(m) if m.covers(mode));
-        }
-        if let Some(&(_, _, held)) = t.held_gla.iter().find(|&&(_, p, _)| p == page) {
-            return held.covers(mode);
-        }
-        // Locally authorized read locks cover reads only.
-        t.held_ra.contains(&page) && mode == LockMode::Read
-    }
-
     // ------------------------------------------------------------------
     // GEM locking
     // ------------------------------------------------------------------
@@ -118,11 +106,9 @@ impl Engine {
         match rep.reply {
             LockReply::Granted | LockReply::AlreadyHeld => {
                 let t = self.txn_mut(id);
-                if !t.held_gem.contains(&page) {
+                if t.note_grant(page, mode, rep.info.seqno, false) {
                     t.held_gem.push(page);
                 }
-                t.page_seqnos.insert(page, rep.info.seqno);
-                let _ = node;
                 self.acquire_page(now, id, rep.info.seqno, rep.info.owner, true);
             }
             LockReply::Queued => {
@@ -148,7 +134,13 @@ impl Engine {
             0
         };
         t.end_lock_wait(now);
-        if !t.held_gem.contains(&page) {
+        let mode = if t.spec.refs()[t.step].mode.is_write() {
+            LockMode::Write
+        } else {
+            LockMode::Read
+        };
+        let info = self.glt.info(page);
+        if t.note_grant(page, mode, info.seqno, false) {
             t.held_gem.push(page);
         }
         self.emit(
@@ -159,8 +151,6 @@ impl Engine {
             Some(page),
             waited,
         );
-        let info = self.glt.info(page);
-        self.txn_mut(id).page_seqnos.insert(page, info.seqno);
         self.acquire_page(now, id, info.seqno, info.owner, true);
     }
 
@@ -235,10 +225,10 @@ impl Engine {
         }
         // Upgrading a locally granted read lock: give the RA lock back
         // first, otherwise the write's revocation would wait on
-        // ourselves.
-        if self.txn(id).held_ra.contains(&page) {
-            let t = self.txn_mut(id);
-            t.held_ra.retain(|&p| p != page);
+        // ourselves. The page stays in `held_ra`; dropping its index
+        // entry marks it given back.
+        if self.txn(id).holds_ra(page) {
+            self.txn_mut(id).locks.remove(&page);
             if self.nodes[node.index()].ra.release(id, page) {
                 self.send_deferred_ack(now, node, page);
             }
@@ -315,16 +305,9 @@ impl Engine {
         match out.reply {
             LockReply::Granted | LockReply::AlreadyHeld => {
                 let t = self.txn_mut(id);
-                if !t.held_gla.iter().any(|&(_, p, _)| p == page) {
-                    t.held_gla.push((node, page, mode));
-                } else if mode == LockMode::Write {
-                    for h in t.held_gla.iter_mut() {
-                        if h.1 == page {
-                            h.2 = LockMode::Write;
-                        }
-                    }
+                if t.note_grant(page, mode, out.seqno, false) {
+                    t.held_gla.push((node, page));
                 }
-                t.page_seqnos.insert(page, out.seqno);
                 self.acquire_page(now, id, out.seqno, None, true);
             }
             LockReply::Queued => {
@@ -354,17 +337,10 @@ impl Engine {
         } else {
             LockMode::Read
         };
-        if !t.held_gla.iter().any(|&(_, p, _)| p == page) {
-            t.held_gla.push((node, page, mode));
-        } else if mode == LockMode::Write {
-            for h in t.held_gla.iter_mut() {
-                if h.1 == page {
-                    h.2 = LockMode::Write;
-                }
-            }
-        }
         let seqno = self.gla[node.index()].seqno(page);
-        self.txn_mut(id).page_seqnos.insert(page, seqno);
+        if t.note_grant(page, mode, seqno, false) {
+            t.held_gla.push((node, page));
+        }
         self.emit(
             now,
             TraceEventKind::LockGrant,
@@ -387,15 +363,14 @@ impl Engine {
         let have_copy = self.nodes[node.index()].buffer.cached_seqno(page).is_some();
         if have_copy && self.nodes[node.index()].ra.try_local_read(id, page) {
             self.counters.ra_local_grants += 1;
-            let t = self.txn_mut(id);
-            if !t.held_ra.contains(&page) {
-                t.held_ra.push(page);
-            }
             let seqno = self.nodes[node.index()]
                 .buffer
                 .cached_seqno(page)
                 .expect("checked above");
-            self.txn_mut(id).page_seqnos.insert(page, seqno);
+            let t = self.txn_mut(id);
+            if t.note_grant(page, LockMode::Read, seqno, true) {
+                t.held_ra.push(page);
+            }
             self.acquire_page(now, id, seqno, None, true);
         } else {
             self.pcl_request(now, id, page, LockMode::Read);
@@ -524,7 +499,7 @@ impl Engine {
         let Some(t) = self.txns.get(&id) else { return };
         let node = t.node;
         let page = t.spec.refs()[t.step].page;
-        let seqno = t.page_seqnos.get(&page).copied().unwrap_or(0);
+        let seqno = t.seqno(page);
         let waited = if matches!(t.phase, Phase::PageWait | Phase::CommitIo) && now >= t.wait_since
         {
             (now - t.wait_since).as_nanos()

@@ -194,7 +194,7 @@ impl Engine {
             dbshare_model::CouplingMode::Pcl => {
                 let t = self.txn(id);
                 let locals =
-                    t.held_gla.iter().filter(|&&(g, _, _)| g == node).count() + t.held_ra.len();
+                    t.held_gla.iter().filter(|&&(g, _)| g == node).count() + t.ra_pages().count();
                 let svc = self.fixed(self.cfg.pcl_local_lock_instr * locals.max(1) as f64);
                 self.dispatch(
                     now,
@@ -264,7 +264,7 @@ impl Engine {
     pub(crate) fn pcl_release_exec(&mut self, now: SimTime, id: TxnId) {
         let Some(t) = self.txns.get(&id) else { return };
         let node = t.node;
-        let released = (t.held_gla.len() + t.held_ra.len()) as u64;
+        let released = (t.held_gla.len() + t.ra_pages().count()) as u64;
         let noforce = self.is_noforce();
 
         // Publish modifications in the local buffer. Ownership of pages
@@ -281,7 +281,7 @@ impl Engine {
             } else if local_authority {
                 self.gla[node.index()].record_modification(p)
             } else {
-                self.txn(id).page_seqnos.get(&p).copied().unwrap_or(0) + 1
+                self.txn(id).seqno(p) + 1
             };
             let keep_dirty = noforce && local_authority;
             let evicted = if keep_dirty {
@@ -300,6 +300,9 @@ impl Engine {
         self.process_gla_grants(now, node, grants);
         for i in 0..self.txn(id).held_ra.len() {
             let p = self.txn(id).held_ra[i];
+            if !self.txn(id).holds_ra(p) {
+                continue; // given back for a write upgrade
+            }
             if self.nodes[node.index()].ra.release(id, p) {
                 self.send_deferred_ack(now, node, p);
             }
@@ -321,7 +324,7 @@ impl Engine {
         // send closes the transaction (no replies are needed).
         let mut authorities = std::mem::take(&mut self.scratch_nodes);
         authorities.clear();
-        for &(g, _, _) in self.txn(id).held_gla.iter() {
+        for &(g, _) in self.txn(id).held_gla.iter() {
             if g != node && !authorities.contains(&g) {
                 authorities.push(g);
             }
@@ -338,7 +341,7 @@ impl Engine {
             let mut pages: ReleasePages = self.release_pool.pop().unwrap_or_default();
             debug_assert!(pages.is_empty(), "pooled release buffer not cleared");
             let t = self.txn(id);
-            for &(a, p, _) in t.held_gla.iter() {
+            for &(a, p) in t.held_gla.iter() {
                 if a == g {
                     pages.push((p, t.modified.contains(&p)));
                 }

@@ -336,14 +336,14 @@ impl Engine {
                     let grants = grants.into_iter().map(|(t2, m)| (p, t2, m)).collect();
                     self.process_gla_grants(now, g, grants);
                 }
-                let mut authorities: Vec<NodeId> = t.held_gla.iter().map(|&(g, _, _)| g).collect();
+                let mut authorities: Vec<NodeId> = t.held_gla.iter().map(|&(g, _)| g).collect();
                 authorities.sort_unstable();
                 authorities.dedup();
                 for g in authorities {
                     let grants = self.gla[g.index()].release_all(victim);
                     self.process_gla_grants(now, g, grants);
                 }
-                for &p in &t.held_ra {
+                for p in t.ra_pages() {
                     if self.nodes[t.node.index()].ra.release(victim, p) {
                         self.send_deferred_ack(now, t.node, p);
                     }

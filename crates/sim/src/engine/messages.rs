@@ -276,15 +276,9 @@ impl Engine {
             0
         };
         t.end_lock_wait(now);
-        if let Some(h) = t.held_gla.iter_mut().find(|h| h.1 == page) {
-            if mode == LockMode::Write {
-                h.2 = LockMode::Write;
-            }
-        } else {
-            let gla = self.gla_map.gla_of(page);
-            t.held_gla.push((gla, page, mode));
+        if t.note_grant(page, mode, seqno, false) {
+            t.held_gla.push((self.gla_map.gla_of(page), page));
         }
-        t.page_seqnos.insert(page, seqno);
         self.emit(
             now,
             TraceEventKind::LockGrant,
@@ -512,7 +506,7 @@ impl Engine {
     pub(crate) fn gem_transfer_fetched(&mut self, now: SimTime, id: TxnId) {
         let Some(t) = self.txns.get(&id) else { return };
         let page = t.spec.refs()[t.step].page;
-        let seqno = t.page_seqnos.get(&page).copied().unwrap_or(0);
+        let seqno = t.seqno(page);
         self.install_transferred_page(now, id, page, seqno);
     }
 

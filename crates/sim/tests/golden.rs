@@ -5,11 +5,18 @@
 //! perturbs event order or arithmetic shows up here immediately. The
 //! scale, truncated and crash constants were captured before the
 //! arrival and statistics paths were folded back into the event loop.
+//! The trace constants were captured before the PCL lock path moved
+//! to a chunk-indexed GLA map, bitset read authorizations and a
+//! per-transaction lock index.
 
 use dbshare_model::{CouplingMode, CrashConfig, RoutingStrategy, SystemConfig, UpdateStrategy};
-use dbshare_sim::experiments::{debit_credit_run, DebitCreditRun, RunLength, RunSpec, ScaleRun};
+use dbshare_sim::experiments::{
+    debit_credit_run, trace_run, DebitCreditRun, RunLength, RunSpec, ScaleRun, TraceRun,
+};
 use dbshare_sim::{Engine, Observe};
+use dbshare_workload::trace::{Trace, TraceGenConfig};
 use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
+use std::collections::HashSet;
 
 /// One run's fingerprint: every floating-point metric as exact bits,
 /// every counter as-is. Formatted as one line per field so failures
@@ -179,4 +186,51 @@ fn golden_crash_gem_run() {
         "4424c6f3a08c5e87",
         "crashed GEM run drifted"
     );
+}
+
+/// Short runs of the synthetic §4.6 trace on 4 nodes under affinity
+/// routing: PCL with and without the read optimization, and GEM
+/// locking. Replay is order-preserving, so the run draws the trace's
+/// leading transactions; the test first checks that those include
+/// transactions with hundreds of references and repeat references to
+/// one page (the covering-lock branch of the access path).
+#[test]
+fn golden_trace_runs() {
+    const SEED: u64 = 11;
+    let run = RunLength {
+        warmup: 100,
+        measured: 500,
+    };
+    let trace = Trace::synthesize(&TraceGenConfig::default(), SEED);
+    let drawn = &trace.txns()[..(run.warmup + run.measured) as usize];
+    let longest = drawn.iter().map(|t| t.refs.len()).max().unwrap_or(0);
+    assert!(longest >= 200, "longest drawn transaction: {longest} refs");
+    let repeats = drawn
+        .iter()
+        .filter(|t| {
+            let mut seen = HashSet::new();
+            !t.refs.iter().all(|r| seen.insert(r.page))
+        })
+        .count();
+    assert!(repeats > 0, "no drawn transaction repeats a page");
+
+    for (coupling, read_optimization, metrics) in [
+        (CouplingMode::Pcl, true, "eda86af91be2438d"),
+        (CouplingMode::Pcl, false, "1881aab38d34b9da"),
+        (CouplingMode::GemLocking, false, "28c3f23cfb589c9f"),
+    ] {
+        let report = trace_run(TraceRun {
+            nodes: 4,
+            coupling,
+            routing: RoutingStrategy::Affinity,
+            read_optimization,
+            run,
+            seed: SEED,
+        });
+        assert_eq!(
+            report.metric_fingerprint(),
+            metrics,
+            "{coupling:?} trace run (read optimization {read_optimization}) drifted"
+        );
+    }
 }

@@ -229,7 +229,7 @@ pub fn gla_chunks(trace: &Trace, table: &RoutingTable, nodes: u16, chunk_pages: 
     let total: f64 = chunks.iter().map(|(_, v)| v.iter().sum::<f64>()).sum();
     let cap = total / n as f64 * 1.4;
     let mut node_traffic = vec![0.0f64; n];
-    let mut per_file_maps: Vec<HashMap<u64, NodeId>> = vec![HashMap::new(); files];
+    let mut per_file_chunks: Vec<Vec<Option<NodeId>>> = vec![Vec::new(); files];
     for ((file, chunk), per_node) in chunks {
         let weight: f64 = per_node.iter().sum();
         let mut prefs: Vec<usize> = (0..n).collect();
@@ -248,17 +248,19 @@ pub fn gla_chunks(trace: &Trace, table: &RoutingTable, nodes: u16, chunk_pages: 
                     .expect("n > 0")
             });
         node_traffic[target] += weight;
-        let first = chunk * chunk_pages;
-        for page in first..first + chunk_pages {
-            per_file_maps[file].insert(page, NodeId::new(target as u16));
+        let slots = &mut per_file_chunks[file];
+        let chunk = usize::try_from(chunk).expect("chunk index fits in memory");
+        if slots.len() <= chunk {
+            slots.resize(chunk + 1, None);
         }
+        slots[chunk] = Some(NodeId::new(target as u16));
     }
 
     GlaMap::new(
         nodes,
-        per_file_maps
+        per_file_chunks
             .into_iter()
-            .map(PartitionGla::PerPage)
+            .map(|nodes| PartitionGla::Chunked { chunk_pages, nodes })
             .collect(),
     )
 }

@@ -109,11 +109,13 @@ fn force_needs_no_page_transfers_at_all() {
 }
 
 /// Read-heavy workload on a remote authority: node 1 reads a small hot
-/// set whose GLA is node 0; occasional writers force revocations.
+/// set whose GLA is node 0; occasional writers force revocations, and
+/// occasional node-1 readers go on to write the page they read.
 struct RemoteReaders {
     partitions: Vec<PartitionConfig>,
     pages: u64,
     write_every: u64,
+    upgrade_every: u64,
     count: u64,
 }
 
@@ -126,6 +128,21 @@ impl Workload for RemoteReaders {
             (
                 NodeId::new(0),
                 TxnSpec::new(TxnTypeId::new(1), 0, vec![PageRef::write(page)]),
+            )
+        } else if self.upgrade_every > 0 && self.count.is_multiple_of(self.upgrade_every) {
+            // a node-1 reader of two pages that then writes the first
+            let next = PageId::new(PartitionId::new(0), (page.number() + 1) % self.pages);
+            (
+                NodeId::new(1),
+                TxnSpec::new(
+                    TxnTypeId::new(2),
+                    0,
+                    vec![
+                        PageRef::read(page),
+                        PageRef::read(next),
+                        PageRef::write(page),
+                    ],
+                ),
             )
         } else {
             // readers on node 1 (always remote without an RA)
@@ -146,7 +163,7 @@ impl Workload for RemoteReaders {
     }
 }
 
-fn run_readers(write_every: u64, read_optimization: bool) -> RunReport {
+fn run_readers(write_every: u64, upgrade_every: u64, read_optimization: bool) -> RunReport {
     let mut cfg = SystemConfig::debit_credit(2);
     cfg.coupling = CouplingMode::Pcl;
     cfg.update = UpdateStrategy::NoForce;
@@ -164,6 +181,7 @@ fn run_readers(write_every: u64, read_optimization: bool) -> RunReport {
         }],
         pages: 8,
         write_every,
+        upgrade_every,
         count: 0,
     };
     cfg.partitions = Workload::partitions(&wl).to_vec();
@@ -174,8 +192,8 @@ fn run_readers(write_every: u64, read_optimization: bool) -> RunReport {
 fn read_authorizations_make_repeated_remote_reads_local() {
     // Pure readers: after the first remote lock per page, node 1 holds
     // read authorizations and processes everything locally.
-    let without = run_readers(0, false);
-    let with = run_readers(0, true);
+    let without = run_readers(0, 0, false);
+    let with = run_readers(0, 0, true);
     let l_without = without.local_lock_fraction.expect("PCL");
     let l_with = with.local_lock_fraction.expect("PCL");
     assert!(l_without < 0.05, "no RA: everything remote ({l_without})");
@@ -190,7 +208,7 @@ fn writers_revoke_authorizations_and_correctness_survives() {
     // One writer per 20 transactions: revocation messages flow, the
     // system stays live, and the local share settles between the
     // extremes.
-    let r = run_readers(20, true);
+    let r = run_readers(20, 0, true);
     assert!(r.revokes_per_txn > 0.01, "revokes {}", r.revokes_per_txn);
     let local = r.local_lock_fraction.expect("PCL");
     assert!(
@@ -199,4 +217,19 @@ fn writers_revoke_authorizations_and_correctness_survives() {
     );
     assert_eq!(r.timeout_aborts, 0, "no stuck revocations");
     assert_eq!(r.deadlock_aborts, 0);
+}
+
+#[test]
+fn read_locks_under_an_authorization_upgrade_through_the_authority() {
+    // Every 7th node-1 transaction reads two pages, mostly under RAs,
+    // then writes the first: that local read lock is given back, the
+    // write goes to the authority, and commit releases only the other
+    // one locally. Writers on node 0 keep revoking. The run
+    // stays live, and its metrics are pinned (captured before the
+    // per-transaction lock index replaced the held-list scans).
+    let r = run_readers(20, 7, true);
+    assert_eq!(r.timeout_aborts, 0, "no stuck revocations");
+    assert_eq!(r.deadlock_aborts, 0);
+    assert!(r.local_lock_fraction.expect("PCL") > 0.2);
+    assert_eq!(r.metric_fingerprint(), "f6b9b32e993c4834");
 }
