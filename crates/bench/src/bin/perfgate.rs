@@ -15,8 +15,10 @@
 //!   `--max-regress-pct` percent (default 50) below the best recorded
 //!   run of the identical job set;
 //! - **exit 2** on unusable input: missing or malformed history or
-//!   artifact, or a history with nothing to gate against. A gate that
-//!   cannot see its baseline must fail loudly, not pass vacuously.
+//!   artifact, an artifact of another schema (older builds wrote
+//!   `dbshare-bench/1`), or a history with nothing to gate against. A
+//!   gate that cannot see its baseline must fail loudly, not pass
+//!   vacuously.
 //!
 //! Figures whose config set has no recorded counterpart are reported
 //! and skipped — changing a sweep's shape is not a regression.

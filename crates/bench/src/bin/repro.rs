@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--quick] [--jobs N] [--json PATH] [--nodes 1,2,5,10]
 //!       [--csv DIR] [--svg DIR] [--trace DIR] [--timeline DIR]
-//!       [--profile] [--alloc-stats] [--compare OLD.json]
+//!       [--profile] [--alloc-stats]
 //!       [--history [DIR]] [--report [PATH]] [--no-history] [-v]
 //!       [--scale smoke|full] [--explain [PATH]] [--knee smoke|full]
 //!       [--ticker [SECS]]
@@ -17,9 +17,10 @@
 //! `dbshare-harness` worker pool (`--jobs N`, default: all cores);
 //! every run is deterministic, so the printed tables are byte-identical
 //! for any worker count. Each job is one serial event loop on one
-//! thread. Progress goes to stderr; a per-job artifact with
-//! wall-clocks, seeds, and headline metrics is written to
-//! `BENCH_repro.json` (`--json PATH` to relocate). `--verbose`
+//! thread. Progress goes to stderr; a per-job artifact, one
+//! experiment-store record per job with wall-clocks, seeds, and
+//! headline metrics, is written to `BENCH_repro.json` (`--json PATH`
+//! to relocate). `--verbose`
 //! additionally prints the full per-run reports; `--csv DIR` writes
 //! every report field per figure; `--svg DIR` draws each figure.
 //! `--profile` prints the engine's always-on event-loop counters
@@ -30,11 +31,7 @@
 //! The binary installs a counting global allocator (a thread-local
 //! increment per allocation), so every artifact records per-job
 //! `host_allocs` / `allocs_per_event`. `--alloc-stats` additionally
-//! prints the per-figure and suite allocs/event to stderr, and
-//! `--compare OLD.json` prints a per-figure delta table (wall seconds,
-//! events/s, allocs/event) between this run and a saved artifact —
-//! the old file is validated *before* the run starts and a
-//! missing/malformed artifact exits non-zero.
+//! prints the per-figure and suite allocs/event to stderr.
 //!
 //! Every run is also appended to the experiment store — one JSON line
 //! per job under `exphistory/history.jsonl` (`--history DIR` to
@@ -90,9 +87,7 @@
 use dbshare_bench::chart::Chart;
 use dbshare_bench::html_report;
 use dbshare_bench::trace_export::{self, TimelineRows};
-use dbshare_expstore::{
-    figure_runs, gate_check, read_artifact_records, short_rev, FigureRun, Record,
-};
+use dbshare_expstore::{figure_runs, short_rev, FigureRun};
 use dbshare_harness::{
     rss, run_knee, write_artifact, CountingAlloc, Harness, History, Json, Observe, Outcome,
     Provenance, Store, Sweep,
@@ -423,120 +418,6 @@ fn write_traces(dir: &str, figure: &str, outcome: &Outcome) {
     }
 }
 
-/// Per-figure aggregate of the numbers `--alloc-stats` and `--compare`
-/// work with.
-#[derive(Default, Clone, Copy)]
-struct FigureAgg {
-    wall_secs: f64,
-    events: u64,
-    allocs: f64,
-}
-
-impl FigureAgg {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs.max(1e-9)
-    }
-    fn allocs_per_event(&self) -> f64 {
-        self.allocs / (self.events.max(1)) as f64
-    }
-}
-
-/// Aggregates the current run per figure (preserving `figures` order)
-/// plus a trailing `"suite"` total.
-fn aggregate_outcome(outcome: &Outcome, figures: &[&Figure]) -> Vec<(String, FigureAgg)> {
-    let mut rows: Vec<(String, FigureAgg)> = Vec::new();
-    let mut suite = FigureAgg::default();
-    for fig in figures {
-        let mut agg = FigureAgg::default();
-        for res in outcome.results.iter().filter(|r| r.job.figure == fig.name) {
-            agg.wall_secs += res.wall_secs;
-            agg.events += res.report.events_processed;
-            agg.allocs += res.report.profile.host_allocs as f64;
-        }
-        suite.wall_secs += agg.wall_secs;
-        suite.events += agg.events;
-        suite.allocs += agg.allocs;
-        rows.push((fig.name.to_string(), agg));
-    }
-    rows.push(("suite".to_string(), suite));
-    rows
-}
-
-/// Folds experiment-store records (from any source: a saved artifact
-/// via [`read_artifact_records`], or the current run via
-/// [`Outcome::store_records`]) into the same per-figure shape, with a
-/// trailing `"suite"` total. Figures keep first-appearance order.
-fn aggregates_from_records(records: &[Record]) -> Vec<(String, FigureAgg)> {
-    let mut rows: Vec<(String, FigureAgg)> = Vec::new();
-    let mut suite = FigureAgg::default();
-    for rec in records {
-        let agg = match rows.iter_mut().find(|(name, _)| *name == rec.figure) {
-            Some((_, agg)) => agg,
-            None => {
-                rows.push((rec.figure.clone(), FigureAgg::default()));
-                &mut rows.last_mut().expect("just pushed").1
-            }
-        };
-        agg.wall_secs += rec.wall_secs;
-        agg.events += rec.events_processed;
-        agg.allocs += rec.allocs_per_event * rec.events_processed as f64;
-        suite.wall_secs += rec.wall_secs;
-        suite.events += rec.events_processed;
-        suite.allocs += rec.allocs_per_event * rec.events_processed as f64;
-    }
-    rows.push(("suite".to_string(), suite));
-    rows
-}
-
-/// Prints the `--compare` delta table: old vs new wall-clock, event
-/// rate, and allocs/event for every figure both runs contain.
-fn print_compare(old_path: &str, old: &[(String, FigureAgg)], new: &[(String, FigureAgg)]) {
-    eprintln!("\n=== comparison vs {old_path} ===");
-    eprintln!(
-        "{:<12}{:>10}{:>10}{:>8}  {:>11}{:>11}{:>8}  {:>10}{:>10}{:>8}",
-        "figure",
-        "wall_old",
-        "wall_new",
-        "x",
-        "ev/s_old",
-        "ev/s_new",
-        "x",
-        "al/ev_old",
-        "al/ev_new",
-        "x"
-    );
-    for (name, cur) in new {
-        let Some((_, prev)) = old.iter().find(|(n, _)| n == name) else {
-            eprintln!("{name:<12}(not in old artifact)");
-            continue;
-        };
-        let ratio = |old_v: f64, new_v: f64| {
-            if new_v.abs() < 1e-12 {
-                f64::NAN
-            } else {
-                old_v / new_v
-            }
-        };
-        eprintln!(
-            "{:<12}{:>9.2}s{:>9.2}s{:>7.2}x  {:>11.0}{:>11.0}{:>7.2}x  {:>10.4}{:>10.4}{:>7.2}x",
-            name,
-            prev.wall_secs,
-            cur.wall_secs,
-            ratio(prev.wall_secs, cur.wall_secs),
-            prev.events_per_sec(),
-            cur.events_per_sec(),
-            ratio(cur.events_per_sec(), prev.events_per_sec()),
-            prev.allocs_per_event(),
-            cur.allocs_per_event(),
-            ratio(prev.allocs_per_event(), cur.allocs_per_event()),
-        );
-    }
-    eprintln!(
-        "(x columns: wall and allocs/event are old/new — higher is better; \
-         ev/s is new/old — higher is better)"
-    );
-}
-
 /// Prints per-figure trend tables over every run the store recorded.
 /// Stderr only — wall-clocks differ run to run, and stdout must stay
 /// byte-identical with or without the flag.
@@ -648,7 +529,6 @@ fn main() {
     let mut verbose = false;
     let mut profile = false;
     let mut alloc_stats = false;
-    let mut compare: Option<String> = None;
     let mut csv: Option<String> = None;
     let mut svg: Option<String> = None;
     let mut trace_dir: Option<String> = None;
@@ -682,10 +562,6 @@ fn main() {
             "--verbose" | "-v" => verbose = true,
             "--profile" => profile = true,
             "--alloc-stats" => alloc_stats = true,
-            "--compare" => {
-                i += 1;
-                compare = Some(arg_value(&args, i, "--compare").to_string());
-            }
             "--nodes" => {
                 i += 1;
                 nodes = Some(parse_nodes(arg_value(&args, i, "--nodes")));
@@ -774,8 +650,8 @@ fn main() {
             }
             other if other.starts_with('-') => fail(&format!(
                 "unknown flag {other:?} (try --quick, --jobs, --json, --nodes, --csv, --svg, \
-                 --trace, --timeline, --profile, --alloc-stats, --compare, --history, \
-                 --report, --no-history, --scale, --explain, --knee, --ticker, -v)"
+                 --trace, --timeline, --profile, --alloc-stats, --history, --report, \
+                 --no-history, --scale, --explain, --knee, --ticker, -v)"
             )),
             other => which.push(other.to_string()),
         }
@@ -798,18 +674,9 @@ fn main() {
     let all = which.iter().any(|w| w == "all");
     let want = |name: &str| all || which.iter().any(|w| w == name);
 
-    // Validate the --compare baseline *before* the (possibly long) run:
-    // a missing or malformed artifact fails fast and non-zero instead
-    // of wasting the run and limping through with an empty table.
-    let compare_old: Option<(String, Vec<Record>)> = compare.as_ref().map(|old_path| {
-        let records = read_artifact_records(Path::new(old_path))
-            .unwrap_or_else(|e| fail(&format!("--compare: {e}")));
-        (old_path.clone(), records)
-    });
-
-    // Likewise probe every export destination up front: an unwritable
-    // --trace/--timeline/--csv/--svg directory exits 2 now, not after
-    // the run.
+    // Probe every export destination before the (possibly long) run:
+    // an unwritable --trace/--timeline/--csv/--svg directory exits 2
+    // now, not after the run.
     for (flag, dir) in [
         ("--csv", &csv),
         ("--svg", &svg),
@@ -974,57 +841,37 @@ fn main() {
 
     if alloc_stats && !outcome.results.is_empty() {
         // Stderr for the same reason as --profile: stdout stays
-        // byte-identical with or without the flag.
-        for (name, agg) in aggregate_outcome(&outcome, &wanted) {
+        // byte-identical with or without the flag. The rows are the
+        // store's per-figure aggregates of this run's records, the
+        // same fold --history prints.
+        let line = |name: &str, allocs: u64, events: u64, wall_secs: f64| {
             eprintln!(
-                "alloc [{name}]: {:.4} allocs/event ({} allocs, {} events, {:.2}s job wall)",
-                agg.allocs_per_event(),
-                agg.allocs,
-                agg.events,
-                agg.wall_secs
+                "alloc [{name}]: {:.4} allocs/event ({allocs} allocs, {events} events, \
+                 {wall_secs:.2}s job wall)",
+                allocs as f64 / (events.max(1)) as f64,
             );
+        };
+        let (mut allocs, mut events, mut wall_secs) = (0, 0, 0.0);
+        for row in figure_runs(&outcome.store_records(&provenance)) {
+            line(&row.figure, row.host_allocs, row.events, row.wall_secs);
+            allocs += row.host_allocs;
+            events += row.events;
+            wall_secs += row.wall_secs;
         }
-    }
-
-    if let Some((old_path, old)) = &compare_old {
-        if !outcome.results.is_empty() {
-            let current = outcome.store_records(&provenance);
-            print_compare(
-                old_path,
-                &aggregates_from_records(old),
-                &aggregates_from_records(&current),
-            );
-            // The store's gate, run informationally: flags metric drift
-            // for unchanged config fingerprints and reports each
-            // figure's events/s against the baseline's best comparable
-            // run — the same checks `perfgate` enforces in CI.
-            let gate = gate_check(old, &current, 50.0);
-            for note in &gate.notes {
-                eprintln!("compare: ok: {note}");
-            }
-            for failure in &gate.failures {
-                eprintln!("compare: NOTE: {failure}");
-            }
-        }
+        line("suite", allocs, events, wall_secs);
     }
 
     if !outcome.results.is_empty() {
         // Stamp the artifact with build/run provenance (captured by the
         // crate's build script) so a saved BENCH_repro.json records
         // exactly which build and command produced it.
-        let mut doc = outcome.artifact();
+        let mut doc = outcome.artifact(&provenance);
         doc.set(
             "provenance",
             Json::obj(vec![
-                ("git_revision", Json::Str(env!("REPRO_GIT_REVISION").into())),
-                (
-                    "rustc_version",
-                    Json::Str(env!("REPRO_RUSTC_VERSION").into()),
-                ),
-                (
-                    "build_profile",
-                    Json::Str(env!("REPRO_BUILD_PROFILE").into()),
-                ),
+                ("git_revision", Json::Str(provenance.git_revision.clone())),
+                ("rustc_version", Json::Str(provenance.rustc_version.clone())),
+                ("build_profile", Json::Str(provenance.build_profile.clone())),
                 (
                     "command_line",
                     Json::Str(

@@ -60,32 +60,38 @@ fn unwritable_export_dir_exits_2_before_running() {
     }
 }
 
-/// `--cores` (the removed engine thread count) is an unknown flag like
-/// any other: exit 2 before a single figure runs, the flag named in the
-/// error, and no longer offered in the list of valid flags.
+/// Removed flags — `--cores` (the engine thread count) and `--compare`
+/// (the artifact delta table) — are unknown flags like any other: exit
+/// 2 before a single figure runs, the flag named in the error, and no
+/// longer offered in the list of valid flags.
 #[test]
 fn unknown_flag_exits_2_before_running() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--cores", "2", "fig41"])
-        .output()
-        .expect("spawn repro");
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "expected exit 2, got {:?}",
-        output.status
-    );
-    assert!(output.stdout.is_empty(), "a figure ran before the error");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("unknown flag \"--cores\""),
-        "stderr must name the unknown flag, got: {stderr}"
-    );
-    let (_, hints) = stderr
-        .split_once("(try")
-        .unwrap_or_else(|| panic!("stderr must list the valid flags, got: {stderr}"));
-    assert!(
-        hints.contains("--jobs") && !hints.contains("--cores"),
-        "flag hints must not offer --cores, got: {stderr}"
-    );
+    for (flag, value) in [("--cores", "2"), ("--compare", "x")] {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([flag, value, "fig41"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{flag}: expected exit 2, got {:?}",
+            output.status
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{flag}: a figure ran before the error"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\"")),
+            "stderr must name the unknown flag, got: {stderr}"
+        );
+        let (_, hints) = stderr
+            .split_once("(try")
+            .unwrap_or_else(|| panic!("stderr must list the valid flags, got: {stderr}"));
+        assert!(
+            hints.contains("--jobs") && !hints.contains(flag),
+            "flag hints must not offer {flag}, got: {stderr}"
+        );
+    }
 }

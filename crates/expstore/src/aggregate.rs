@@ -1,109 +1,14 @@
-//! The query layer: an in-memory index over a slice of [`Record`]s.
+//! The aggregation layer: per-(run, figure) rows folded from job
+//! [`Record`]s.
 //!
-//! The log is small (one line per job per run), so the index is
-//! rebuilt from scratch on open — a handful of `HashMap`s over
-//! borrowed records, no secondary files to corrupt. Queries cover the
-//! three axes the tooling needs: by figure (trend tables), by config
-//! fingerprint (regression deltas against the best prior run of the
-//! *same* configuration), and by git revision (what did commit X
-//! score). [`figure_runs`] folds per-job rows into per-(run, figure)
+//! [`figure_runs`] folds per-job rows into per-(run, figure)
 //! aggregates, each stamped with a *config-set fingerprint* — an
 //! FNV-1a hash over the sorted config fingerprints of the figure's
 //! jobs — so aggregate comparisons only ever pair runs that executed
-//! the identical job set.
+//! the identical job set. The trend tables, the HTML report and the
+//! gate all read these rows.
 
 use crate::record::{fnv1a_hex, Record};
-use std::collections::HashMap;
-
-/// Index over a borrowed slice of records.
-#[derive(Debug)]
-pub struct Index<'a> {
-    records: &'a [Record],
-    by_figure: HashMap<&'a str, Vec<usize>>,
-    by_config: HashMap<&'a str, Vec<usize>>,
-    by_revision: HashMap<&'a str, Vec<usize>>,
-}
-
-impl<'a> Index<'a> {
-    /// Builds the index (one pass over `records`).
-    pub fn new(records: &'a [Record]) -> Index<'a> {
-        let mut by_figure: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut by_config: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut by_revision: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, r) in records.iter().enumerate() {
-            by_figure.entry(&r.figure).or_default().push(i);
-            by_config.entry(&r.config_fingerprint).or_default().push(i);
-            by_revision
-                .entry(&r.provenance.git_revision)
-                .or_default()
-                .push(i);
-        }
-        Index {
-            records,
-            by_figure,
-            by_config,
-            by_revision,
-        }
-    }
-
-    /// Every figure present, in order of first appearance.
-    pub fn figures(&self) -> Vec<&'a str> {
-        let mut seen = Vec::new();
-        for r in self.records {
-            if !seen.contains(&r.figure.as_str()) {
-                seen.push(&r.figure);
-            }
-        }
-        seen
-    }
-
-    /// Every run id present, in order of first appearance.
-    pub fn runs(&self) -> Vec<&'a str> {
-        let mut seen = Vec::new();
-        for r in self.records {
-            if !seen.contains(&r.run.as_str()) {
-                seen.push(&r.run);
-            }
-        }
-        seen
-    }
-
-    fn lookup(&self, map: &HashMap<&'a str, Vec<usize>>, key: &str) -> Vec<&'a Record> {
-        map.get(key)
-            .map(|ids| ids.iter().map(|&i| &self.records[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// All records of `figure`, in append order.
-    pub fn by_figure(&self, figure: &str) -> Vec<&'a Record> {
-        self.lookup(&self.by_figure, figure)
-    }
-
-    /// All records with the given config fingerprint, in append order.
-    pub fn by_config(&self, fingerprint: &str) -> Vec<&'a Record> {
-        self.lookup(&self.by_config, fingerprint)
-    }
-
-    /// All records produced by the given git revision, in append order.
-    pub fn by_revision(&self, revision: &str) -> Vec<&'a Record> {
-        self.lookup(&self.by_revision, revision)
-    }
-
-    /// The fastest recorded run of exactly this configuration — the
-    /// baseline regression deltas are computed against. Ties keep the
-    /// earliest record.
-    pub fn best_events_per_sec(&self, config_fingerprint: &str) -> Option<&'a Record> {
-        self.by_config(config_fingerprint)
-            .into_iter()
-            .reduce(|best, r| {
-                if r.events_per_sec() > best.events_per_sec() {
-                    r
-                } else {
-                    best
-                }
-            })
-    }
-}
 
 /// Per-(run, figure) aggregate of job rows: the row a trend table
 /// prints and the unit the regression gate compares.
@@ -125,6 +30,9 @@ pub struct FigureRun {
     pub events: u64,
     /// Event-weighted allocations per event.
     pub allocs_per_event: f64,
+    /// Summed host heap allocations of the rows that carry the
+    /// report-only [`JobDetail`](crate::JobDetail) (legacy rows add 0).
+    pub host_allocs: u64,
     /// Largest per-job peak RSS of the run's jobs, in MiB — the
     /// memory budget the whole figure fit in. `None` when no job
     /// carried the sample (legacy rows, non-Linux hosts).
@@ -167,6 +75,7 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
                     wall_secs: 0.0,
                     events: 0,
                     allocs_per_event: 0.0,
+                    host_allocs: 0,
                     peak_rss_mb: None,
                     binding: None,
                     binding_utilization: None,
@@ -179,6 +88,7 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
         rows[at].jobs += 1;
         rows[at].wall_secs += r.wall_secs;
         rows[at].events += r.events_processed;
+        rows[at].host_allocs += r.detail.as_ref().map_or(0, |d| d.host_allocs);
         if let Some(mb) = r.peak_rss_mb {
             let merged = rows[at].peak_rss_mb.map_or(mb, |best| best.max(mb));
             rows[at].peak_rss_mb = Some(merged);
@@ -234,6 +144,7 @@ mod tests {
             next_constraint: None,
             next_utilization: None,
             utils: None,
+            detail: None,
         }
     }
 
@@ -245,21 +156,6 @@ mod tests {
             rec("r2", "fig41", 1, "revB", 0.5, 1000),
             rec("r2", "fig41", 2, "revB", 0.5, 3000),
         ]
-    }
-
-    #[test]
-    fn queries_cover_all_three_axes() {
-        let records = sample();
-        let index = Index::new(&records);
-        assert_eq!(index.figures(), vec!["fig41", "fig45"]);
-        assert_eq!(index.runs(), vec!["r1", "r2"]);
-        assert_eq!(index.by_figure("fig41").len(), 4);
-        assert_eq!(index.by_figure("fig99").len(), 0);
-        assert_eq!(index.by_config("cfg-fig45-1").len(), 1);
-        assert_eq!(index.by_revision("revB").len(), 2);
-        // r2 ran the fig41/1-node config twice as fast as r1.
-        let best = index.best_events_per_sec("cfg-fig41-1").expect("has runs");
-        assert_eq!(best.run, "r2");
     }
 
     #[test]
@@ -280,6 +176,28 @@ mod tests {
         // Different job set => different fingerprint.
         let r1fig45 = rows.iter().find(|r| r.figure == "fig45").expect("fig45");
         assert_ne!(r1fig41.config_set, r1fig45.config_set);
+    }
+
+    #[test]
+    fn figure_runs_sum_the_exact_host_allocs() {
+        let mut records = sample();
+        for (rec, allocs) in records.iter_mut().zip([7, 5]) {
+            rec.detail = Some(crate::JobDetail {
+                host_allocs: allocs,
+                host_alloc_bytes: 64 * allocs,
+                sim_seconds: 1.0,
+                measured_txns: 10,
+                norm_response_ms: 1.0,
+                tps_per_node_at_80pct_cpu: 100.0,
+                cpu_utilization: 0.5,
+                gem_utilization: 0.1,
+                disk_utilizations: Vec::new(),
+            });
+        }
+        let rows = figure_runs(&records);
+        assert_eq!((rows[0].run.as_str(), rows[0].host_allocs), ("r1", 12));
+        // Rows without the trailer add nothing.
+        assert_eq!(rows[2].host_allocs, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    choose: tight for same-machine trend gating, generous for
 //!    cross-runner CI.
 
-use crate::index::{figure_runs, Index};
+use crate::aggregate::figure_runs;
 use crate::record::Record;
 
 /// Verdict of one gate evaluation.
@@ -40,7 +40,6 @@ impl GateOutcome {
 /// run is less than half the best recorded rate).
 pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> GateOutcome {
     let mut outcome = GateOutcome::default();
-    let index = Index::new(history);
 
     // 1. Metric fingerprints must match history exactly per config.
     let mut drift_checked = 0usize;
@@ -48,12 +47,10 @@ pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> Ga
         if rec.metric_fingerprint.is_empty() {
             continue;
         }
-        let prior = index.by_config(&rec.config_fingerprint);
         let mut seen_any = false;
-        for old in &prior {
-            if old.metric_fingerprint.is_empty() {
-                continue;
-            }
+        for old in history.iter().filter(|old| {
+            old.config_fingerprint == rec.config_fingerprint && !old.metric_fingerprint.is_empty()
+        }) {
             seen_any = true;
             if old.metric_fingerprint != rec.metric_fingerprint {
                 outcome.failures.push(format!(
@@ -122,9 +119,13 @@ pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> Ga
 }
 
 /// First 12 characters of a revision string (full hashes are noise in
-/// one-line reports).
+/// one-line reports). Cuts at a character boundary, so any revision
+/// string a row carries is safe to shorten.
 pub fn short_rev(rev: &str) -> &str {
-    &rev[..rev.len().min(12)]
+    match rev.char_indices().nth(12) {
+        Some((end, _)) => &rev[..end],
+        None => rev,
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +156,7 @@ mod tests {
             next_constraint: None,
             next_utilization: None,
             utils: None,
+            detail: None,
         }
     }
 
@@ -211,5 +213,14 @@ mod tests {
         let history = vec![rec("r1", "fig41", 1, 1.0, "")];
         let current = vec![rec("r2", "fig41", 1, 1.0, "m-new")];
         assert!(check(&history, &current, 50.0).passed());
+    }
+
+    #[test]
+    fn short_rev_cuts_at_a_char_boundary() {
+        assert_eq!(short_rev("0123456789abcdef"), "0123456789ab");
+        assert_eq!(short_rev("abc"), "abc");
+        // Byte 12 falls inside the sixth 'é': a byte cut would panic.
+        assert_eq!(short_rev("aéééééé"), "aéééééé");
+        assert_eq!(short_rev("aéééééééééééé"), "aééééééééééé");
     }
 }

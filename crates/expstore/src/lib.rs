@@ -2,7 +2,8 @@
 //! the reproduction's benchmark runs.
 //!
 //! `BENCH_repro.json` is a snapshot of *one* run; this crate is the
-//! memory across runs. It is layered like a scaled-down
+//! memory across runs. Both are made of the same rows: one [`Record`]
+//! per executed job. The crate is layered like a scaled-down
 //! persistence/index split:
 //!
 //! - [`json`] — the dependency-free JSON value every layer above
@@ -10,31 +11,31 @@
 //!   re-exports it), extended with the compact [`Json::render_line`]
 //!   form the log uses;
 //! - [`record`] — the row schema: one executed job with config and
-//!   metric fingerprints, build provenance, and host cost;
+//!   metric fingerprints, build provenance, host cost, and the
+//!   artifact's report-only figures;
 //! - [`log`] — the persistence layer: an append-only line-delimited
 //!   file ([`Store`]) with torn-tail recovery (truncate and warn);
-//! - [`index`] — the query layer: in-memory lookups by figure, config
-//!   fingerprint, and git revision, plus per-(run, figure) aggregates
-//!   stamped with a config-set fingerprint;
+//! - [`aggregate`] — per-(run, figure) aggregates stamped with a
+//!   config-set fingerprint, rebuilt from the rows on every read;
 //! - [`gate`] — the policy layer: exact metric-fingerprint matching
 //!   and thresholded events/s regression checks against the best
 //!   comparable recorded run;
-//! - [`artifact_io`] — the bridge from a single-run
-//!   `BENCH_repro.json` into records.
+//! - [`artifact_io`] — reads a single-run `BENCH_repro.json` back into
+//!   records, refusing documents of another schema.
 //!
 //! The crate has no dependencies at all (not even on the simulator),
 //! so anything that can produce a [`Record`] can use the store.
 
+pub mod aggregate;
 pub mod artifact_io;
 pub mod gate;
-pub mod index;
 pub mod json;
 pub mod log;
 pub mod record;
 
-pub use artifact_io::{read_artifact_records, records_from_artifact};
+pub use aggregate::{figure_runs, FigureRun};
+pub use artifact_io::{read_artifact_records, records_from_artifact, ARTIFACT_SCHEMA};
 pub use gate::{check as gate_check, short_rev, GateOutcome};
-pub use index::{figure_runs, FigureRun, Index};
 pub use json::{Json, ParseError};
 pub use log::{ReadResult, Recovery, Store};
-pub use record::{fnv1a_hex, Provenance, Record, ResourceUtils, SCHEMA_VERSION};
+pub use record::{fnv1a_hex, JobDetail, Provenance, Record, ResourceUtils, SCHEMA_VERSION};

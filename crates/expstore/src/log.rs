@@ -180,6 +180,7 @@ mod tests {
             next_constraint: None,
             next_utilization: None,
             utils: None,
+            detail: None,
         }
     }
 

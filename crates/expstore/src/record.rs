@@ -1,7 +1,7 @@
 //! The store's row type: one executed job, fully provenance-stamped.
 //!
-//! A [`Record`] is the unit the append-only log persists and the index
-//! queries: which figure/curve/point ran, under which configuration
+//! A [`Record`] is the unit the append-only log persists and the gate
+//! compares: which figure/curve/point ran, under which configuration
 //! (the config fingerprint covers every parameter including seed and
 //! run length), what it produced (the metric fingerprint pins every
 //! headline metric bit-exactly), which build produced it (git
@@ -12,6 +12,11 @@
 //! record this version wrote is byte-identical. Keys of older layouts
 //! that no field holds any more (the engine thread count) are ignored
 //! on parse and dropped on re-render.
+//!
+//! A record is also one row of the `BENCH_repro.json` artifact: the
+//! harness renders each job's record with [`Record::to_json`], and the
+//! optional [`JobDetail`] trailer carries the figures the artifact
+//! reports beyond what the gate and the trend tables read.
 
 use crate::json::Json;
 
@@ -87,6 +92,36 @@ pub struct Record {
     pub next_utilization: Option<f64>,
     /// Compact utilization stack for report rendering.
     pub utils: Option<ResourceUtils>,
+    /// The artifact's report-only figures. `None` on rows written
+    /// before artifact rows were store records; rendered only when
+    /// present.
+    pub detail: Option<JobDetail>,
+}
+
+/// Per-job figures a record carries for readers of the artifact:
+/// host allocation totals and the run's simulated headline numbers.
+/// Neither the gate nor the trend tables read them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobDetail {
+    /// Host heap allocations the job performed.
+    pub host_allocs: u64,
+    /// Bytes those allocations requested.
+    pub host_alloc_bytes: u64,
+    /// Length of the measurement window in simulated seconds.
+    pub sim_seconds: f64,
+    /// Committed transactions in the measurement window.
+    pub measured_txns: u64,
+    /// Response time normalized to a transaction of average size.
+    pub norm_response_ms: f64,
+    /// Throughput per node at 80% CPU utilization (the Fig. 4.6
+    /// metric).
+    pub tps_per_node_at_80pct_cpu: f64,
+    /// Average CPU utilization across nodes.
+    pub cpu_utilization: f64,
+    /// GEM server utilization.
+    pub gem_utilization: f64,
+    /// Per-partition disk-array utilization `(name, utilization)`.
+    pub disk_utilizations: Vec<(String, f64)>,
 }
 
 /// A row's compact per-resource utilization stack: the handful of
@@ -180,6 +215,29 @@ impl Record {
                 ]),
             );
         }
+        if let Some(d) = &self.detail {
+            doc.set("events_per_sec", Json::Num(self.events_per_sec()));
+            doc.set("host_allocs", Json::Num(d.host_allocs as f64));
+            doc.set("host_alloc_bytes", Json::Num(d.host_alloc_bytes as f64));
+            doc.set("sim_seconds", Json::Num(d.sim_seconds));
+            doc.set("measured_txns", Json::Num(d.measured_txns as f64));
+            doc.set("norm_response_ms", Json::Num(d.norm_response_ms));
+            doc.set(
+                "tps_per_node_at_80pct_cpu",
+                Json::Num(d.tps_per_node_at_80pct_cpu),
+            );
+            doc.set("cpu_utilization", Json::Num(d.cpu_utilization));
+            doc.set("gem_utilization", Json::Num(d.gem_utilization));
+            doc.set(
+                "disk_utilizations",
+                Json::Obj(
+                    d.disk_utilizations
+                        .iter()
+                        .map(|(name, util)| (name.clone(), Json::Num(*util)))
+                        .collect(),
+                ),
+            );
+        }
         doc
     }
 
@@ -207,6 +265,32 @@ impl Record {
                 "unsupported record version {version} (this reader knows {SCHEMA_VERSION})"
             ));
         }
+        // `host_allocs` marks the report-only group; `events_per_sec`
+        // is derived, so it is re-rendered rather than read.
+        let detail = match doc.get("host_allocs") {
+            None => None,
+            Some(_) => Some(JobDetail {
+                host_allocs: num_field("host_allocs")? as u64,
+                host_alloc_bytes: num_field("host_alloc_bytes")? as u64,
+                sim_seconds: num_field("sim_seconds")?,
+                measured_txns: num_field("measured_txns")? as u64,
+                norm_response_ms: num_field("norm_response_ms")?,
+                tps_per_node_at_80pct_cpu: num_field("tps_per_node_at_80pct_cpu")?,
+                cpu_utilization: num_field("cpu_utilization")?,
+                gem_utilization: num_field("gem_utilization")?,
+                disk_utilizations: match doc.get("disk_utilizations") {
+                    Some(Json::Obj(fields)) => fields
+                        .iter()
+                        .map(|(name, util)| {
+                            util.as_f64()
+                                .map(|u| (name.clone(), u))
+                                .ok_or_else(|| format!("disk utilization {name:?} is not a number"))
+                        })
+                        .collect::<Result<_, _>>()?,
+                    _ => return Err("missing object field \"disk_utilizations\"".into()),
+                },
+            }),
+        };
         Ok(Record {
             run: str_field("run")?,
             created_unix: num_field("created_unix")? as u64,
@@ -252,6 +336,7 @@ impl Record {
                     log: f("log"),
                 }
             }),
+            detail,
         })
     }
 
@@ -262,9 +347,10 @@ impl Record {
     }
 }
 
-/// A 64-bit FNV-1a hash of `text`, as 16 hex digits — the same
-/// construction the harness uses for config fingerprints, shared here
-/// so every layer derives identifiers identically.
+/// A 64-bit FNV-1a hash of `text`, as 16 hex digits. The harness's
+/// config fingerprints and the config-set fingerprints of
+/// [`figure_runs`](crate::figure_runs) both use it, so every layer
+/// derives identifiers identically.
 pub fn fnv1a_hex(text: &str) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in text.bytes() {
@@ -305,6 +391,7 @@ mod tests {
             next_constraint: None,
             next_utilization: None,
             utils: None,
+            detail: None,
         }
     }
 
@@ -358,6 +445,39 @@ mod tests {
         assert_eq!(back.to_line(), line);
         assert_eq!(back.binding.as_deref(), Some("network"));
         assert_eq!(back.utils.unwrap().network, 0.71);
+    }
+
+    #[test]
+    fn detail_trailer_round_trips_and_stays_optional() {
+        let mut rec = sample("fig41", 2, 9);
+        let bare = rec.to_line();
+        assert!(!bare.contains("host_allocs") && !bare.contains("events_per_sec"));
+        rec.detail = Some(JobDetail {
+            host_allocs: 4_375,
+            host_alloc_bytes: 1_048_576,
+            sim_seconds: 12.5,
+            measured_txns: 2_500,
+            norm_response_ms: 71.7,
+            tps_per_node_at_80pct_cpu: 128.25,
+            cpu_utilization: 0.644,
+            gem_utilization: 0.31,
+            disk_utilizations: vec![("ACCOUNT".into(), 0.39), ("HISTORY".into(), 0.05)],
+        });
+        let doc = rec.to_json();
+        // The derived event rate is rendered beside the stored fields.
+        assert_eq!(
+            doc.get("events_per_sec").and_then(Json::as_f64),
+            Some(140_000.0)
+        );
+        let line = rec.to_line();
+        let back = Record::from_line(&line).expect("parses back");
+        assert_eq!(back, rec);
+        assert_eq!(back.to_line(), line);
+
+        let mut partial = doc;
+        partial.remove("sim_seconds");
+        let err = Record::from_json(&partial).expect_err("incomplete trailer");
+        assert!(err.contains("sim_seconds"), "unhelpful error: {err}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Store integration tests against a real file: append/read
-//! round-trips, the committed baseline history, index queries,
-//! torn-write recovery, and byte-identical re-serialization of the
-//! store's JSON values.
+//! round-trips, the committed baseline history, torn-write recovery,
+//! and byte-identical re-serialization of the store's JSON values.
 
-use dbshare_expstore::{figure_runs, Index, Json, Provenance, Record, Store};
+use dbshare_expstore::{Json, Provenance, Record, Store};
 use std::fs;
 use std::path::PathBuf;
 
@@ -52,6 +51,7 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         next_constraint: None,
         next_utilization: None,
         utils: None,
+        detail: None,
     }
 }
 
@@ -82,36 +82,6 @@ fn append_read_round_trip_preserves_every_field_and_order() {
     assert!(read.recovery.is_none());
     let expected: Vec<Record> = first.into_iter().chain(second).collect();
     assert_eq!(read.records, expected);
-}
-
-#[test]
-fn index_queries_by_figure_fingerprint_and_revision() {
-    let tmp = TempFile::new("index.jsonl");
-    let store = Store::new(&tmp.0);
-    store
-        .append(&[
-            record("r1", "fig41", 1, 1.0),
-            record("r1", "fig41", 2, 1.0),
-            record("r1", "fig45", 1, 1.0),
-            record("r2", "fig41", 1, 0.25),
-        ])
-        .expect("append");
-    let read = store.read().expect("read");
-    let index = Index::new(&read.records);
-
-    assert_eq!(index.figures(), vec!["fig41", "fig45"]);
-    assert_eq!(index.by_figure("fig41").len(), 3);
-    assert_eq!(index.by_config("cfg-fig41-1").len(), 2);
-    assert_eq!(index.by_revision("rev-r2").len(), 1);
-    // r2 re-ran the fig41 1-node config 4x faster: it is the best.
-    let best = index.best_events_per_sec("cfg-fig41-1").expect("best");
-    assert_eq!(best.run, "r2");
-    // Aggregates: r1/fig41 groups two jobs, with a config-set
-    // fingerprint distinct from the single-job r2/fig41 row.
-    let rows = figure_runs(&read.records);
-    assert_eq!(rows.len(), 3);
-    assert_eq!(rows[0].jobs, 2);
-    assert_ne!(rows[0].config_set, rows[2].config_set);
 }
 
 #[test]

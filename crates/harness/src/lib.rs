@@ -10,12 +10,13 @@
 //!    shared `Mutex<VecDeque<_>>` queue,
 //! 3. reassembles the results into ordered [`Series`] that are
 //!    **byte-identical to a serial run** for any worker count, and
-//! 4. records per-job wall-clock and headline metrics into a
-//!    `BENCH_repro.json` artifact ([`artifact`]) written with the
-//!    in-repo dependency-free JSON value ([`json`]).
+//! 4. maps each job result to one experiment-store [`Record`]
+//!    ([`Outcome::store_records`]): the row the store appends and the
+//!    `BENCH_repro.json` artifact ([`artifact`]) renders, written with
+//!    the in-repo dependency-free JSON value ([`json`]).
 //!
 //! ```no_run
-//! use dbshare_harness::{Harness, Sweep};
+//! use dbshare_harness::{Harness, Provenance, Sweep};
 //! use dbshare_sim::experiments::{fig41_grid, RunLength};
 //!
 //! let sweeps = vec![Sweep {
@@ -23,7 +24,7 @@
 //!     grid: fig41_grid(&[1, 2, 4], RunLength::quick()),
 //! }];
 //! let outcome = Harness::new().run(sweeps);
-//! let artifact = outcome.artifact();
+//! let artifact = outcome.artifact(&Provenance::default());
 //! ```
 
 pub mod alloc_track;
@@ -34,7 +35,7 @@ pub mod rss;
 pub mod ticker;
 
 pub use alloc_track::CountingAlloc;
-pub use artifact::{fingerprint, write_artifact, SCHEMA};
+pub use artifact::{fingerprint, write_artifact};
 pub use knee::{run_knee, KneeOutcome};
 pub use ticker::Ticker;
 // The JSON value moved into the experiment store crate (the store is
@@ -104,21 +105,11 @@ impl Outcome {
             .map(|f| f.series.as_slice())
     }
 
-    /// Builds the `BENCH_repro.json` document for this run.
-    pub fn artifact(&self) -> Json {
-        artifact::artifact(
-            &self.results,
-            self.workers,
-            self.host_cpus,
-            self.total_wall_secs,
-            self.created_unix,
-        )
-    }
-
     /// The run's results as experiment-store rows: one [`Record`] per
     /// job, stamped with this run's id and the caller's build
     /// provenance. This is what [`Harness`] appends to the store after
-    /// each grid run.
+    /// each grid run and what [`Outcome::artifact`] renders; it is the
+    /// only place a job result is mapped to row fields.
     pub fn store_records(&self, provenance: &Provenance) -> Vec<Record> {
         self.results
             .iter()
@@ -165,6 +156,17 @@ impl Outcome {
                         network: find("network"),
                         disk: disk_max,
                         log: find("log"),
+                    }),
+                    detail: Some(dbshare_expstore::JobDetail {
+                        host_allocs: res.report.profile.host_allocs,
+                        host_alloc_bytes: res.report.profile.host_alloc_bytes,
+                        sim_seconds: res.report.sim_seconds,
+                        measured_txns: res.report.measured_txns,
+                        norm_response_ms: res.report.norm_response_ms,
+                        tps_per_node_at_80pct_cpu: res.report.tps_per_node_at_80pct_cpu,
+                        cpu_utilization: res.report.cpu_utilization,
+                        gem_utilization: res.report.gem_utilization,
+                        disk_utilizations: res.report.disk_utilizations.clone(),
                     }),
                 }
             })

@@ -1,8 +1,9 @@
 //! The harness's core guarantee, regression-tested: results are
 //! identical to a serial run for ANY worker count, and the JSON
-//! artifact round-trips through the crate's own parser.
+//! artifact round-trips through the crate's own parser, row for row
+//! into the store records the run produced.
 
-use dbshare_harness::{Harness, Json, Sweep};
+use dbshare_harness::{Harness, Json, Provenance, Record, Sweep};
 use dbshare_sim::experiments::{fig41_grid, fig47_grid, run_grid_serial, RunLength};
 
 /// Short but non-degenerate: long enough for lock waits and buffer
@@ -52,7 +53,12 @@ fn one_worker_and_many_workers_match_the_serial_run_exactly() {
 #[test]
 fn artifact_round_trips_through_the_crates_own_parser() {
     let outcome = Harness::new().workers(3).run(sweeps());
-    let doc = outcome.artifact();
+    let provenance = Provenance {
+        git_revision: "test-rev".into(),
+        rustc_version: "test-rustc".into(),
+        build_profile: "test".into(),
+    };
+    let doc = outcome.artifact(&provenance);
     let text = doc.render();
     let parsed = Json::parse(&text).expect("artifact parses back");
     assert_eq!(parsed, doc, "render → parse is not the identity");
@@ -63,7 +69,8 @@ fn artifact_round_trips_through_the_crates_own_parser() {
         .and_then(Json::as_arr)
         .expect("records array");
     assert_eq!(records.len(), outcome.results.len());
-    for (record, result) in records.iter().zip(&outcome.results) {
+    let store_rows = outcome.store_records(&provenance);
+    for ((record, result), row) in records.iter().zip(&outcome.results).zip(&store_rows) {
         assert_eq!(
             record.get("figure").and_then(Json::as_str),
             Some(result.job.figure.as_str())
@@ -77,6 +84,8 @@ fn artifact_round_trips_through_the_crates_own_parser() {
             record.get("config_fingerprint").and_then(Json::as_str),
             Some(dbshare_harness::fingerprint(&result.job.spec).as_str())
         );
+        // Each artifact row is the job's store record, losslessly.
+        assert_eq!(&Record::from_json(record).expect("row is a record"), row);
     }
 }
 
@@ -94,6 +103,7 @@ fn artifacts_from_different_worker_counts_agree_on_everything_but_timing() {
                                 "wall_secs"
                                     | "total_wall_secs"
                                     | "created_unix"
+                                    | "run"
                                     | "workers"
                                     | "events_per_sec"
                                     | "peak_rss_mb"
@@ -108,7 +118,14 @@ fn artifacts_from_different_worker_counts_agree_on_everything_but_timing() {
         }
         walk(doc)
     };
-    let a = Harness::new().workers(1).run(sweeps()).artifact();
-    let b = Harness::new().workers(8).run(sweeps()).artifact();
+    let provenance = Provenance::default();
+    let a = Harness::new()
+        .workers(1)
+        .run(sweeps())
+        .artifact(&provenance);
+    let b = Harness::new()
+        .workers(8)
+        .run(sweeps())
+        .artifact(&provenance);
     assert_eq!(strip_timing(&a), strip_timing(&b));
 }
