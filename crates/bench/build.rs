@@ -6,6 +6,7 @@
 //! the information is unavailable (e.g. a source tarball without
 //! `.git`), so the build never fails on provenance.
 
+use std::path::Path;
 use std::process::Command;
 
 fn capture(cmd: &str, args: &[&str]) -> Option<String> {
@@ -41,6 +42,23 @@ fn main() {
     println!("cargo:rustc-env=REPRO_GIT_REVISION={git_rev}");
     println!("cargo:rustc-env=REPRO_RUSTC_VERSION={rustc_version}");
     println!("cargo:rustc-env=REPRO_BUILD_PROFILE={profile}");
-    // Re-run when HEAD moves so the embedded revision tracks commits.
+    // Re-run when HEAD moves so the embedded revision tracks commits. A
+    // commit on a branch moves the branch's ref, not HEAD, so also watch
+    // the ref HEAD names and `packed-refs`, where `git pack-refs` moves
+    // it. Cargo re-runs the script on every build while a watched file is
+    // missing: `packed-refs` is watched only once it exists, and a tree
+    // without `.git`, whose revision stays "unknown", watches this script.
+    if !Path::new("../../.git").exists() {
+        println!("cargo:rerun-if-changed=build.rs");
+        return;
+    }
     println!("cargo:rerun-if-changed=../../.git/HEAD");
+    if let Ok(head) = std::fs::read_to_string("../../.git/HEAD") {
+        if let Some(reference) = head.trim().strip_prefix("ref: ") {
+            println!("cargo:rerun-if-changed=../../.git/{reference}");
+            if Path::new("../../.git/packed-refs").exists() {
+                println!("cargo:rerun-if-changed=../../.git/packed-refs");
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 use crate::trace::Trace;
 use dbshare_model::gla::{GlaMap, PartitionGla};
 use dbshare_model::{NodeId, TxnTypeId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// A routing table: the node each transaction type is routed to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +55,22 @@ impl RoutingTable {
 #[derive(Debug, Clone)]
 struct Profile {
     /// load[t]: total references of type t (its share of the work).
-    load: Vec<f64>,
-    /// tf[t]: file -> reference count for type t.
-    tf: Vec<HashMap<usize, f64>>,
+    load: Vec<u64>,
+    /// tf[t * files + f]: references of type t to file f.
+    tf: Vec<u64>,
     files: usize,
+}
+
+impl Profile {
+    /// The files type `t` references, with its reference counts, in
+    /// ascending file order.
+    fn files_of(&self, t: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.tf[t * self.files..(t + 1) * self.files]
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, w)| w > 0)
+    }
 }
 
 fn profile(trace: &Trace) -> Profile {
@@ -67,13 +79,14 @@ fn profile(trace: &Trace) -> Profile {
         types = types.max(t.txn_type.index() + 1);
     }
     let files = trace.partitions().len();
-    let mut load = vec![0.0; types];
-    let mut tf: Vec<HashMap<usize, f64>> = vec![HashMap::new(); types];
+    let mut load = vec![0; types];
+    let mut tf = vec![0; types * files];
     for t in trace.txns() {
         let ty = t.txn_type.index();
-        load[ty] += t.refs.len() as f64;
+        load[ty] += t.refs.len() as u64;
+        let per_file = &mut tf[ty * files..(ty + 1) * files];
         for r in &t.refs {
-            *tf[ty].entry(r.page.partition().index()).or_insert(0.0) += 1.0;
+            per_file[r.page.partition().index()] += 1;
         }
     }
     Profile { load, tf, files }
@@ -99,29 +112,31 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
         return RoutingTable::new(vec![NodeId::new(0); types]);
     }
     let n = nodes as usize;
-    let total: f64 = p.load.iter().sum();
+    let total = p.load.iter().sum::<u64>() as f64;
     let cap = total / n as f64 * 1.2;
 
     // Greedy: heaviest types first; prefer the node with the largest
     // file-overlap with what is already placed there.
     let mut order: Vec<usize> = (0..types).collect();
-    order.sort_by(|&a, &b| p.load[b].partial_cmp(&p.load[a]).expect("finite loads"));
+    order.sort_by_key(|&t| Reverse(p.load[t]));
     let mut assign = vec![0usize; types];
-    let mut node_load = vec![0.0f64; n];
-    let mut node_files: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
+    let mut node_load = vec![0u64; n];
+    // node_files[ni * files + f]: references to file f of the types placed on ni.
+    let mut node_files = vec![0u64; n * p.files];
     for &t in &order {
         let mut best = usize::MAX;
         let mut best_score = f64::NEG_INFINITY;
         for ni in 0..n {
-            if node_load[ni] + p.load[t] > cap && node_load[ni] > 0.0 {
+            if (node_load[ni] + p.load[t]) as f64 > cap && node_load[ni] > 0 {
                 continue;
             }
-            let overlap: f64 = p.tf[t]
-                .iter()
-                .map(|(f, w)| w * node_files[ni].get(f).copied().unwrap_or(0.0).sqrt())
+            let placed = &node_files[ni * p.files..(ni + 1) * p.files];
+            let overlap: f64 = p
+                .files_of(t)
+                .map(|(f, w)| w as f64 * (placed[f] as f64).sqrt())
                 .sum();
             // Light load preference breaks ties toward balance.
-            let score = overlap - node_load[ni] * 1e-3;
+            let score = overlap - node_load[ni] as f64 * 1e-3;
             if score > best_score {
                 best_score = score;
                 best = ni;
@@ -129,30 +144,30 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
         }
         let ni = if best == usize::MAX {
             // everything over cap: take the least loaded
-            (0..n)
-                .min_by(|&a, &b| node_load[a].partial_cmp(&node_load[b]).expect("finite"))
-                .expect("n > 0")
+            (0..n).min_by_key(|&a| node_load[a]).expect("n > 0")
         } else {
             best
         };
         assign[t] = ni;
         node_load[ni] += p.load[t];
-        for (f, w) in &p.tf[t] {
-            *node_files[ni].entry(*f).or_insert(0.0) += w;
+        for (f, w) in p.files_of(t) {
+            node_files[ni * p.files + f] += w;
         }
     }
 
     // Iterative improvement: move a type if it raises the majority
-    // objective without violating the load cap.
-    let objective = |assign: &[usize]| -> f64 {
-        let mut rf = vec![vec![0.0f64; n]; p.files];
+    // objective without violating the load cap. The objective counts
+    // references, so it is compared exactly.
+    let objective = |assign: &[usize]| -> u64 {
+        // rf[f * n + ni]: references to file f routed to node ni.
+        let mut rf = vec![0u64; p.files * n];
         for (t, &ni) in assign.iter().enumerate() {
-            for (f, w) in &p.tf[t] {
-                rf[*f][ni] += w;
+            for (f, w) in p.files_of(t) {
+                rf[f * n + ni] += w;
             }
         }
-        rf.iter()
-            .map(|per_node| per_node.iter().cloned().fold(0.0, f64::max))
+        rf.chunks(n)
+            .map(|per_node| per_node.iter().copied().max().unwrap_or(0))
             .sum()
     };
     let mut best_obj = objective(&assign);
@@ -161,12 +176,12 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
         for t in 0..types {
             let from = assign[t];
             for to in 0..n {
-                if to == from || node_load[to] + p.load[t] > cap {
+                if to == from || (node_load[to] + p.load[t]) as f64 > cap {
                     continue;
                 }
                 assign[t] = to;
                 let obj = objective(&assign);
-                if obj > best_obj + 1e-9 {
+                if obj > best_obj {
                     best_obj = obj;
                     node_load[from] -= p.load[t];
                     node_load[to] += p.load[t];
@@ -206,54 +221,56 @@ pub fn gla_chunks(trace: &Trace, table: &RoutingTable, nodes: u16, chunk_pages: 
     }
     let n = nodes as usize;
 
-    // refs[(file, chunk)][node]
-    let mut chunk_refs: HashMap<(usize, u64), Vec<f64>> = HashMap::new();
+    // Each touched chunk gets a row of per-node reference counts,
+    // counts[row * n + node], and keys[row] names it. row_of[file][chunk]
+    // holds row + 1, or 0 while the chunk is untouched; it grows to the
+    // file's largest touched chunk, the length of its slots below.
+    let mut row_of: Vec<Vec<u32>> = vec![Vec::new(); files];
+    let mut keys: Vec<(usize, usize)> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
     for t in trace.txns() {
         let node = table.node_for(t.txn_type).index();
         for r in &t.refs {
-            let key = (r.page.partition().index(), r.page.number() / chunk_pages);
-            chunk_refs.entry(key).or_insert_with(|| vec![0.0; n])[node] += 1.0;
+            let file = r.page.partition().index();
+            let chunk =
+                usize::try_from(r.page.number() / chunk_pages).expect("chunk index fits in memory");
+            let rows = &mut row_of[file];
+            if rows.len() <= chunk {
+                rows.resize(chunk + 1, 0);
+            }
+            if rows[chunk] == 0 {
+                keys.push((file, chunk));
+                counts.resize(counts.len() + n, 0);
+                rows[chunk] = u32::try_from(keys.len()).expect("fewer than 2^32 touched chunks");
+            }
+            counts[(rows[chunk] - 1) as usize * n + node] += 1;
         }
     }
 
-    // Assign chunks, heaviest first, to their majority node unless that
-    // node is already overloaded with lock traffic.
-    let mut chunks: Vec<((usize, u64), Vec<f64>)> = chunk_refs.into_iter().collect();
-    chunks.sort_by(|a, b| {
-        let sa: f64 = a.1.iter().sum();
-        let sb: f64 = b.1.iter().sum();
-        sb.partial_cmp(&sa)
-            .expect("finite")
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    let total: f64 = chunks.iter().map(|(_, v)| v.iter().sum::<f64>()).sum();
+    // Assign chunks, heaviest first (ties by file, then chunk), to their
+    // majority node unless that node is already overloaded with lock
+    // traffic.
+    let weights: Vec<u64> = counts.chunks(n).map(|row| row.iter().sum()).collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&row| (Reverse(weights[row]), keys[row]));
+    let total = weights.iter().sum::<u64>() as f64;
     let cap = total / n as f64 * 1.4;
-    let mut node_traffic = vec![0.0f64; n];
-    let mut per_file_chunks: Vec<Vec<Option<NodeId>>> = vec![Vec::new(); files];
-    for ((file, chunk), per_node) in chunks {
-        let weight: f64 = per_node.iter().sum();
+    let mut node_traffic = vec![0u64; n];
+    let mut per_file_chunks: Vec<Vec<Option<NodeId>>> =
+        row_of.iter().map(|rows| vec![None; rows.len()]).collect();
+    for row in order {
+        let per_node = &counts[row * n..(row + 1) * n];
+        let weight = weights[row];
         let mut prefs: Vec<usize> = (0..n).collect();
-        prefs.sort_by(|&a, &b| per_node[b].partial_cmp(&per_node[a]).expect("finite"));
+        prefs.sort_by_key(|&ni| Reverse(per_node[ni]));
         let target = prefs
             .iter()
             .copied()
-            .find(|&ni| node_traffic[ni] + weight <= cap)
-            .unwrap_or_else(|| {
-                (0..n)
-                    .min_by(|&a, &b| {
-                        node_traffic[a]
-                            .partial_cmp(&node_traffic[b])
-                            .expect("finite")
-                    })
-                    .expect("n > 0")
-            });
+            .find(|&ni| (node_traffic[ni] + weight) as f64 <= cap)
+            .unwrap_or_else(|| (0..n).min_by_key(|&ni| node_traffic[ni]).expect("n > 0"));
         node_traffic[target] += weight;
-        let slots = &mut per_file_chunks[file];
-        let chunk = usize::try_from(chunk).expect("chunk index fits in memory");
-        if slots.len() <= chunk {
-            slots.resize(chunk + 1, None);
-        }
-        slots[chunk] = Some(NodeId::new(target as u16));
+        let (file, chunk) = keys[row];
+        per_file_chunks[file][chunk] = Some(NodeId::new(target as u16));
     }
 
     GlaMap::new(

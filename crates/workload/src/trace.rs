@@ -22,6 +22,7 @@ use dbshare_model::{
     TxnSpec, TxnTypeId,
 };
 use desim::dist::Zipf;
+use desim::fxhash::FxHashSet;
 use desim::Rng;
 use std::collections::HashSet;
 
@@ -401,12 +402,12 @@ impl Trace {
 
     /// Summary statistics (compare against §4.6's description).
     pub fn stats(&self) -> TraceStats {
-        let mut distinct: HashSet<PageId> = HashSet::new();
+        let mut distinct: FxHashSet<PageId> = FxHashSet::default();
         let mut total_refs = 0u64;
         let mut write_refs = 0u64;
         let mut update_txns = 0u64;
         let mut max_txn = 0usize;
-        let mut types: HashSet<TxnTypeId> = HashSet::new();
+        let mut types: FxHashSet<TxnTypeId> = FxHashSet::default();
         for t in &self.txns {
             types.insert(t.txn_type);
             max_txn = max_txn.max(t.refs.len());
@@ -490,13 +491,20 @@ impl TraceWorkload {
         assert!(nodes > 0, "need at least one node");
         let table = routing::affinity_table(&trace, nodes);
         let gla = routing::gla_chunks(&trace, &table, nodes, 512);
-        let stats = trace.stats();
-        let mean_accesses = stats.total_refs as f64 / stats.txn_count as f64;
-        let types = stats.types as usize;
-        let mut per_type: Vec<Vec<usize>> = vec![Vec::new(); types];
+        // Type ids may be sparse, so the per-type index covers every id
+        // up to the largest.
+        let mut per_type: Vec<Vec<usize>> = Vec::new();
+        let mut total_refs = 0u64;
         for (i, t) in trace.txns().iter().enumerate() {
-            per_type[t.txn_type.index()].push(i);
+            let ty = t.txn_type.index();
+            if per_type.len() <= ty {
+                per_type.resize_with(ty + 1, Vec::new);
+            }
+            per_type[ty].push(i);
+            total_refs += t.refs.len() as u64;
         }
+        let mean_accesses = total_refs as f64 / trace.txns().len() as f64;
+        let types = per_type.len();
         TraceWorkload {
             trace,
             routing,
@@ -823,6 +831,35 @@ mod from_txns_tests {
         let mut rng = Rng::seed_from_u64(1);
         let (_, spec) = w.next(&mut rng);
         assert_eq!(spec.refs().len(), 1);
+    }
+
+    /// Type ids need not be dense: ids {0, 3} size the per-type index
+    /// by the largest id, under either routing and with per-type rates.
+    #[test]
+    fn sparse_type_ids_replay_under_both_routings() {
+        let txn = |ty: u16, page: u64| TraceTxn {
+            txn_type: TxnTypeId::new(ty),
+            refs: vec![PageRef::read(PageId::new(PartitionId::new(0), page))],
+        };
+        let trace = Trace::from_txns(vec![txn(0, 1), txn(3, 2), txn(3, 5)], vec![part(10)]);
+        for routing in [RoutingStrategy::Random, RoutingStrategy::Affinity] {
+            let mut rng = Rng::seed_from_u64(1);
+            let mut w = TraceWorkload::new(trace.clone(), 2, routing);
+            let replayed: Vec<usize> = (0..3)
+                .map(|_| w.next(&mut rng).1.txn_type().index())
+                .collect();
+            assert_eq!(replayed, [0, 3, 3], "{routing:?}");
+
+            let mut w = w.with_type_rates(vec![1.0, 0.0, 0.0, 1.0]);
+            let mut seen = [0u32; 4];
+            for _ in 0..200 {
+                let (node, spec) = w.next(&mut rng);
+                assert!(node.index() < 2);
+                seen[spec.txn_type().index()] += 1;
+            }
+            assert_eq!(seen[1] + seen[2], 0, "{routing:?}: {seen:?}");
+            assert!(seen[0] > 0 && seen[3] > 0, "{routing:?}: {seen:?}");
+        }
     }
 
     #[test]
