@@ -32,12 +32,6 @@ impl Bench {
         }
     }
 
-    /// Overrides the per-benchmark measurement budget.
-    pub fn budget(mut self, budget: Duration) -> Self {
-        self.budget = budget;
-        self
-    }
-
     fn matches(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }

@@ -100,11 +100,8 @@ pub fn run_jobs_ticked(
                 let bytes0 = alloc_track::thread_alloc_bytes();
                 let gauge = ticker.map(|t| t.register(format!("{} n={}", job.curve, job.nodes)));
                 let start = Instant::now();
-                let (mut report, observations) = if gauge.is_some() || job.observe.enabled() {
-                    job.spec.execute_instrumented(job.observe, gauge.clone())
-                } else {
-                    (job.spec.execute(), Observations::default())
-                };
+                let (mut report, observations) =
+                    job.spec.execute_instrumented(job.observe, gauge.clone());
                 let wall_secs = start.elapsed().as_secs_f64();
                 if let (Some(t), Some(gauge)) = (ticker, &gauge) {
                     t.finish(gauge, report.events_processed);

@@ -110,11 +110,6 @@ impl GemLockTable {
         }
     }
 
-    /// The mode `txn` currently holds on `page`, if any.
-    pub fn held_mode(&self, txn: TxnId, page: PageId) -> Option<LockMode> {
-        self.table.held_mode(txn, page)
-    }
-
     /// Current holders of `page` (diagnostics).
     pub fn holders(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
         self.table.holders(page)

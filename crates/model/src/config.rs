@@ -134,8 +134,6 @@ pub struct GemConfig {
     /// CPU instructions to process one lock or unlock against the
     /// global lock table (excluding the synchronous entry-access time).
     pub lock_op_instr: f64,
-    /// GEM entry accesses per lock/unlock (read + Compare&Swap write).
-    pub entries_per_lock_op: u32,
 }
 
 impl Default for GemConfig {
@@ -146,7 +144,6 @@ impl Default for GemConfig {
             entry_access_us: 2.0,
             io_init_instr: 300.0,
             lock_op_instr: 300.0,
-            entries_per_lock_op: 2,
         }
     }
 }

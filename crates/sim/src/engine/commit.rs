@@ -373,7 +373,7 @@ impl Engine {
         gla_node: NodeId,
         grants: Vec<(PageId, TxnId, LockMode)>,
     ) {
-        for (page, t2, mode) in grants {
+        for (page, t2, _) in grants {
             if self.pending_writes.contains_key(&t2) {
                 let ready = {
                     let pw = self.pending_writes.get_mut(&t2).expect("checked");
@@ -392,7 +392,6 @@ impl Engine {
             // A local waiter at the GLA node.
             if self.txns.contains_key(&t2) {
                 let svc = self.fixed(self.cfg.pcl_local_lock_instr);
-                let _ = mode;
                 self.dispatch(
                     now,
                     gla_node,

@@ -39,8 +39,6 @@ pub(crate) enum Event {
     GemHeldDone {
         /// The node whose CPU was held.
         node: NodeId,
-        /// Transaction for wait attribution, if any.
-        txn: Option<TxnId>,
         /// What to do next.
         cont: Cont,
     },

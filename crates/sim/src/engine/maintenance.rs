@@ -5,6 +5,7 @@
 use super::{Cont, Engine, Event, Job, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
 use crate::metrics::RunReport;
 use dbshare_lockmgr::deadlock::{choose_victim, find_cycle, has_cycle};
+use dbshare_lockmgr::LockMode;
 use dbshare_model::{CouplingMode, NodeId, PageId, TxnId};
 use dbshare_node::buffer::BufferCounters;
 use desim::trace::TraceEventKind;
@@ -101,33 +102,6 @@ impl Engine {
     // Deadlock detection and aborts (§3.2)
     // ------------------------------------------------------------------
 
-    /// Audit (env `DBSHARE_AUDIT`): no live transaction may be in
-    /// LockWait on a page it already holds — that means a grant was
-    /// lost. Panics with details at the first violation.
-    pub(crate) fn audit_grants(&self, now: SimTime) {
-        for t in self.txns.values() {
-            if t.phase != Phase::LockWait {
-                continue;
-            }
-            let Some(p) = t.waiting_page else { continue };
-            let holds = match self.cfg.coupling {
-                CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                    self.glt.held_mode(t.id, p).is_some()
-                }
-                CouplingMode::Pcl => self.gla[self.gla_map.gla_of(p).index()]
-                    .holders_of(p)
-                    .iter()
-                    .any(|&(h, _)| h == t.id),
-            };
-            if holds {
-                panic!(
-                    "AUDIT at {now}: {:?} waits on {p} which it already holds                      (step {}, wait since {})",
-                    t.id, t.step, t.wait_since
-                );
-            }
-        }
-    }
-
     /// Appends the waits-for edges of every lock table — the reduced
     /// graph (stage 1 of [`deadlock_scan`](Self::deadlock_scan)) or the
     /// full one (stage 2) — plus the pending-writer edges of the read
@@ -175,9 +149,6 @@ impl Engine {
     /// first cycle its search meets, which a search of the reduced graph
     /// need not reproduce.
     pub(crate) fn deadlock_scan(&mut self, now: SimTime) {
-        if std::env::var_os("DBSHARE_AUDIT").is_some() {
-            self.audit_grants(now);
-        }
         self.check_watchdog(now);
         let mut guard = 0u32;
         let mut reduced = Vec::new();
@@ -212,46 +183,6 @@ impl Engine {
             .collect();
         stuck.sort_unstable();
         for id in stuck {
-            if std::env::var_os("DBSHARE_DEBUG_TIMEOUTS").is_some() {
-                let t = self.txn(id);
-                let page = t.waiting_page;
-                let holders = page
-                    .map(|p| match self.cfg.coupling {
-                        CouplingMode::GemLocking | CouplingMode::LockEngine => self.glt.holders(p),
-                        CouplingMode::Pcl => self.gla[self.gla_map.gla_of(p).index()].holders_of(p),
-                    })
-                    .unwrap_or_default();
-                let holder_info: Vec<String> = holders
-                    .iter()
-                    .map(|&(h, m)| match self.txns.get(&h) {
-                        Some(ht) => format!(
-                            "{h:?}:{m:?} phase={:?} step={} waiting={:?}",
-                            ht.phase, ht.step, ht.waiting_page
-                        ),
-                        None => format!("{h:?}:{m:?} NOT-LIVE(LEAK)"),
-                    })
-                    .collect();
-                eprintln!(
-                    "TIMEOUT {:?} node={} step={} page={:?} queue={} holders=[{}]",
-                    id,
-                    t.node,
-                    t.step,
-                    page,
-                    page.map(|p| match self.cfg.coupling {
-                        CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                            self.glt.queue_len(p)
-                        }
-                        CouplingMode::Pcl =>
-                            self.gla[self.gla_map.gla_of(p).index()].queue_len_of(p),
-                    })
-                    .unwrap_or(0),
-                    holder_info.join(" | ")
-                );
-                if std::env::var_os("DBSHARE_DEBUG_STUCK").is_some() {
-                    self.dump_stuck(now);
-                    panic!("first timeout dumped");
-                }
-            }
             self.abort(now, id, AbortReason::Timeout);
         }
     }
@@ -371,10 +302,24 @@ impl Engine {
         );
     }
 
-    /// Diagnostic dump: every live transaction's phase, and for lock
-    /// waiters the holders of the page they wait for (env
-    /// `DBSHARE_DEBUG_STUCK`).
-    pub(crate) fn dump_stuck(&self, now: SimTime) {
+    /// The holders of `page`'s lock and the length of its wait queue,
+    /// read from the lock table that the coupling keeps it in.
+    fn lock_holders(&self, page: PageId) -> (Vec<(TxnId, LockMode)>, usize) {
+        match self.cfg.coupling {
+            CouplingMode::GemLocking | CouplingMode::LockEngine => {
+                (self.glt.holders(page), self.glt.queue_len(page))
+            }
+            CouplingMode::Pcl => {
+                let g = &self.gla[self.gla_map.gla_of(page).index()];
+                (g.holders_of(page), g.queue_len_of(page))
+            }
+        }
+    }
+
+    /// The watchdog's diagnostic dump: live transactions by phase,
+    /// per-node queue depths, the waits-for graph, and for the oldest
+    /// lock waiters the holders of the page they wait for.
+    fn dump_stuck(&self, now: SimTime) {
         // Phase counts in a fixed order so the dump is reproducible
         // (a map printed in iteration order is not).
         const PHASES: [(&str, Phase); 5] = [
@@ -435,55 +380,16 @@ impl Engine {
                 ctx.mpl.queue_len(),
             );
         }
-        if self.is_gem_coupling() {
-            for part in 0..self.part_names.len() {
-                for pno in 0..16u64 {
-                    let pg = PageId::new(dbshare_model::PartitionId::new(part as u16), pno);
-                    let hs = self.glt.holders(pg);
-                    if !hs.is_empty() {
-                        let live: Vec<String> = hs
-                            .iter()
-                            .map(|&(h, m)| {
-                                format!(
-                                    "{h:?}:{m:?}:{}",
-                                    if self.txns.contains_key(&h) {
-                                        "live"
-                                    } else {
-                                        "LEAKED"
-                                    }
-                                )
-                            })
-                            .collect();
-                        eprintln!(
-                            "  PAGE {pg} holders=[{}] queue={}",
-                            live.join(","),
-                            self.glt.queue_len(pg)
-                        );
-                    }
-                }
-            }
-        }
-        if self.is_gem_coupling() {
-            let mut edges = self.glt.waits_for_edges();
-            edges.sort_unstable();
-            edges.dedup();
-            eprintln!(
-                "  EDGES({}): {:?}",
-                edges.len(),
-                &edges[..edges.len().min(60)]
-            );
-            eprintln!("  CYCLE: {:?}", find_cycle(&edges));
-            let mut lw: Vec<_> = self
-                .txns
-                .values()
-                .filter(|t| t.phase == Phase::LockWait)
-                .map(|t| (t.id, t.held_gem.clone(), t.waiting_page))
-                .collect();
-            lw.sort_by_key(|x| x.0);
-            for (id, held, wait) in lw.iter().take(40) {
-                eprintln!("  LW {id:?} holds={held:?} waits={wait:?}");
-            }
-        }
+        let mut edges = Vec::new();
+        self.collect_waits_for(false, &mut edges);
+        edges.sort_unstable();
+        edges.dedup();
+        eprintln!(
+            "  EDGES({}): {:?}",
+            edges.len(),
+            &edges[..edges.len().min(60)]
+        );
+        eprintln!("  CYCLE: {:?}", find_cycle(&edges));
         for t in self.txns.values() {
             if matches!(t.phase, Phase::Running | Phase::PageWait | Phase::CommitIo) {
                 eprintln!(
@@ -514,15 +420,7 @@ impl Engine {
                 t.held_gla.len(),
             );
             if let Some(p) = t.waiting_page {
-                let (holders, qlen) = match self.cfg.coupling {
-                    CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                        (self.glt.holders(p), self.glt.queue_len(p))
-                    }
-                    CouplingMode::Pcl => {
-                        let g = self.gla_map.gla_of(p).index();
-                        (self.gla[g].holders_of(p), self.gla[g].queue_len_of(p))
-                    }
-                };
+                let (holders, qlen) = self.lock_holders(p);
                 eprintln!("    holders={holders:?} queue={qlen}");
                 for (h, _) in holders.iter().take(3) {
                     if let Some(ht) = self.txns.get(h) {
@@ -593,10 +491,18 @@ impl Engine {
         for v in victims {
             self.abort(now, v, AbortReason::Crash);
         }
-        // The buffer content is gone.
+        // The buffer content is gone; its lookups stay counted in the
+        // timeline's buffer totals.
         let parts = self.part_names.len();
-        self.nodes[node.index()].buffer =
-            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, parts);
+        let lost = std::mem::replace(
+            &mut self.nodes[node.index()].buffer,
+            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, parts),
+        );
+        for pi in 0..parts {
+            let c = lost.counters(pi);
+            self.crashed_buffer.0 += c.hits;
+            self.crashed_buffer.1 += c.misses;
+        }
         match self.cfg.coupling {
             CouplingMode::GemLocking | CouplingMode::LockEngine => {
                 // GEM is non-volatile: the GLT survives. Pages owned by
@@ -618,8 +524,7 @@ impl Engine {
     }
 
     /// The node rejoins with a cold buffer.
-    pub(crate) fn node_recovered(&mut self, now: SimTime, node: NodeId) {
-        let _ = now;
+    pub(crate) fn node_recovered(&mut self, node: NodeId) {
         self.down[node.index()] = false;
     }
 
@@ -705,8 +610,6 @@ impl Engine {
             truncated: self.truncated,
             sim_seconds: span,
             throughput_tps: self.measured as f64 / span,
-            throughput_timeline: std::mem::take(&mut self.metrics.timeline),
-            timeline_bucket_secs: self.metrics.timeline_bucket_secs,
             mean_response_ms: self.metrics.resp.mean(),
             response_ci95_ms: self.metrics.resp_batches.ci95_half_width(),
             p50_response_ms: self.metrics.resp_hist.percentile(50.0).as_millis_f64(),

@@ -121,6 +121,9 @@ pub struct Engine {
     /// Specs of retired transactions; the workload generator reuses
     /// their reference buffers for new draws.
     pub(crate) spare_specs: Vec<TxnSpec>,
+    /// Buffer hits and misses counted by buffers that a node crash
+    /// discarded, so the timeline's cumulative totals never fall.
+    pub(crate) crashed_buffer: (u64, u64),
     /// Per-node commit logs, merged into the global log at end of run
     /// (§2 / \[Ra91a\]).
     pub(crate) local_logs: Vec<LocalLog>,
@@ -221,6 +224,7 @@ impl Engine {
             scratch_queue: Vec::new(),
             release_pool: Vec::new(),
             spare_specs: Vec::new(),
+            crashed_buffer: (0, 0),
             local_logs: (0..cfg.nodes)
                 .map(|i| LocalLog::new(NodeId::new(i)))
                 .collect(),
@@ -312,9 +316,6 @@ impl Engine {
                 self.counters.committed,
             );
         }
-        if std::env::var_os("DBSHARE_DEBUG_STUCK").is_some() {
-            self.dump_stuck(now);
-        }
         now
     }
 
@@ -346,8 +347,7 @@ impl Engine {
                 restarts,
             } => self.admit(now, node, spec, arrival, restarts),
             Event::CpuDone { node, job } => self.cpu_done(now, node, job),
-            Event::GemHeldDone { node, txn, cont } => {
-                let _ = txn;
+            Event::GemHeldDone { node, cont } => {
                 self.release_cpu(now, node);
                 self.fire(now, cont);
             }
@@ -361,7 +361,7 @@ impl Engine {
                 }
             }
             Event::NodeCrash { node } => self.node_crash(now, node),
-            Event::NodeRecovered { node } => self.node_recovered(now, node),
+            Event::NodeRecovered { node } => self.node_recovered(node),
             Event::TimelineSample => self.timeline_tick(now),
         }
     }
@@ -408,7 +408,6 @@ impl Engine {
                 done,
                 Event::GemHeldDone {
                     node,
-                    txn: job.txn,
                     cont: job.cont,
                 },
             );
@@ -575,7 +574,6 @@ impl Engine {
         );
         if self.warmed {
             self.measured += 1;
-            self.metrics.record_commit_time(now);
             self.metrics.record_completion(
                 now - arrival,
                 spec.refs().len(),
@@ -600,8 +598,7 @@ impl Engine {
             self.end_warmup(now);
         }
         self.spare_specs.push(spec);
-        if let Some((next, since)) = self.nodes[node.index()].mpl.release(now) {
-            let _ = since;
+        if let Some((next, _)) = self.nodes[node.index()].mpl.release(now) {
             let mut next_arrival = None;
             if let Some(n) = self.txns.get_mut(&next) {
                 n.admitted = now;

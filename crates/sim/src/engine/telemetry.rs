@@ -72,11 +72,10 @@ impl Engine {
     }
 
     /// Cumulative buffer hits and misses across all nodes and
-    /// partitions.
+    /// partitions, including those of buffers lost in a crash.
     fn buffer_totals(&self) -> (u64, u64) {
         let parts = self.part_names.len();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
+        let (mut hits, mut misses) = self.crashed_buffer;
         for ctx in &self.nodes {
             for pi in 0..parts {
                 let c = ctx.buffer.counters(pi);

@@ -35,13 +35,6 @@ pub(crate) struct Metrics {
     pub resp_per_ref: RunningStat,
     /// Total page references of measured transactions.
     pub refs_completed: u64,
-    /// Commits per timeline bucket over the measurement window.
-    pub timeline: Vec<u64>,
-    /// Width of one timeline bucket in simulated seconds. Starts at 1
-    /// and doubles whenever the timeline would exceed
-    /// [`Metrics::MAX_TIMELINE_BUCKETS`], so an hour-of-sim-time run
-    /// stores a fixed-size summary instead of one entry per second.
-    pub timeline_bucket_secs: u64,
     /// Measurement window start.
     pub started: SimTime,
 }
@@ -60,46 +53,12 @@ impl Default for Metrics {
             page_req_delay: RunningStat::default(),
             resp_per_ref: RunningStat::default(),
             refs_completed: 0,
-            timeline: Vec::new(),
-            timeline_bucket_secs: 1,
             started: SimTime::ZERO,
         }
     }
 }
 
 impl Metrics {
-    /// Timeline length ceiling. Runs short enough to fit (every
-    /// historical figure, at ~100–200 measured seconds) keep their
-    /// exact per-second timeline; longer runs coarsen by doubling the
-    /// bucket width, which only ever pair-sums existing counts.
-    pub(crate) const MAX_TIMELINE_BUCKETS: usize = 4096;
-
-    /// Buckets a commit at `now` into the timeline.
-    pub(crate) fn record_commit_time(&mut self, now: SimTime) {
-        let sec = (now - self.started).as_secs_f64() as u64;
-        let mut idx = (sec / self.timeline_bucket_secs) as usize;
-        while idx >= Self::MAX_TIMELINE_BUCKETS {
-            self.coarsen_timeline();
-            idx = (sec / self.timeline_bucket_secs) as usize;
-        }
-        if self.timeline.len() <= idx {
-            self.timeline.resize(idx + 1, 0);
-        }
-        self.timeline[idx] += 1;
-    }
-
-    /// Doubles the bucket width by summing adjacent buckets (an odd
-    /// tail bucket carries over unchanged).
-    fn coarsen_timeline(&mut self) {
-        let half = self.timeline.len().div_ceil(2);
-        for i in 0..half {
-            self.timeline[i] =
-                self.timeline[2 * i] + self.timeline.get(2 * i + 1).copied().unwrap_or(0);
-        }
-        self.timeline.truncate(half);
-        self.timeline_bucket_secs *= 2;
-    }
-
     #[allow(clippy::too_many_arguments)] // one bucket per wait class
     pub(crate) fn record_completion(
         &mut self,
@@ -309,14 +268,6 @@ pub struct RunReport {
     pub sim_seconds: f64,
     /// Measured throughput in transactions per second (system-wide).
     pub throughput_tps: f64,
-    /// Commits per timeline bucket over the measurement window (the
-    /// last, possibly partial, bucket is included) — visualizes
-    /// transients such as an injected node crash.
-    pub throughput_timeline: Vec<u64>,
-    /// Simulated seconds per `throughput_timeline` bucket: 1 for every
-    /// run short enough to keep a per-second timeline, doubling on
-    /// long scale runs so the vector stays a fixed-size summary.
-    pub timeline_bucket_secs: u64,
     /// Mean transaction response time in milliseconds.
     pub mean_response_ms: f64,
     /// Half-width of the 95% confidence interval on the mean response
@@ -533,8 +484,6 @@ mod tests {
             truncated: false,
             sim_seconds: 1.0,
             throughput_tps: 100.0,
-            throughput_timeline: vec![100, 100],
-            timeline_bucket_secs: 1,
             mean_response_ms: 42.0,
             response_ci95_ms: Some(1.0),
             p50_response_ms: 40.0,
@@ -611,37 +560,6 @@ mod tests {
         let mut cosmetic = report();
         cosmetic.cpu_utilization_per_node = vec![0.0];
         assert_eq!(r.metric_fingerprint(), cosmetic.metric_fingerprint());
-    }
-
-    #[test]
-    fn short_timelines_keep_per_second_buckets() {
-        let mut m = Metrics::default();
-        for sec in 0..300u64 {
-            m.record_commit_time(SimTime::from_secs(sec));
-            m.record_commit_time(SimTime::from_secs(sec));
-        }
-        assert_eq!(m.timeline_bucket_secs, 1);
-        assert_eq!(m.timeline.len(), 300);
-        assert!(m.timeline.iter().all(|&c| c == 2));
-    }
-
-    #[test]
-    fn long_timelines_coarsen_without_losing_commits() {
-        let mut m = Metrics::default();
-        // An hour-scale window: 3x the bucket ceiling in sim-seconds.
-        let secs = Metrics::MAX_TIMELINE_BUCKETS as u64 * 3;
-        for sec in 0..secs {
-            m.record_commit_time(SimTime::from_secs(sec));
-        }
-        assert!(m.timeline.len() <= Metrics::MAX_TIMELINE_BUCKETS);
-        assert_eq!(m.timeline_bucket_secs, 4, "two doublings for 3x span");
-        // Coarsening pair-sums; every commit is still accounted for.
-        assert_eq!(m.timeline.iter().sum::<u64>(), secs);
-        // All full buckets hold exactly bucket_secs commits.
-        let full = secs / m.timeline_bucket_secs;
-        assert!(m.timeline[..full as usize]
-            .iter()
-            .all(|&c| c == m.timeline_bucket_secs));
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Observe {
             trace: true,
         }
     }
-
-    /// True if any observation is requested.
-    pub fn enabled(&self) -> bool {
-        self.trace || self.timeline_every.is_some()
-    }
 }
 
 /// One timeline window: exact event-count deltas over the window plus

@@ -8,16 +8,21 @@
 //! transaction in the system holding or waiting for a lock there dies
 //! with it, and requests to that authority stall until recovery.
 //!
+//! The chart plots commits per 1 s timeline window of simulated time,
+//! counted from the start of the measurement window.
+//!
 //! ```text
 //! cargo run --release --example node_failure
 //! ```
 
+use dbshare::desim::SimDuration;
 use dbshare::model::{CouplingMode, CrashConfig, RoutingStrategy, SystemConfig};
 use dbshare::prelude::*;
+use dbshare::sim::{Observe, TimelineWindow};
 use dbshare::workload::Workload;
 use dbshare_bench::chart::Chart;
 
-fn run(coupling: CouplingMode) -> RunReport {
+fn run(coupling: CouplingMode) -> (RunReport, Vec<TimelineWindow>) {
     let tps = 100.0;
     let nodes = 4;
     let mut cfg = SystemConfig::debit_credit(nodes);
@@ -33,7 +38,13 @@ fn run(coupling: CouplingMode) -> RunReport {
     let dc = DebitCredit::new(nodes, tps);
     let wl = DebitCreditWorkload::new(dc, tps, RoutingStrategy::Random);
     cfg.partitions = Workload::partitions(&wl).to_vec();
-    Engine::new(cfg, Box::new(wl)).expect("valid").run()
+    let mut engine = Engine::new(cfg, Box::new(wl)).expect("valid");
+    engine.set_observe(Observe {
+        timeline_every: Some(SimDuration::from_secs(1)),
+        trace: false,
+    });
+    let (report, observations) = engine.run_observed();
+    (report, observations.timeline)
 }
 
 fn main() {
@@ -47,7 +58,7 @@ fn main() {
         (CouplingMode::GemLocking, "GEM locking"),
         (CouplingMode::Pcl, "primary copy locking"),
     ] {
-        let r = run(coupling);
+        let (r, windows) = run(coupling);
         println!(
             "{label:<22} crash aborts: {:>5}   per-node cpu: {:?}",
             r.crash_aborts,
@@ -58,10 +69,10 @@ fn main() {
         );
         chart.add_series(
             label,
-            r.throughput_timeline
+            windows
                 .iter()
                 .enumerate()
-                .map(|(s, &c)| (s as f64, c as f64))
+                .map(|(s, w)| (s as f64, w.committed as f64))
                 .collect(),
         );
     }

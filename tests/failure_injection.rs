@@ -3,11 +3,14 @@
 //! non-volatile GEM preserves the global lock table across a crash,
 //! while a loosely coupled node's lock-authority state is volatile.
 
+use dbshare::desim::{SimDuration, SimTime};
 use dbshare::model::{CouplingMode, CrashConfig, RoutingStrategy, SystemConfig};
 use dbshare::prelude::*;
+use dbshare::sim::{Observe, TimelineWindow};
 use dbshare::workload::Workload;
 
-fn run_with_crash(coupling: CouplingMode, crash: Option<CrashConfig>) -> RunReport {
+/// 4 nodes x 100 TPS under random routing, 400 warm-up transactions.
+fn crash_engine(coupling: CouplingMode, crash: Option<CrashConfig>, measured: u64) -> Engine {
     let tps = 100.0;
     let nodes = 4;
     let mut cfg = SystemConfig::debit_credit(nodes);
@@ -15,11 +18,15 @@ fn run_with_crash(coupling: CouplingMode, crash: Option<CrashConfig>) -> RunRepo
     cfg.routing = RoutingStrategy::Random;
     cfg.crash = crash;
     cfg.run.warmup_txns = 400;
-    cfg.run.measured_txns = 4_000;
+    cfg.run.measured_txns = measured;
     let dc = DebitCredit::new(nodes, tps);
     let wl = DebitCreditWorkload::new(dc, tps, RoutingStrategy::Random);
     cfg.partitions = Workload::partitions(&wl).to_vec();
-    Engine::new(cfg, Box::new(wl)).expect("valid").run()
+    Engine::new(cfg, Box::new(wl)).expect("valid")
+}
+
+fn run_with_crash(coupling: CouplingMode, crash: Option<CrashConfig>) -> RunReport {
+    crash_engine(coupling, crash, 4_000).run()
 }
 
 fn crash_at_3s() -> Option<CrashConfig> {
@@ -74,6 +81,55 @@ fn gem_loses_less_work_than_pcl_on_a_crash() {
         "PCL kills more: {} vs GEM {}",
         pcl.crash_aborts,
         gem.crash_aborts
+    );
+}
+
+/// The full 1 s timeline windows of the configuration that
+/// `examples/node_failure.rs` charts: node 1 of 4 crashes at t = 5 s
+/// and recovers 3 s later. The last, partial window is dropped.
+fn one_second_windows(coupling: CouplingMode) -> Vec<TimelineWindow> {
+    let crash = CrashConfig {
+        node: 1,
+        at_secs: 5.0,
+        recovery_secs: 3.0,
+    };
+    let mut engine = crash_engine(coupling, Some(crash), 6_000);
+    let second = SimDuration::from_secs(1);
+    engine.set_observe(Observe {
+        timeline_every: Some(second),
+        trace: false,
+    });
+    let (_, mut observations) = engine.run_observed();
+    observations.timeline.retain(|w| w.width == second);
+    observations.timeline
+}
+
+#[test]
+fn the_crash_transient_shows_in_one_second_windows() {
+    let crash_at = SimTime::from_secs(5);
+    let fewest = |windows: &[TimelineWindow], before_crash: bool| {
+        windows
+            .iter()
+            .filter(|w| !before_crash || w.start + w.width <= crash_at)
+            .map(|w| w.committed)
+            .min()
+            .expect("some windows")
+    };
+    let gem = one_second_windows(CouplingMode::GemLocking);
+    let pcl = one_second_windows(CouplingMode::Pcl);
+    // PCL: requests to the dead node's lock authority stall until
+    // recovery, so throughput nearly stops for a second or more.
+    let (pcl_before, pcl_min) = (fewest(&pcl, true), fewest(&pcl, false));
+    assert!(
+        pcl_min * 4 < pcl_before,
+        "PCL dips to {pcl_min} commits/s from at least {pcl_before}"
+    );
+    // GEM: the global lock table survives, so the survivors keep
+    // committing through the downtime.
+    let gem_min = fewest(&gem, false);
+    assert!(
+        gem_min > pcl_min,
+        "GEM's worst second {gem_min} vs PCL's {pcl_min}"
     );
 }
 
