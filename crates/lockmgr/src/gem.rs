@@ -110,14 +110,10 @@ impl GemLockTable {
         }
     }
 
-    /// Current holders of `page` (diagnostics).
-    pub fn holders(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
-        self.table.holders(page)
-    }
-
-    /// Queued waiters on `page` (diagnostics).
-    pub fn queue_len(&self, page: PageId) -> usize {
-        self.table.queue_len(page)
+    /// The lock table: holders, queues and waits-for edges (deadlock
+    /// detection and diagnostics).
+    pub fn table(&self) -> &LockTable {
+        &self.table
     }
 
     /// Releases all locks of `txn`, returning newly granted waiters.
@@ -128,17 +124,6 @@ impl GemLockTable {
     /// Releases a single lock (used on abort paths).
     pub fn release(&mut self, txn: TxnId, page: PageId) -> Vec<(TxnId, LockMode)> {
         self.table.release(txn, page)
-    }
-
-    /// Waits-for edges for global deadlock detection.
-    pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        self.table.waits_for_edges()
-    }
-
-    /// Appends the reduced waits-for edges (same cycles, linear size;
-    /// see [`LockTable::reduced_waits_for_edges`]).
-    pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
-        self.table.reduced_waits_for_edges(out);
     }
 
     /// Clears the page ownership of every page owned by `node` (the
@@ -154,21 +139,6 @@ impl GemLockTable {
             }
         }
         cleared
-    }
-
-    /// Total grants (for statistics).
-    pub fn grants(&self) -> u64 {
-        self.table.grants()
-    }
-
-    /// Requests that conflicted and queued.
-    pub fn conflicts(&self) -> u64 {
-        self.table.conflicts()
-    }
-
-    /// True if no locks are held or queued.
-    pub fn is_quiescent(&self) -> bool {
-        self.table.is_quiescent()
     }
 }
 
@@ -236,8 +206,8 @@ mod tests {
         assert_eq!(r.reply, LockReply::Queued);
         let granted = glt.release_all(txn(1));
         assert_eq!(granted, vec![(page(1), txn(2), LockMode::Write)]);
-        assert_eq!(glt.grants(), 2);
-        assert_eq!(glt.conflicts(), 1);
+        assert_eq!(glt.table().grants(), 2);
+        assert_eq!(glt.table().conflicts(), 1);
     }
 
     #[test]

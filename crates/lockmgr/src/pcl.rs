@@ -194,47 +194,15 @@ impl GlaState {
         self.table.release(txn, page)
     }
 
-    /// Waits-for edges of this authority's lock table.
-    pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        self.table.waits_for_edges()
-    }
-
-    /// Appends the reduced waits-for edges (same cycles, linear size;
-    /// see [`LockTable::reduced_waits_for_edges`]).
-    pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
-        self.table.reduced_waits_for_edges(out);
-    }
-
-    /// Current holders of `page` (diagnostics).
-    pub fn holders_of(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
-        self.table.holders(page)
-    }
-
-    /// Queued waiters on `page` (diagnostics).
-    pub fn queue_len_of(&self, page: PageId) -> usize {
-        self.table.queue_len(page)
-    }
-
-    /// Every transaction holding or waiting for a lock at this
-    /// authority (crash handling: a failed GLA node's volatile lock
-    /// state is lost, so these transactions must abort).
-    pub fn all_txns(&self) -> Vec<TxnId> {
-        self.table.all_txns()
+    /// This authority's lock table: holders, queues and waits-for
+    /// edges (deadlock detection, crash handling and diagnostics).
+    pub fn table(&self) -> &LockTable {
+        &self.table
     }
 
     /// `(local, remote)` request counts.
     pub fn request_counts(&self) -> (u64, u64) {
         (self.local_requests, self.remote_requests)
-    }
-
-    /// Lock conflicts observed.
-    pub fn conflicts(&self) -> u64 {
-        self.table.conflicts()
-    }
-
-    /// True if no locks are held or queued.
-    pub fn is_quiescent(&self) -> bool {
-        self.table.is_quiescent()
     }
 }
 
@@ -254,7 +222,6 @@ pub enum RevokeAction {
 #[derive(Debug, Default)]
 pub struct RaTable {
     entries: FxHashMap<PageId, RaEntry>,
-    local_grants: u64,
 }
 
 #[derive(Debug, Default)]
@@ -287,7 +254,6 @@ impl RaTable {
         match self.entries.get_mut(&page) {
             Some(e) if e.authorized && !e.revoke_pending => {
                 e.readers.insert(txn);
-                self.local_grants += 1;
                 true
             }
             _ => false,
@@ -326,11 +292,6 @@ impl RaTable {
             .get(&page)
             .map(|e| e.authorized && !e.revoke_pending)
             .unwrap_or(false)
-    }
-
-    /// Read locks granted locally so far (statistics).
-    pub fn local_grants(&self) -> u64 {
-        self.local_grants
     }
 
     /// Local transactions currently holding locally granted read locks
@@ -450,7 +411,6 @@ mod tests {
         ra.grant_authorization(page(1));
         assert!(ra.is_authorized(page(1)));
         assert!(ra.try_local_read(txn(1), page(1)));
-        assert_eq!(ra.local_grants(), 1);
         // release without pending revoke: nothing to ack
         assert!(!ra.release(txn(1), page(1)));
     }

@@ -1,10 +1,10 @@
-//! Record-access processing: lock acquisition (GEM locking or PCL),
-//! buffer-invalidation detection, and page acquisition (buffer hit,
-//! page request to the owner, or storage read).
+//! Record-access processing: the access CPU slice, the lock request
+//! (`locking.rs`), buffer-invalidation detection, and page acquisition
+//! (buffer hit, page request to the owner, or storage read).
 
-use super::{Cont, Engine, Job, Msg, MsgBody, PendingWrite, Phase, ReqCtx};
-use dbshare_lockmgr::{LockMode, LockReply};
-use dbshare_model::{AccessMode, CouplingMode, NodeId, PageId, TxnId};
+use super::locking::PageCopy;
+use super::{Cont, Engine, Job, Msg, MsgBody, Phase};
+use dbshare_model::{PageId, TxnId};
 use desim::trace::TraceEventKind;
 use desim::SimTime;
 
@@ -36,29 +36,24 @@ impl Engine {
         );
     }
 
-    /// The access CPU slice is done: acquire the lock (protocol-specific)
-    /// or go straight to the page phase for unlocked partitions.
+    /// The access CPU slice is done: request the lock, or go straight
+    /// to the page phase for unlocked partitions.
     pub(crate) fn after_access_cpu(&mut self, now: SimTime, id: TxnId) {
         let Some(t) = self.txns.get(&id) else { return };
-        let r = t.spec.refs()[t.step];
-        let page = r.page;
-        let mode = match r.mode {
-            AccessMode::Read => LockMode::Read,
-            AccessMode::Write => LockMode::Write,
-        };
+        let (page, mode) = t.access();
         if !self.locked_partition(page) {
-            self.acquire_page(now, id, 0, None, false);
+            self.acquire_page(now, id, 0, PageCopy::Stored, false);
             return;
         }
         // Covering lock already held (trace transactions may touch a
         // page repeatedly): no new request.
         if let Some(held) = t.locks.get(&page).filter(|l| l.mode().covers(mode)) {
             let seqno = held.seqno();
-            self.acquire_page(now, id, seqno, None, true);
+            self.acquire_page(now, id, seqno, PageCopy::Stored, true);
             return;
         }
         self.counters.lock_requests += 1;
-        let node = self.txn(id).node;
+        let node = t.node;
         self.emit(
             now,
             TraceEventKind::LockRequest,
@@ -67,329 +62,22 @@ impl Engine {
             Some(page),
             0,
         );
-        match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                let svc = self.fixed(self.cfg.gem.lock_op_instr);
-                self.dispatch(
-                    now,
-                    self.txn(id).node,
-                    Job {
-                        service: svc,
-                        gem_entries: dbshare_lockmgr::GemLockTable::ENTRY_OPS,
-                        gem_pages: 0,
-                        txn: Some(id),
-                        cont: Cont::GemLockExec(id),
-                    },
-                );
-            }
-            CouplingMode::Pcl => self.pcl_request(now, id, page, mode),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // GEM locking
-    // ------------------------------------------------------------------
-
-    /// Executes the lock request against the global lock table (the
-    /// synchronous entry accesses already elapsed inside the CPU job).
-    pub(crate) fn gem_lock_exec(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let node = t.node;
-        let r = t.spec.refs()[t.step];
-        let page = r.page;
-        let mode = if r.mode.is_write() {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        let rep = self.glt.request(id, page, mode);
-        match rep.reply {
-            LockReply::Granted | LockReply::AlreadyHeld => {
-                let t = self.txn_mut(id);
-                if t.note_grant(page, mode, rep.info.seqno, false) {
-                    t.held_gem.push(page);
-                }
-                self.acquire_page(now, id, rep.info.seqno, rep.info.owner, true);
-            }
-            LockReply::Queued => {
-                self.counters.lock_waits += 1;
-                self.txn_mut(id)
-                    .begin_wait(now, Phase::LockWait, Some(page));
-                self.emit(now, TraceEventKind::LockWait, node, Some(id), Some(page), 0);
-            }
-        }
-    }
-
-    /// A queued GEM lock was granted and the waiter's grant-processing
-    /// CPU slice (entry re-read) finished: resume the access.
-    pub(crate) fn gem_grant_exec(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        let Some(page) = t.waiting_page else { return };
-        let node = t.node;
-        let waited = if t.phase == Phase::LockWait {
-            (now - t.wait_since).as_nanos()
-        } else {
-            0
-        };
-        t.end_lock_wait(now);
-        let mode = if t.spec.refs()[t.step].mode.is_write() {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        let info = self.glt.info(page);
-        if t.note_grant(page, mode, info.seqno, false) {
-            t.held_gem.push(page);
-        }
-        self.emit(
-            now,
-            TraceEventKind::LockGrant,
-            node,
-            Some(id),
-            Some(page),
-            waited,
-        );
-        self.acquire_page(now, id, info.seqno, info.owner, true);
-    }
-
-    /// Schedules grant processing at each newly granted waiter's node.
-    pub(crate) fn process_gem_grants(
-        &mut self,
-        now: SimTime,
-        grants: Vec<(PageId, TxnId, LockMode)>,
-    ) {
-        for (_page, t2, _mode) in grants {
-            let Some(t) = self.txns.get(&t2) else {
-                continue;
-            };
-            let node = t.node;
-            let svc = self.fixed(self.cfg.gem.lock_op_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: dbshare_lockmgr::GemLockTable::ENTRY_OPS,
-                    gem_pages: 0,
-                    txn: Some(t2),
-                    cont: Cont::GemGrantExec(t2),
-                },
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // PCL
-    // ------------------------------------------------------------------
-
-    fn pcl_request(&mut self, now: SimTime, id: TxnId, page: PageId, mode: LockMode) {
-        let node = self.txn(id).node;
-        let gla = self.gla_map.gla_of(page);
-        if gla == node {
-            let svc = self.fixed(self.cfg.pcl_local_lock_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 0,
-                    txn: Some(id),
-                    cont: Cont::PclLocalLockExec(id),
-                },
-            );
-            return;
-        }
-        // Read optimization: grant locally under a valid authorization,
-        // provided a cached copy exists (the RA guarantees its currency).
-        if self.cfg.pcl_read_optimization
-            && mode == LockMode::Read
-            && self.nodes[node.index()].ra.is_authorized(page)
-            && self.nodes[node.index()].buffer.cached_seqno(page).is_some()
-        {
-            let svc = self.fixed(self.cfg.pcl_local_lock_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 0,
-                    txn: Some(id),
-                    cont: Cont::PclRaLocalExec(id),
-                },
-            );
-            return;
-        }
-        // Upgrading a locally granted read lock: give the RA lock back
-        // first, otherwise the write's revocation would wait on
-        // ourselves. The page stays in `held_ra`; dropping its index
-        // entry marks it given back.
-        if self.txn(id).holds_ra(page) {
-            self.txn_mut(id).locks.remove(&page);
-            if self.nodes[node.index()].ra.release(id, page) {
-                self.send_deferred_ack(now, node, page);
-            }
-        }
-        self.counters.remote_lock_requests += 1;
-        let cached = self.nodes[node.index()].buffer.cached_seqno(page);
-        self.txn_mut(id)
-            .begin_wait(now, Phase::LockWait, Some(page));
-        self.emit(now, TraceEventKind::LockWait, node, Some(id), Some(page), 0);
-        self.send_msg(
-            now,
-            Msg {
-                from: node,
-                to: gla,
-                body: MsgBody::LockReq {
-                    txn: id,
-                    page,
-                    mode,
-                    cached,
-                },
-            },
-            Some(id),
-            None,
-        );
-    }
-
-    /// Executes a lock request at the local GLA.
-    pub(crate) fn pcl_local_lock_exec(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let node = t.node;
-        let r = t.spec.refs()[t.step];
-        let page = r.page;
-        let mode = if r.mode.is_write() {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        let ro = self.cfg.pcl_read_optimization;
-        let out = self.gla[node.index()].request(id, node, page, mode, true, ro);
-        if !out.revoke.is_empty() {
-            self.counters.revokes_sent += out.revoke.len() as u64;
-            self.pending_writes.insert(
-                id,
-                PendingWrite {
-                    gla: node,
-                    acks_left: out.revoke.len() as u64,
-                    granted: out.reply != LockReply::Queued,
-                    ctx: ReqCtx {
-                        from: node,
-                        page,
-                        mode,
-                        cached: None,
-                    },
-                },
-            );
-            self.counters.lock_waits += 1;
-            self.txn_mut(id)
-                .begin_wait(now, Phase::LockWait, Some(page));
-            self.emit(now, TraceEventKind::LockWait, node, Some(id), Some(page), 0);
-            for target in out.revoke {
-                self.send_msg(
-                    now,
-                    Msg {
-                        from: node,
-                        to: target,
-                        body: MsgBody::Revoke { page, writer: id },
-                    },
-                    None,
-                    None,
-                );
-            }
-            return;
-        }
-        match out.reply {
-            LockReply::Granted | LockReply::AlreadyHeld => {
-                let t = self.txn_mut(id);
-                if t.note_grant(page, mode, out.seqno, false) {
-                    t.held_gla.push((node, page));
-                }
-                self.acquire_page(now, id, out.seqno, None, true);
-            }
-            LockReply::Queued => {
-                self.counters.lock_waits += 1;
-                self.txn_mut(id)
-                    .begin_wait(now, Phase::LockWait, Some(page));
-                self.emit(now, TraceEventKind::LockWait, node, Some(id), Some(page), 0);
-            }
-        }
-    }
-
-    /// A queued local-GLA lock was granted; the waiter resumes.
-    pub(crate) fn pcl_local_grant_exec(&mut self, now: SimTime, id: TxnId, page: PageId) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        let waited = if t.phase == Phase::LockWait {
-            (now - t.wait_since).as_nanos()
-        } else {
-            0
-        };
-        t.end_lock_wait(now);
-        let node = t.node;
-        let r = t.spec.refs()[t.step];
-        let mode = if r.mode.is_write() {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        let seqno = self.gla[node.index()].seqno(page);
-        if t.note_grant(page, mode, seqno, false) {
-            t.held_gla.push((node, page));
-        }
-        self.emit(
-            now,
-            TraceEventKind::LockGrant,
-            node,
-            Some(id),
-            Some(page),
-            waited,
-        );
-        self.acquire_page(now, id, seqno, None, true);
-    }
-
-    /// Executes a locally authorized read grant (read optimization).
-    pub(crate) fn pcl_ra_local_exec(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let node = t.node;
-        let page = t.spec.refs()[t.step].page;
-        // The authorization may have been revoked or the copy evicted
-        // while this slice waited for the CPU: fall back to the remote
-        // path in that case.
-        let have_copy = self.nodes[node.index()].buffer.cached_seqno(page).is_some();
-        if have_copy && self.nodes[node.index()].ra.try_local_read(id, page) {
-            self.counters.ra_local_grants += 1;
-            let seqno = self.nodes[node.index()]
-                .buffer
-                .cached_seqno(page)
-                .expect("checked above");
-            let t = self.txn_mut(id);
-            if t.note_grant(page, LockMode::Read, seqno, true) {
-                t.held_ra.push(page);
-            }
-            self.acquire_page(now, id, seqno, None, true);
-        } else {
-            self.pcl_request(now, id, page, LockMode::Read);
-        }
+        self.request_lock(now, id, page, mode);
     }
 
     // ------------------------------------------------------------------
     // Page acquisition (common)
     // ------------------------------------------------------------------
 
-    /// With the lock held and the current version known, obtain the
-    /// page: buffer hit, page request to the owner (GEM locking,
-    /// NOFORCE), or storage read.
+    /// With the lock held and the current version `seqno` known, obtain
+    /// the page: buffer hit, the copy shipped with the grant, page
+    /// request to the owner, or storage read.
     pub(crate) fn acquire_page(
         &mut self,
         now: SimTime,
         id: TxnId,
         seqno: u64,
-        owner: Option<NodeId>,
+        copy: PageCopy,
         versioned: bool,
     ) {
         use dbshare_node::Lookup;
@@ -408,38 +96,44 @@ impl Engine {
                 if miss == Lookup::Invalidated {
                     self.counters.invalidations += 1;
                 }
-                if r.append {
+                match copy {
                     // Sequential insert: the page is created in the
-                    // buffer; no read I/O is ever needed.
-                    let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-                    if let Some((p, _)) = evicted {
-                        self.start_evict_write(now, node, p);
+                    // buffer, no read I/O is ever needed. A shipped copy
+                    // is installed as it arrived.
+                    _ if r.append || copy == PageCopy::Shipped => {
+                        self.install_and_finish(now, id, page, seqno)
                     }
-                    self.finish_access(now, id);
-                } else if self.is_gem_coupling()
-                    && self.is_noforce()
-                    && owner.is_some()
-                    && owner != Some(node)
-                {
-                    // Request the current version from its owner.
-                    self.counters.page_requests += 1;
-                    self.txn_mut(id)
-                        .begin_wait(now, Phase::PageWait, Some(page));
-                    self.send_msg(
-                        now,
-                        Msg {
-                            from: node,
-                            to: owner.expect("checked above"),
-                            body: MsgBody::PageReq { txn: id, page },
-                        },
-                        Some(id),
-                        None,
-                    );
-                } else {
-                    self.start_storage_read(now, id, page);
+                    PageCopy::Owner(owner) if owner != node => {
+                        // Request the current version from its owner.
+                        self.counters.page_requests += 1;
+                        self.txn_mut(id)
+                            .begin_wait(now, Phase::PageWait, Some(page));
+                        self.send_msg(
+                            now,
+                            Msg {
+                                from: node,
+                                to: owner,
+                                body: MsgBody::PageReq { txn: id, page },
+                            },
+                            Some(id),
+                            None,
+                        );
+                    }
+                    _ => self.start_storage_read(now, id, page),
                 }
             }
         }
+    }
+
+    /// Installs version `seqno` of `page` in the buffer and finishes the
+    /// access.
+    fn install_and_finish(&mut self, now: SimTime, id: TxnId, page: PageId, seqno: u64) {
+        let node = self.txn(id).node;
+        let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
+        if let Some((victim, _)) = evicted {
+            self.start_evict_write(now, node, victim);
+        }
+        self.finish_access(now, id);
     }
 
     /// Starts a storage read for the current access: I/O-initiation CPU,

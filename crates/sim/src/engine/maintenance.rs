@@ -1,12 +1,11 @@
 //! Background machinery: dirty-page write-backs, deadlock detection /
-//! lock timeouts with abort-and-restart, and end-of-run report
-//! assembly.
+//! lock timeouts with abort-and-restart, node crashes, and end-of-run
+//! report assembly.
 
 use super::{Cont, Engine, Event, Job, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
 use crate::metrics::RunReport;
 use dbshare_lockmgr::deadlock::{choose_victim, find_cycle, has_cycle};
-use dbshare_lockmgr::LockMode;
-use dbshare_model::{CouplingMode, NodeId, PageId, TxnId};
+use dbshare_model::{NodeId, PageId, TxnId};
 use dbshare_node::buffer::BufferCounters;
 use desim::trace::TraceEventKind;
 use desim::{SimDuration, SimTime};
@@ -75,68 +74,9 @@ impl Engine {
         );
     }
 
-    /// The write-back completed: under GEM locking / NOFORCE the GLT
-    /// ownership entry is cleared (an entry update), unless the node's
-    /// buffer meanwhile holds a *newer* dirty version of the page.
-    pub(crate) fn evict_write_done(&mut self, now: SimTime, node: NodeId, page: PageId) {
-        if self.is_gem_coupling() && self.is_noforce() && self.locked_partition(page) {
-            if self.nodes[node.index()].buffer.is_dirty(page) {
-                return; // a newer version exists; ownership stands
-            }
-            let svc = self.fixed(self.cfg.gem.lock_op_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: dbshare_lockmgr::GemLockTable::ENTRY_OPS,
-                    gem_pages: 0,
-                    txn: None,
-                    cont: Cont::GemOwnerClear { node, page },
-                },
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // Deadlock detection and aborts (§3.2)
     // ------------------------------------------------------------------
-
-    /// Appends the waits-for edges of every lock table — the reduced
-    /// graph (stage 1 of [`deadlock_scan`](Self::deadlock_scan)) or the
-    /// full one (stage 2) — plus the pending-writer edges of the read
-    /// optimization.
-    fn collect_waits_for(&self, reduced: bool, out: &mut Vec<(TxnId, TxnId)>) {
-        match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                if reduced {
-                    self.glt.reduced_waits_for_edges(out);
-                } else {
-                    out.extend(self.glt.waits_for_edges());
-                }
-            }
-            CouplingMode::Pcl => {
-                for g in &self.gla {
-                    if reduced {
-                        g.reduced_waits_for_edges(out);
-                    } else {
-                        out.extend(g.waits_for_edges());
-                    }
-                }
-            }
-        }
-        // Pending writers wait for locally authorized readers at
-        // other nodes (read optimization).
-        for (&writer, pw) in &self.pending_writes {
-            for ctx in &self.nodes {
-                for reader in ctx.ra.readers(pw.ctx.page) {
-                    if reader != writer {
-                        out.push((writer, reader));
-                    }
-                }
-            }
-        }
-    }
 
     /// Periodic scan: break *every* waits-for cycle (abort the youngest
     /// member of each, re-collecting edges after every abort since an
@@ -223,9 +163,8 @@ impl Engine {
 
     /// Aborts `victim` (it is lock-waiting): all protocol state is
     /// cleaned up, waiters it blocked are woken, and the transaction
-    /// restarts after a short delay. State cleanup at remote lock
-    /// tables is immediate (the message costs of the rare abort paths
-    /// are not modelled — aborts do not occur at all for debit-credit).
+    /// restarts after a short delay. Aborts do not occur at all for
+    /// debit-credit.
     pub(crate) fn abort(&mut self, now: SimTime, victim: TxnId, reason: AbortReason) {
         let Some(t) = self.txns.remove(&victim) else {
             return;
@@ -248,39 +187,7 @@ impl Engine {
             t.waiting_page,
             reason_arg,
         );
-        match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                if let Some(p) = t.waiting_page {
-                    let grants = self.glt.release(victim, p);
-                    let grants = grants.into_iter().map(|(t2, m)| (p, t2, m)).collect();
-                    self.process_gem_grants(now, grants);
-                }
-                let grants = self.glt.release_all(victim);
-                self.process_gem_grants(now, grants);
-            }
-            CouplingMode::Pcl => {
-                self.remote_ctx.remove(&victim);
-                self.pending_writes.remove(&victim);
-                if let Some(p) = t.waiting_page {
-                    let g = self.gla_map.gla_of(p);
-                    let grants = self.gla[g.index()].release(victim, p);
-                    let grants = grants.into_iter().map(|(t2, m)| (p, t2, m)).collect();
-                    self.process_gla_grants(now, g, grants);
-                }
-                let mut authorities: Vec<NodeId> = t.held_gla.iter().map(|&(g, _)| g).collect();
-                authorities.sort_unstable();
-                authorities.dedup();
-                for g in authorities {
-                    let grants = self.gla[g.index()].release_all(victim);
-                    self.process_gla_grants(now, g, grants);
-                }
-                for p in t.ra_pages() {
-                    if self.nodes[t.node.index()].ra.release(victim, p) {
-                        self.send_deferred_ack(now, t.node, p);
-                    }
-                }
-            }
-        }
+        self.release_aborted(now, &t);
         // Free the MPL slot (admit the next queued transaction).
         if let Some((next, _)) = self.nodes[t.node.index()].mpl.release(now) {
             if let Some(n) = self.txns.get_mut(&next) {
@@ -300,20 +207,6 @@ impl Engine {
                 restarts: t.restarts + 1,
             },
         );
-    }
-
-    /// The holders of `page`'s lock and the length of its wait queue,
-    /// read from the lock table that the coupling keeps it in.
-    fn lock_holders(&self, page: PageId) -> (Vec<(TxnId, LockMode)>, usize) {
-        match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                (self.glt.holders(page), self.glt.queue_len(page))
-            }
-            CouplingMode::Pcl => {
-                let g = &self.gla[self.gla_map.gla_of(page).index()];
-                (g.holders_of(page), g.queue_len_of(page))
-            }
-        }
     }
 
     /// The watchdog's diagnostic dump: live transactions by phase,
@@ -393,9 +286,9 @@ impl Engine {
         for t in self.txns.values() {
             if matches!(t.phase, Phase::Running | Phase::PageWait | Phase::CommitIo) {
                 eprintln!(
-                    "  ACTIVE {:?} node={} phase={:?} step={}/{} waiting={:?} held_gem={:?} held_gla={:?} modified={:?} commit_writes={}",
+                    "  ACTIVE {:?} node={} phase={:?} step={}/{} waiting={:?} held={:?} modified={:?} commit_writes={}",
                     t.id, t.node, t.phase, t.step, t.spec.refs().len(),
-                    t.waiting_page, t.held_gem, t.held_gla, t.modified,
+                    t.waiting_page, t.held, t.modified,
                     t.commit_writes.len(),
                 );
             }
@@ -408,7 +301,7 @@ impl Engine {
         waits.sort_by_key(|t| t.wait_since);
         for t in waits.iter().take(12) {
             eprintln!(
-                "  {:?} node={} phase={:?} step={}/{} waiting={:?} since={:.1}s held_gem={} held_gla={}",
+                "  {:?} node={} phase={:?} step={}/{} waiting={:?} since={:.1}s held={}",
                 t.id,
                 t.node,
                 t.phase,
@@ -416,8 +309,7 @@ impl Engine {
                 t.spec.refs().len(),
                 t.waiting_page,
                 (now - t.wait_since).as_secs_f64(),
-                t.held_gem.len(),
-                t.held_gla.len(),
+                t.held.len(),
             );
             if let Some(p) = t.waiting_page {
                 let (holders, qlen) = self.lock_holders(p);
@@ -451,13 +343,10 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// The node fails: its volatile state is lost. Every transaction it
-    /// was running aborts (restarting on a survivor); under GEM locking
-    /// the non-volatile global lock table survives, only page
-    /// ownerships pointing into the dead buffer are cleared; under PCL
-    /// the node's lock-authority tables are volatile, so every
-    /// transaction with state at that authority must abort as well, and
-    /// requests to the authority stall until recovery (messages are
-    /// delivered after the recovery point, see `deliver`).
+    /// was running aborts (restarting on a survivor), and so does every
+    /// transaction whose locks were volatile state of the node
+    /// ([`crash_locks`](Engine::crash_locks)). Messages to the node are
+    /// delivered after the recovery point (see `deliver`).
     ///
     /// Modelling note: CPU jobs already queued on the failing node when
     /// it crashes still run to completion (their continuations are
@@ -503,24 +392,7 @@ impl Engine {
             self.crashed_buffer.0 += c.hits;
             self.crashed_buffer.1 += c.misses;
         }
-        match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => {
-                // GEM is non-volatile: the GLT survives. Pages owned by
-                // the dead buffer are recovered from the log to the
-                // permanent database (modelled as instantaneous within
-                // the recovery window); ownership reverts to storage.
-                self.glt.clear_node_ownership(node);
-            }
-            CouplingMode::Pcl => {
-                // The node's lock-authority state was volatile: every
-                // transaction holding or waiting at it loses its locks.
-                let mut txns = self.gla[node.index()].all_txns();
-                txns.sort_unstable();
-                for v in txns {
-                    self.abort(now, v, AbortReason::Crash);
-                }
-            }
-        }
+        self.crash_locks(now, node);
     }
 
     /// The node rejoins with a cold buffer.
@@ -579,27 +451,7 @@ impl Engine {
             hit_ratios.push((name.clone(), agg.hit_ratio()));
         }
 
-        let local_lock_fraction = match self.cfg.coupling {
-            CouplingMode::GemLocking | CouplingMode::LockEngine => None,
-            CouplingMode::Pcl => {
-                let mut local = 0u64;
-                let mut remote = 0u64;
-                for (i, g) in self.gla.iter().enumerate() {
-                    let (l, r) = g.request_counts();
-                    local += l - self.base_gla[i].0;
-                    remote += r - self.base_gla[i].1;
-                }
-                for (i, ctx) in self.nodes.iter().enumerate() {
-                    local += ctx.ra.local_grants() - self.base_ra[i];
-                }
-                let total = local + remote;
-                Some(if total == 0 {
-                    1.0
-                } else {
-                    local as f64 / total as f64
-                })
-            }
-        };
+        let local_lock_fraction = self.local_lock_fraction(&c);
 
         let avg_refs = self.metrics.refs_completed as f64 / n;
         let norm_response_ms = self.metrics.resp_per_ref.mean() * avg_refs;

@@ -1,11 +1,10 @@
-//! Message handling: the communication subsystem (§3.2) plus the
-//! receiver-side protocol actions of PCL and the page-transfer paths.
+//! Message handling: the communication subsystem (§3.2), dispatch of
+//! the PCL protocol messages to `locking.rs`, and the page-transfer
+//! paths.
 
-use super::{Cont, Engine, Job, Msg, MsgBody, PendingWrite, Phase, ReqCtx};
-use dbshare_lockmgr::pcl::RevokeAction;
-use dbshare_lockmgr::{LockMode, LockReply};
+use super::locking::ReqCtx;
+use super::{Cont, Engine, Job, Msg, MsgBody};
 use dbshare_model::{NodeId, PageId, PageTransferMode, TxnId};
-use dbshare_node::Lookup;
 use desim::trace::TraceEventKind;
 use desim::SimTime;
 
@@ -144,45 +143,25 @@ impl Engine {
                 page,
                 mode,
                 cached,
-            } => self.gla_lock_req(now, to, from, txn, page, mode, cached),
+            } => {
+                let ctx = ReqCtx {
+                    from,
+                    page,
+                    mode,
+                    cached,
+                };
+                self.gla_request(now, to, txn, ctx);
+            }
             MsgBody::LockGrant {
                 txn,
                 page,
-                mode,
                 seqno,
                 with_page,
                 ra,
-            } => self.requester_grant(now, to, txn, page, mode, seqno, with_page, ra),
+            } => self.requester_grant(now, to, from, txn, page, seqno, with_page, ra),
             MsgBody::Release { txn, pages } => self.gla_release(now, to, txn, pages),
-            MsgBody::Revoke { page, writer } => match self.nodes[to.index()].ra.revoke(page) {
-                RevokeAction::AckNow => self.send_msg(
-                    now,
-                    Msg {
-                        from: to,
-                        to: from,
-                        body: MsgBody::RevokeAck { page, writer },
-                    },
-                    None,
-                    None,
-                ),
-                RevokeAction::Deferred => {
-                    self.nodes[to.index()]
-                        .pending_acks
-                        .insert(page, (from, writer));
-                }
-            },
-            MsgBody::RevokeAck { page, writer } => {
-                let ready = if let Some(pw) = self.pending_writes.get_mut(&writer) {
-                    debug_assert_eq!(pw.ctx.page, page, "ack for the wrong page");
-                    pw.acks_left = pw.acks_left.saturating_sub(1);
-                    pw.acks_left == 0 && pw.granted
-                } else {
-                    false // writer aborted meanwhile
-                };
-                if ready {
-                    self.finish_pending_write(now, writer);
-                }
-            }
+            MsgBody::Revoke { page, writer } => self.revoke_ra(now, to, from, page, writer),
+            MsgBody::RevokeAck { page, writer } => self.revoke_acked(now, writer, page),
             MsgBody::PageReq { txn, page } => self.owner_page_req(now, to, from, txn, page),
             MsgBody::PageReply {
                 txn,
@@ -192,153 +171,6 @@ impl Engine {
                 via_gem,
             } => self.requester_page_reply(now, to, txn, page, seqno, found, via_gem),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // PCL receiver-side actions
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn gla_lock_req(
-        &mut self,
-        now: SimTime,
-        gla_node: NodeId,
-        from: NodeId,
-        txn: TxnId,
-        page: PageId,
-        mode: LockMode,
-        cached: Option<u64>,
-    ) {
-        let ro = self.cfg.pcl_read_optimization;
-        let out = self.gla[gla_node.index()].request(txn, from, page, mode, false, ro);
-        let ctx = ReqCtx {
-            from,
-            page,
-            mode,
-            cached,
-        };
-        if !out.revoke.is_empty() {
-            self.counters.revokes_sent += out.revoke.len() as u64;
-            self.counters.lock_waits += 1;
-            self.pending_writes.insert(
-                txn,
-                PendingWrite {
-                    gla: gla_node,
-                    acks_left: out.revoke.len() as u64,
-                    granted: out.reply != LockReply::Queued,
-                    ctx,
-                },
-            );
-            for target in out.revoke {
-                self.send_msg(
-                    now,
-                    Msg {
-                        from: gla_node,
-                        to: target,
-                        body: MsgBody::Revoke { page, writer: txn },
-                    },
-                    None,
-                    None,
-                );
-            }
-            return;
-        }
-        match out.reply {
-            LockReply::Granted | LockReply::AlreadyHeld => {
-                self.send_pcl_grant(now, gla_node, txn, ctx);
-            }
-            LockReply::Queued => {
-                self.counters.lock_waits += 1;
-                self.remote_ctx.insert(txn, ctx);
-            }
-        }
-    }
-
-    /// The requester processes a lock grant from a remote GLA.
-    #[allow(clippy::too_many_arguments)]
-    fn requester_grant(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        txn: TxnId,
-        page: PageId,
-        mode: LockMode,
-        seqno: u64,
-        with_page: bool,
-        ra: bool,
-    ) {
-        let Some(t) = self.txns.get_mut(&txn) else {
-            return; // aborted while the grant was in flight
-        };
-        let waited = if t.phase == Phase::LockWait {
-            (now - t.wait_since).as_nanos()
-        } else {
-            0
-        };
-        t.end_lock_wait(now);
-        if t.note_grant(page, mode, seqno, false) {
-            t.held_gla.push((self.gla_map.gla_of(page), page));
-        }
-        self.emit(
-            now,
-            TraceEventKind::LockGrant,
-            node,
-            Some(txn),
-            Some(page),
-            waited,
-        );
-        if ra {
-            self.nodes[node.index()].ra.grant_authorization(page);
-        }
-        if with_page {
-            // The current version travelled with the grant: install it.
-            let lookup = self.nodes[node.index()].buffer.lookup(page, seqno);
-            if lookup == Lookup::Invalidated {
-                self.counters.invalidations += 1;
-            }
-            if lookup != Lookup::Hit {
-                let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-                if let Some((victim, _)) = evicted {
-                    self.start_evict_write(now, node, victim);
-                }
-            }
-            self.finish_access(now, txn);
-        } else {
-            self.acquire_page(now, txn, seqno, None, true);
-        }
-    }
-
-    /// The GLA processes a commit-time release: record modifications
-    /// (receiving the new versions under NOFORCE), release the locks,
-    /// and wake waiters.
-    fn gla_release(
-        &mut self,
-        now: SimTime,
-        gla_node: NodeId,
-        txn: TxnId,
-        mut pages: super::events::ReleasePages,
-    ) {
-        let noforce = self.is_noforce();
-        for (page, modified) in &pages {
-            if *modified {
-                let new_seq = self.gla[gla_node.index()].record_modification(*page);
-                if noforce {
-                    // The GLA node owns its partition's pages: the new
-                    // version now lives (dirty) in its buffer.
-                    let evicted = self.nodes[gla_node.index()]
-                        .buffer
-                        .mark_dirty(*page, new_seq);
-                    if let Some((victim, _)) = evicted {
-                        self.start_evict_write(now, gla_node, victim);
-                    }
-                }
-            }
-        }
-        // The emptied buffer goes back to the pool for the next commit.
-        pages.clear();
-        self.release_pool.push(pages);
-        let grants = self.gla[gla_node.index()].release_all(txn);
-        self.process_gla_grants(now, gla_node, grants);
     }
 
     // ------------------------------------------------------------------
@@ -551,60 +383,5 @@ impl Engine {
                 cont: Cont::StorageReadIssue(id),
             },
         );
-    }
-
-    /// Sends a deferred revocation acknowledgement for `page`, if one
-    /// is owed by `node`.
-    pub(crate) fn send_deferred_ack(&mut self, now: SimTime, node: NodeId, page: PageId) {
-        if let Some((gla, writer)) = self.nodes[node.index()].pending_acks.remove(&page) {
-            self.send_msg(
-                now,
-                Msg {
-                    from: node,
-                    to: gla,
-                    body: MsgBody::RevokeAck { page, writer },
-                },
-                None,
-                None,
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dbshare_model::PartitionId;
-
-    /// Regression for the `out.revoke.len() as u32` truncation: a
-    /// revoke set one wider than `u32::MAX` used to wrap `acks_left`
-    /// to 1, granting the write lock after a single acknowledgement
-    /// with ~4 billion revocations still outstanding. The counter is
-    /// `u64` now; walk it across the old boundary and check it
-    /// neither wraps nor reaches zero early.
-    #[test]
-    fn acks_left_counts_past_the_u32_boundary() {
-        let wide = u64::from(u32::MAX) + 2;
-        let mut pw = PendingWrite {
-            gla: NodeId::new(0),
-            acks_left: wide,
-            granted: true,
-            ctx: ReqCtx {
-                from: NodeId::new(0),
-                page: PageId::new(PartitionId::new(0), 0),
-                mode: LockMode::Write,
-                cached: None,
-            },
-        };
-        // The ack handler's exact arithmetic (messages.rs RevokeAck).
-        for acked in 1..=3u64 {
-            pw.acks_left = pw.acks_left.saturating_sub(1);
-            assert_eq!(pw.acks_left, wide - acked);
-            assert_ne!(pw.acks_left, 0, "granted with acks outstanding");
-        }
-        // And the conversion from a usize revoke-set length is
-        // lossless for every representable length (64-bit hosts).
-        let len: usize = 5_000_000_000usize;
-        assert_eq!(len as u64, 5_000_000_000u64);
     }
 }

@@ -89,6 +89,8 @@ pub struct StorageSubsystem {
     gem: MultiServer,
     lock_engine: MultiServer,
     lock_engine_time: SimDuration,
+    /// The central lock engine, not GEM, holds the global lock table.
+    lock_engine_holds_locks: bool,
     network: MultiServer,
     db_disk_time: SimDuration,
     cache_hit_time: SimDuration,
@@ -176,6 +178,7 @@ impl StorageSubsystem {
             gem: MultiServer::new(cfg.gem.servers),
             lock_engine: MultiServer::new(cfg.lock_engine.servers),
             lock_engine_time: SimDuration::from_micros_f64(cfg.lock_engine.op_service_us),
+            lock_engine_holds_locks: cfg.coupling == dbshare_model::CouplingMode::LockEngine,
             network: MultiServer::new(1),
             db_disk_time: SimDuration::from_millis_f64(
                 d.db_disk_ms + d.controller_ms + d.transfer_ms,
@@ -388,12 +391,19 @@ impl StorageSubsystem {
         self.gem.offer(now, self.gem_page_time * count as u64)
     }
 
-    /// Performs `count` lock operations on the central lock engine
-    /// (\[Yu87\] comparison, §5): same protocol as the GEM global lock
-    /// table, 100–500 µs per operation instead of 2 µs.
-    pub fn lock_engine_ops(&mut self, now: SimTime, count: u32) -> SimTime {
-        self.lock_engine
-            .offer(now, self.lock_engine_time * count as u64)
+    /// Performs the `entries` synchronous global-lock-table entry
+    /// accesses of one CPU job: on the GEM server, or, when the central
+    /// lock engine holds the table (\[Yu87\] comparison, §5), as one
+    /// lock-engine operation per two entry accesses (a read plus a
+    /// Compare&Swap make one lock operation) — the same protocol at
+    /// 100–500 µs per operation instead of 2 µs per entry.
+    pub fn lock_table_entries(&mut self, now: SimTime, entries: u32) -> SimTime {
+        if self.lock_engine_holds_locks {
+            self.lock_engine
+                .offer(now, self.lock_engine_time * (entries / 2) as u64)
+        } else {
+            self.gem_entries(now, entries)
+        }
     }
 
     /// Transfers one page through GEM (the `PageTransferMode::Gem`
