@@ -37,11 +37,13 @@ fn crash_at_3s() -> Option<CrashConfig> {
     })
 }
 
+/// Long enough (about 50 simulated seconds) for a lock left behind by
+/// the crash to outlive the 30 s lock timeout.
 #[test]
 fn crashed_runs_complete_under_both_protocols() {
     for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
-        let r = run_with_crash(coupling, crash_at_3s());
-        assert_eq!(r.measured_txns, 4_000, "{coupling:?}");
+        let r = crash_engine(coupling, crash_at_3s(), 20_000).run();
+        assert_eq!(r.measured_txns, 20_000, "{coupling:?}");
         assert!(!r.truncated);
         assert!(r.crash_aborts > 0, "{coupling:?}: some work must be killed");
         // no residual hangs: the timeout safety net stays silent
