@@ -8,18 +8,24 @@
 //! The trace constants were captured before the PCL lock path moved
 //! to a chunk-indexed GLA map, bitset read authorizations and a
 //! per-transaction lock index. The lock-path constants were captured
-//! before GEM and PCL locking moved into one engine lock module.
+//! before GEM and PCL locking moved into one engine lock module. The
+//! I/O-path constants were captured before every page read, commit
+//! write, write-back and GEM page transfer moved into one engine I/O
+//! module.
 
 use dbshare_model::{
-    CouplingMode, CrashConfig, PageTransferMode, RoutingStrategy, SystemConfig, UpdateStrategy,
+    CouplingMode, CrashConfig, LogStorage, PageTransferMode, RoutingStrategy, SystemConfig,
+    UpdateStrategy,
 };
 use dbshare_sim::experiments::{
-    debit_credit_run, trace_run, DebitCreditRun, RunLength, RunSpec, ScaleRun, TraceRun,
+    debit_credit_run, trace_run, BtStorage, DebitCreditRun, RunLength, RunSpec, ScaleRun, TraceRun,
 };
 use dbshare_sim::{Engine, Observe};
+use dbshare_workload::debit_credit::BT;
 use dbshare_workload::trace::{Trace, TraceGenConfig};
 use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
-use std::collections::HashSet;
+use desim::trace::{unpack_page, TraceEventKind};
+use std::collections::{BTreeMap, HashSet};
 
 /// One run's fingerprint: every floating-point metric as exact bits,
 /// every counter as-is. Formatted as one line per field so failures
@@ -320,6 +326,125 @@ fn golden_lock_paths() {
     assert!(
         drifted.is_empty(),
         "lock paths drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// The storage paths no other golden pins, each a Fig. 4.3/4.4 point
+/// (3 nodes, random routing, buffer 1,000, GEM locking): synchronous
+/// GEM reads, write-backs and commit writes of a GEM-resident
+/// BRANCH/TELLER partition; FORCE writes into a non-volatile cache, a
+/// volatile cache and a GEM write buffer; and the log in GEM. Each row
+/// first checks that its traced run exercises the path, then pins the
+/// metric fingerprint and the number of trace events of each kind, so
+/// that an emission that moves or disappears shows up too.
+#[test]
+fn golden_io_paths() {
+    let dc = |update, bt, log| DebitCreditRun {
+        update,
+        routing: RoutingStrategy::Random,
+        buffer: 1_000,
+        bt,
+        log,
+        ..DebitCreditRun::baseline(3, RunLength::quick())
+    };
+    let (noforce, force) = (UpdateStrategy::NoForce, UpdateStrategy::Force);
+    let mut drifted = Vec::new();
+    for (case, params, golden) in [
+        (
+            "B-T in GEM, NOFORCE",
+            dc(noforce, BtStorage::Gem, LogStorage::Disk),
+            "1ef17478322c0b91 CommitIo=2901 CommitIoDone=2900 \
+                LockGrant=41 LockRelease=2900 LockRequest=5826 LockWait=41 \
+                MsgRecv=3444 MsgSend=3446 PageFlush=946 PageRead=3217 \
+                PageReadDone=4932 PageTransfer=1723 TxnAdmit=2919 \
+                TxnCommit=2900",
+        ),
+        (
+            "B-T in GEM, FORCE",
+            dc(force, BtStorage::Gem, LogStorage::Disk),
+            "d4af5df0ae8852cb CommitIo=8755 CommitIoDone=8724 \
+                LockGrant=332 LockRelease=2900 LockRequest=5890 LockWait=335 \
+                PageRead=4996 PageReadDone=4983 TxnAdmit=2958 TxnCommit=2900",
+        ),
+        (
+            "B-T non-volatile cache, FORCE",
+            dc(force, BtStorage::NvCache, LogStorage::Disk),
+            "2e8807729c558771 CommitIo=11661 CommitIoDone=11630 \
+                LockGrant=344 LockRelease=2900 LockRequest=5894 LockWait=346 \
+                PageRead=4994 PageReadDone=4980 TxnAdmit=2960 TxnCommit=2900",
+        ),
+        (
+            "B-T volatile cache, FORCE",
+            dc(force, BtStorage::VolatileCache, LogStorage::Disk),
+            "4c4d9d77cbc5cbdb CommitIo=11671 CommitIoDone=11635 \
+                LockGrant=401 LockRelease=2900 LockRequest=5910 LockWait=407 \
+                PageRead=5000 PageReadDone=4991 TxnAdmit=2969 TxnCommit=2900",
+        ),
+        (
+            "B-T GEM write buffer, FORCE",
+            dc(force, BtStorage::GemWriteBuffer, LogStorage::Disk),
+            "db21cdd9c91308f9 CommitIo=11651 CommitIoDone=11626 \
+                LockGrant=352 LockRelease=2900 LockRequest=5894 LockWait=355 \
+                PageRead=4997 PageReadDone=4979 TxnAdmit=2961 TxnCommit=2900",
+        ),
+        (
+            "log in GEM, NOFORCE",
+            dc(noforce, BtStorage::Disk, LogStorage::Gem),
+            "6c0c7282da55d4d5 CommitIo=2900 CommitIoDone=2900 \
+                LockGrant=29 LockRelease=2900 LockRequest=5821 LockWait=29 \
+                MsgRecv=3427 MsgSend=3427 PageFlush=941 PageRead=3215 \
+                PageReadDone=4920 PageTransfer=1714 TxnAdmit=2919 \
+                TxnCommit=2900",
+        ),
+    ] {
+        let (report, obs) = RunSpec::DebitCredit(params).execute_observed(Observe {
+            trace: true,
+            timeline_every: None,
+        });
+        // Trace events of `kind` on a BRANCH/TELLER page (`Some(true)`),
+        // on another page (`Some(false)`) or on none (`None`).
+        let on = |kind: TraceEventKind, bt: Option<bool>| {
+            obs.trace
+                .iter()
+                .filter(|e| e.kind == kind)
+                .filter(|e| unpack_page(e.page).map(|(part, _)| part == BT.raw()) == bt)
+                .count()
+        };
+        match (params.bt, params.log) {
+            // A GEM-resident page is read and written back with the CPU
+            // held; its FORCE writes emit no `CommitIo`, although every
+            // update transaction writes its BRANCH/TELLER page.
+            (BtStorage::Gem, _) if params.update == noforce => {
+                assert!(on(TraceEventKind::PageRead, Some(true)) > 0, "{case}");
+                assert!(on(TraceEventKind::PageFlush, Some(true)) > 0, "{case}");
+            }
+            (BtStorage::Gem, _) => {
+                assert!(report.writes_per_txn > 3.5, "{case}");
+                assert_eq!(on(TraceEventKind::CommitIo, Some(true)), 0, "{case}");
+            }
+            // The log records go to GEM; the log disks stay idle.
+            (_, LogStorage::Gem) => {
+                assert!(on(TraceEventKind::CommitIo, None) > 0, "{case}");
+                assert_eq!(report.log_utilization_max, 0.0, "{case}");
+            }
+            // FORCE writes of BRANCH/TELLER pages go through the cache
+            // or the write buffer in front of its disks.
+            _ => assert!(on(TraceEventKind::CommitIo, Some(true)) > 0, "{case}"),
+        }
+        let mut kinds = BTreeMap::new();
+        for e in &obs.trace {
+            *kinds.entry(format!("{:?}", e.kind)).or_insert(0usize) += 1;
+        }
+        let counts: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
+        let got = format!("{} {}", report.metric_fingerprint(), counts.join(" "));
+        if got != golden {
+            drifted.push(format!("{case}: {got}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "I/O paths drifted:\n{}",
         drifted.join("\n")
     );
 }
