@@ -320,7 +320,7 @@ impl FarLane {
 /// and protocol paths, where a handler schedules its continuation at
 /// `now` — go to a FIFO "near lane" (`VecDeque`, O(1) push/pop) and
 /// never touch the far lane. Events with a genuinely future timestamp
-/// go to a bucketed calendar queue ([`FarLane`]) with O(1) amortized
+/// go to a bucketed calendar queue (the "far lane") with O(1) amortized
 /// insertion and extraction.
 ///
 /// The FIFO tie-break contract is preserved exactly: a far entry at

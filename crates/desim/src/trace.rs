@@ -1,30 +1,31 @@
 //! Structured, sim-time-stamped event tracing.
 //!
-//! A simulation engine can emit a stream of [`TraceEvent`] records into
-//! a [`TraceSink`]. Records are small `Copy` structs stamped with
-//! *simulated* time only, so a trace is bit-reproducible across host
-//! machines, repeated runs, and worker counts — which makes trace files
-//! diffable: two runs that should be identical can be compared record
-//! by record, and the first differing event localizes a divergence.
+//! A simulation engine can record a stream of [`TraceEvent`]s. Records
+//! are small `Copy` structs stamped with *simulated* time only, so a
+//! trace is bit-reproducible across host machines, repeated runs, and
+//! worker counts — which makes trace files diffable: two runs that
+//! should be identical can be compared record by record, and the first
+//! differing event localizes a divergence.
 //!
 //! The contract with the engine is *zero cost when off*: the engine
-//! holds an `Option<sink>` and guards every emission behind a single
-//! `is_some()` branch, so a run without a sink performs no allocation
-//! and no formatting on behalf of tracing.
+//! holds an `Option<Vec<TraceEvent>>` and guards every emission behind
+//! a single `is_some()` branch, so a run without a trace performs no
+//! allocation and no formatting on behalf of tracing. Events are
+//! appended in simulated-time order (FIFO within an instant), and
+//! downstream exporters rely on that order for byte-identical output.
 //!
 //! ```rust
-//! use desim::trace::{TraceEvent, TraceEventKind, TraceSink, VecSink, NO_PAGE};
+//! use desim::trace::{pack_page, unpack_page, TraceEvent, TraceEventKind, NO_TXN};
 //! use desim::SimTime;
-//! let mut sink = VecSink::new();
-//! sink.record(&TraceEvent {
+//! let trace = vec![TraceEvent {
 //!     at: SimTime::from_micros(10),
-//!     kind: TraceEventKind::TxnAdmit,
+//!     kind: TraceEventKind::PageRead,
 //!     node: 0,
-//!     txn: 1,
-//!     page: NO_PAGE,
+//!     txn: NO_TXN,
+//!     page: pack_page(2, 7),
 //!     arg: 0,
-//! });
-//! assert_eq!(sink.take_events().len(), 1);
+//! }];
+//! assert_eq!(unpack_page(trace[0].page), Some((2, 7)));
 //! ```
 
 use crate::SimTime;
@@ -119,56 +120,6 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// Receives trace events from an engine.
-///
-/// Implementations must not reorder events: the engine emits in
-/// simulated-time order (FIFO within an instant), and downstream
-/// exporters rely on that order for byte-identical output.
-pub trait TraceSink {
-    /// Accepts one event. Called on the simulation hot path whenever
-    /// tracing is enabled; implementations should be cheap.
-    fn record(&mut self, ev: &TraceEvent);
-
-    /// Drains the collected events, if this sink retains them. The
-    /// default (for streaming sinks) returns nothing.
-    fn take_events(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// The standard collecting sink: retains every event in order.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<TraceEvent>,
-}
-
-impl VecSink {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        VecSink::default()
-    }
-
-    /// Number of events collected so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.events.push(*ev);
-    }
-
-    fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,18 +133,6 @@ mod tests {
             page: pack_page(1, 7),
             arg: 0,
         }
-    }
-
-    #[test]
-    fn vec_sink_retains_order() {
-        let mut s = VecSink::new();
-        s.record(&ev(1, TraceEventKind::LockRequest));
-        s.record(&ev(2, TraceEventKind::LockGrant));
-        assert_eq!(s.len(), 2);
-        let out = s.take_events();
-        assert_eq!(out[0].kind, TraceEventKind::LockRequest);
-        assert_eq!(out[1].kind, TraceEventKind::LockGrant);
-        assert!(s.is_empty());
     }
 
     #[test]

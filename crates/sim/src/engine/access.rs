@@ -1,10 +1,11 @@
 //! Record-access processing: the access CPU slice, the lock request
 //! (`locking.rs`), buffer-invalidation detection, and page acquisition
-//! (buffer hit, page request to the owner, or storage read).
+//! (buffer hit, page request to the owner, or storage read, `io.rs`).
 
+use super::io::{Arrival, IoOp};
 use super::locking::PageCopy;
 use super::{Cont, Engine, Job, Msg, MsgBody, Phase};
-use dbshare_model::{PageId, TxnId};
+use dbshare_model::TxnId;
 use desim::trace::TraceEventKind;
 use desim::SimTime;
 
@@ -23,17 +24,7 @@ impl Engine {
         let svc = (0..records)
             .map(|_| self.sample(node, |c, r| c.access(r)))
             .sum();
-        self.dispatch(
-            now,
-            node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: Some(id),
-                cont: Cont::AccessCpuDone(id),
-            },
-        );
+        self.dispatch(now, node, Job::cpu(svc, Some(id), Cont::AccessCpuDone(id)));
     }
 
     /// The access CPU slice is done: request the lock, or go straight
@@ -101,7 +92,7 @@ impl Engine {
                     // buffer, no read I/O is ever needed. A shipped copy
                     // is installed as it arrived.
                     _ if r.append || copy == PageCopy::Shipped => {
-                        self.install_and_finish(now, id, page, seqno)
+                        self.install_page(now, id, seqno, Arrival::InPlace)
                     }
                     PageCopy::Owner(owner) if owner != node => {
                         // Request the current version from its owner.
@@ -119,106 +110,10 @@ impl Engine {
                             None,
                         );
                     }
-                    _ => self.start_storage_read(now, id, page),
+                    _ => self.start_io(now, IoOp::Read(id)),
                 }
             }
         }
-    }
-
-    /// Installs version `seqno` of `page` in the buffer and finishes the
-    /// access.
-    fn install_and_finish(&mut self, now: SimTime, id: TxnId, page: PageId, seqno: u64) {
-        let node = self.txn(id).node;
-        let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-        if let Some((victim, _)) = evicted {
-            self.start_evict_write(now, node, victim);
-        }
-        self.finish_access(now, id);
-    }
-
-    /// Starts a storage read for the current access: I/O-initiation CPU,
-    /// then the device access (synchronously for GEM-resident pages).
-    fn start_storage_read(&mut self, now: SimTime, id: TxnId, page: PageId) {
-        let node = self.txn(id).node;
-        if self.storage.is_gem_resident(page) {
-            let svc = self.fixed(self.cfg.gem.io_init_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 1,
-                    txn: Some(id),
-                    cont: Cont::GemPageAccessDone(id),
-                },
-            );
-        } else {
-            let svc = self.fixed(self.cfg.disk.io_instr_per_page);
-            let now_ = now;
-            self.txn_mut(id).begin_wait(now_, Phase::PageWait, None);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 0,
-                    txn: Some(id),
-                    cont: Cont::StorageReadIssue(id),
-                },
-            );
-        }
-    }
-
-    /// The I/O-initiation CPU finished: issue the device read.
-    pub(crate) fn storage_read_issue(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let node = t.node;
-        let page = t.spec.refs()[t.step].page;
-        self.counters.storage_reads += 1;
-        self.emit(now, TraceEventKind::PageRead, node, Some(id), Some(page), 0);
-        let served = self.storage.read_page(now, page);
-        self.cal.schedule(
-            served.done,
-            super::Event::IoDone {
-                cont: Cont::StorageReadDone(id),
-            },
-        );
-    }
-
-    /// A page read completed (disk or synchronous GEM): install the
-    /// copy and finish the access.
-    pub(crate) fn storage_read_done(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let node = t.node;
-        let page = t.spec.refs()[t.step].page;
-        let seqno = t.seqno(page);
-        let waited = if matches!(t.phase, Phase::PageWait | Phase::CommitIo) && now >= t.wait_since
-        {
-            (now - t.wait_since).as_nanos()
-        } else {
-            0
-        };
-        if self.storage.is_gem_resident(page) {
-            // accounted as a storage read for statistics parity
-            self.counters.storage_reads += 1;
-            self.emit(now, TraceEventKind::PageRead, node, Some(id), Some(page), 0);
-        }
-        let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-        if let Some((p, _)) = evicted {
-            self.start_evict_write(now, node, p);
-        }
-        self.txn_mut(id).end_io_wait(now);
-        self.emit(
-            now,
-            TraceEventKind::PageReadDone,
-            node,
-            Some(id),
-            Some(page),
-            waited,
-        );
-        self.finish_access(now, id);
     }
 
     /// Access complete: note modifications, advance to the next

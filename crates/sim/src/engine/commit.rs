@@ -1,12 +1,12 @@
 //! Commit processing (§3.2): phase 1 writes log data (and, under
-//! FORCE, all modified pages) to non-volatile storage; phase 2 releases
-//! the transaction's locks and publishes its modifications
+//! FORCE, all modified pages) to non-volatile storage (`io.rs`); phase
+//! 2 releases the transaction's locks and publishes its modifications
 //! (`locking.rs`).
 
+use super::io::IoOp;
 use super::txn::{CommitWrite, Grantor};
 use super::{Cont, Engine, Job, Phase};
 use dbshare_model::{TxnId, UpdateStrategy};
-use desim::trace::TraceEventKind;
 use desim::SimTime;
 
 impl Engine {
@@ -15,17 +15,7 @@ impl Engine {
         let Some(t) = self.txns.get(&id) else { return };
         let node = t.node;
         let svc = self.sample(node, |c, r| c.eot(r));
-        self.dispatch(
-            now,
-            node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: Some(id),
-                cont: Cont::CommitInit(id),
-            },
-        );
+        self.dispatch(now, node, Job::cpu(svc, Some(id), Cont::CommitInit(id)));
     }
 
     /// Builds the commit-write list (phase 1) and starts the write
@@ -50,123 +40,17 @@ impl Engine {
             // the force-writes.
             t.commit_writes.push(CommitWrite { page: None });
         }
-        if t.commit_writes.is_empty() {
-            self.phase2_begin(now, id);
+        self.commit_write(now, id, 0);
+    }
+
+    /// Starts the `idx`-th commit write, or phase 2 after the last one.
+    pub(crate) fn commit_write(&mut self, now: SimTime, id: TxnId, idx: usize) {
+        let Some(t) = self.txns.get(&id) else { return };
+        if idx < t.commit_writes.len() {
+            self.start_io(now, IoOp::Commit { txn: id, idx });
         } else {
-            self.commit_write_init(now, id, 0);
-        }
-    }
-
-    /// Initiates the `idx`-th commit write: CPU for the I/O initiation,
-    /// performed synchronously for GEM-resident pages.
-    pub(crate) fn commit_write_init(&mut self, now: SimTime, id: TxnId, idx: usize) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        if idx >= t.commit_writes.len() {
             self.phase2_begin(now, id);
-            return;
         }
-        let node = t.node;
-        let w = t.commit_writes[idx];
-        match w.page {
-            Some(p) if self.storage.is_gem_resident(p) => {
-                // Synchronous force-write into GEM: CPU held for the
-                // 50 µs page write; nothing asynchronous to wait for.
-                self.counters.commit_writes += 1;
-                let svc = self.fixed(self.cfg.gem.io_init_instr);
-                self.dispatch(
-                    now,
-                    node,
-                    Job {
-                        service: svc,
-                        gem_entries: 0,
-                        gem_pages: 1,
-                        txn: Some(id),
-                        cont: Cont::CommitWriteInit {
-                            txn: id,
-                            idx: idx + 1,
-                        },
-                    },
-                );
-            }
-            _ => {
-                // GEM-buffered targets (write-buffered partitions, GEM
-                // log) have the cheap 300-instruction initiation.
-                let gem_target = match w.page {
-                    Some(p) => self.storage.write_goes_to_gem(p),
-                    None => self.storage.log_is_gem(),
-                };
-                let instr = if gem_target {
-                    self.cfg.gem.io_init_instr
-                } else {
-                    self.cfg.disk.io_instr_per_page
-                };
-                let svc = self.fixed(instr);
-                self.dispatch(
-                    now,
-                    node,
-                    Job {
-                        service: svc,
-                        gem_entries: 0,
-                        gem_pages: 0,
-                        txn: Some(id),
-                        cont: Cont::CommitWriteIssue { txn: id, idx },
-                    },
-                );
-            }
-        }
-    }
-
-    /// Issues the `idx`-th commit write to its device; the next write
-    /// is initiated when this one completes (sequential chain).
-    pub(crate) fn commit_write_issue(&mut self, now: SimTime, id: TxnId, idx: usize) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        let node = t.node;
-        let w = t.commit_writes[idx];
-        let served = match w.page {
-            None => {
-                self.counters.log_writes += 1;
-                self.storage.write_log(now, node)
-            }
-            Some(p) => {
-                self.counters.commit_writes += 1;
-                self.storage.write_page(now, p)
-            }
-        };
-        self.txn_mut(id).begin_wait(now, Phase::CommitIo, None);
-        self.emit(now, TraceEventKind::CommitIo, node, Some(id), w.page, 0);
-        self.cal.schedule(
-            served.done,
-            super::Event::IoDone {
-                cont: Cont::CommitIoChain { txn: id, idx },
-            },
-        );
-    }
-
-    /// A commit write finished: initiate the next one (or phase 2).
-    pub(crate) fn commit_io_chain(&mut self, now: SimTime, id: TxnId, idx: usize) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        let node = t.node;
-        let waited = if t.phase == Phase::CommitIo && now >= t.wait_since {
-            (now - t.wait_since).as_nanos()
-        } else {
-            0
-        };
-        t.end_io_wait(now);
-        self.emit(
-            now,
-            TraceEventKind::CommitIoDone,
-            node,
-            Some(id),
-            None,
-            waited,
-        );
-        self.commit_write_init(now, id, idx + 1);
     }
 
     /// Begins phase 2: the lock-release CPU slice, one lock operation

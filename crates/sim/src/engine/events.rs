@@ -1,5 +1,6 @@
 //! Event, continuation, and message types of the simulation engine.
 
+use super::io::IoOp;
 use dbshare_lockmgr::LockMode;
 use dbshare_model::{NodeId, PageId, TxnId, TxnSpec};
 use desim::{SimDuration, SimTime};
@@ -87,6 +88,19 @@ pub(crate) struct Job {
     pub cont: Cont,
 }
 
+impl Job {
+    /// A job of instruction execution only, attributed to `txn`.
+    pub fn cpu(service: SimDuration, txn: Option<TxnId>, cont: Cont) -> Self {
+        Job {
+            service,
+            gem_entries: 0,
+            gem_pages: 0,
+            txn,
+            cont,
+        }
+    }
+}
+
 /// Continuations: where control flow resumes after a CPU slice, device
 /// completion, or message delivery. Together with the per-transaction
 /// state these encode the transaction manager's state machine (§3.2).
@@ -122,51 +136,18 @@ pub(crate) enum Cont {
         /// The received message.
         msg: Msg,
     },
-    /// Issue the storage read for the current access now (I/O
-    /// initiation CPU done).
-    StorageReadIssue(TxnId),
-    /// A storage read for the current access completed: install the
-    /// page and finish the access.
-    StorageReadDone(TxnId),
-    /// GEM-resident page read/written synchronously for the current
-    /// access: install and finish.
-    GemPageAccessDone(TxnId),
     /// End-of-transaction CPU finished: begin commit phase 1.
     CommitInit(TxnId),
-    /// Initiate the `idx`-th commit write (CPU for I/O initiation).
-    CommitWriteInit {
-        /// Committing transaction.
-        txn: TxnId,
-        /// Index into its commit write list.
-        idx: usize,
-    },
-    /// Issue the `idx`-th commit write to storage now.
-    CommitWriteIssue {
-        /// Committing transaction.
-        txn: TxnId,
-        /// Index into its commit write list.
-        idx: usize,
-    },
-    /// One sequential commit write finished; continue the chain.
-    CommitIoChain {
-        /// Committing transaction.
-        txn: TxnId,
-        /// Index of the completed write.
-        idx: usize,
-    },
-    /// Issue the dirty-page write-back to storage now (system job).
-    EvictWriteIssue {
-        /// Node that evicted the page.
-        node: NodeId,
-        /// The dirty page.
-        page: PageId,
-    },
-    /// A dirty-page write-back completed.
-    EvictWriteDone {
-        /// Node that evicted the page.
-        node: NodeId,
-        /// The written page.
-        page: PageId,
+    /// The initiation CPU of an asynchronous I/O finished: issue the
+    /// device access (`io.rs`).
+    IoIssue(IoOp),
+    /// An I/O finished: a synchronous one with its CPU job, an
+    /// asynchronous one at the device (`io.rs`).
+    IoDone {
+        /// The operation.
+        op: IoOp,
+        /// Whether the CPU job held the CPU for the GEM page access.
+        sync: bool,
     },
     /// The GLT entry update clearing page ownership executed (after the
     /// write-back of an owned page, GEM locking / NOFORCE).
@@ -176,16 +157,6 @@ pub(crate) enum Cont {
         /// The page.
         page: PageId,
     },
-    /// Owner-side handling of a page request: page stored into GEM
-    /// (PageTransferMode::Gem); notify the requester.
-    GemTransferStored {
-        /// The original page request.
-        msg: Msg,
-        /// Version stored.
-        seqno: u64,
-    },
-    /// Requester-side GEM fetch of a transferred page completed.
-    GemTransferFetched(TxnId),
 }
 
 /// A message between nodes.
@@ -287,5 +258,18 @@ impl MsgBody {
             MsgBody::PageReply { found, via_gem, .. } => *found && !via_gem,
             _ => false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every calendar slot pays for the largest event, and a CPU job
+    /// carries its continuation: keep both from growing.
+    #[test]
+    fn events_stay_small() {
+        assert!(std::mem::size_of::<Cont>() <= 72);
+        assert!(std::mem::size_of::<Event>() <= 112);
     }
 }

@@ -23,6 +23,7 @@
 //!   [`release_aborted`](Engine::release_aborted).
 
 use super::events::ReleasePages;
+use super::io::IoOp;
 use super::maintenance::AbortReason;
 use super::txn::Grantor;
 use super::{Cont, Engine, Job, Msg, MsgBody, Phase, Txn};
@@ -260,7 +261,6 @@ impl Engine {
             self.txn_mut(id).give_back_ra(page);
             self.release_ra(now, node, id, page);
         }
-        self.counters.remote_lock_requests += 1;
         let cached = self.nodes[node.index()].buffer.cached_seqno(page);
         self.wait_for_lock(now, id, page);
         self.send_msg(
@@ -656,7 +656,7 @@ impl Engine {
                 buffer.insert(p, new_seq, false)
             };
             if let Some((victim, _)) = evicted {
-                self.start_evict_write(now, node, victim);
+                self.start_io(now, IoOp::WriteBack { node, page: victim });
             }
         }
         let released = self.txn(id).held.len() as u64;
@@ -741,7 +741,13 @@ impl Engine {
                     // version now lives (dirty) in its buffer.
                     let evicted = self.nodes[gla.index()].buffer.mark_dirty(page, new_seq);
                     if let Some((victim, _)) = evicted {
-                        self.start_evict_write(now, gla, victim);
+                        self.start_io(
+                            now,
+                            IoOp::WriteBack {
+                                node: gla,
+                                page: victim,
+                            },
+                        );
                     }
                 }
             }

@@ -1,11 +1,10 @@
-//! Background machinery: dirty-page write-backs, deadlock detection /
-//! lock timeouts with abort-and-restart, node crashes, and end-of-run
-//! report assembly.
+//! Background machinery: deadlock detection / lock timeouts with
+//! abort-and-restart, node crashes, and end-of-run report assembly.
 
-use super::{Cont, Engine, Event, Job, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
+use super::{Engine, Event, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
 use crate::metrics::RunReport;
 use dbshare_lockmgr::deadlock::{choose_victim, find_cycle, has_cycle};
-use dbshare_model::{NodeId, PageId, TxnId};
+use dbshare_model::{NodeId, TxnId};
 use dbshare_node::buffer::BufferCounters;
 use desim::trace::TraceEventKind;
 use desim::{SimDuration, SimTime};
@@ -19,61 +18,6 @@ pub(crate) enum AbortReason {
 }
 
 impl Engine {
-    // ------------------------------------------------------------------
-    // Dirty-page write-backs (NOFORCE replacement, §3.2)
-    // ------------------------------------------------------------------
-
-    /// A dirty page fell out of a buffer: write it back (a system job —
-    /// no transaction waits for it).
-    pub(crate) fn start_evict_write(&mut self, now: SimTime, node: NodeId, page: PageId) {
-        self.counters.evict_writes += 1;
-        self.emit(now, TraceEventKind::PageFlush, node, None, Some(page), 0);
-        if self.storage.is_gem_resident(page) {
-            let svc = self.fixed(self.cfg.gem.io_init_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 1,
-                    txn: None,
-                    cont: Cont::EvictWriteDone { node, page },
-                },
-            );
-        } else {
-            let instr = if self.storage.write_goes_to_gem(page) {
-                self.cfg.gem.io_init_instr
-            } else {
-                self.cfg.disk.io_instr_per_page
-            };
-            let svc = self.fixed(instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 0,
-                    txn: None,
-                    cont: Cont::EvictWriteIssue { node, page },
-                },
-            );
-        }
-    }
-
-    /// The write-back's I/O-initiation CPU finished: issue the device
-    /// write.
-    pub(crate) fn evict_write_issue(&mut self, now: SimTime, node: NodeId, page: PageId) {
-        let served = self.storage.write_page(now, page);
-        self.cal.schedule(
-            served.done,
-            Event::IoDone {
-                cont: Cont::EvictWriteDone { node, page },
-            },
-        );
-    }
-
     // ------------------------------------------------------------------
     // Deadlock detection and aborts (§3.2)
     // ------------------------------------------------------------------

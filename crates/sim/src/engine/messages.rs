@@ -1,7 +1,8 @@
 //! Message handling: the communication subsystem (§3.2), dispatch of
 //! the PCL protocol messages to `locking.rs`, and the page-transfer
-//! paths.
+//! paths (their GEM page accesses and reads in `io.rs`).
 
+use super::io::{Arrival, IoOp};
 use super::locking::ReqCtx;
 use super::{Cont, Engine, Job, Msg, MsgBody};
 use dbshare_model::{NodeId, PageId, PageTransferMode, TxnId};
@@ -42,13 +43,7 @@ impl Engine {
         self.dispatch(
             now,
             node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: attributed,
-                cont: Cont::SendDone { msg, last_of },
-            },
+            Job::cpu(svc, attributed, Cont::SendDone { msg, last_of }),
         );
     }
 
@@ -119,17 +114,7 @@ impl Engine {
             None,
             u64::from(msg.from.raw()),
         );
-        self.dispatch(
-            now,
-            node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: attributed,
-                cont: Cont::RecvDone { msg },
-            },
-        );
+        self.dispatch(now, node, Job::cpu(svc, attributed, Cont::RecvDone { msg }));
     }
 
     /// Receive CPU finished: act on the message.
@@ -177,9 +162,12 @@ impl Engine {
     // GEM-locking page transfers (NOFORCE)
     // ------------------------------------------------------------------
 
-    /// The owner answers a page request: from its buffer (long reply),
-    /// through GEM (transfer mode), or "not found" after it already
-    /// wrote the page back.
+    /// The owner answers a page request: from its buffer (a long
+    /// reply), through GEM (transfer mode: the page is stored in GEM
+    /// first, and the reply stays short), or "not found" after it
+    /// already wrote the page back. The requester then reads the
+    /// permanent database; its read queues behind the write-back on the
+    /// same disk, so it sees the new version.
     fn owner_page_req(
         &mut self,
         now: SimTime,
@@ -189,115 +177,54 @@ impl Engine {
         page: PageId,
     ) {
         let cached = self.nodes[owner.index()].buffer.cached_seqno(page);
-        match cached {
-            Some(seqno) if self.cfg.page_transfer == PageTransferMode::Gem => {
-                // Deposit the page in GEM (synchronous, CPU held), then
-                // notify the requester with a short message.
-                let svc = self.fixed(self.cfg.gem.io_init_instr);
-                self.dispatch(
-                    now,
-                    owner,
-                    Job {
-                        service: svc,
-                        gem_entries: 0,
-                        gem_pages: 1,
-                        txn: None,
-                        cont: Cont::GemTransferStored {
-                            msg: Msg {
-                                from: owner,
-                                to: from,
-                                body: MsgBody::PageReq { txn, page },
-                            },
-                            seqno,
-                        },
-                    },
-                );
-            }
-            Some(seqno) => {
-                self.counters.page_transfers += 1;
-                self.emit(
-                    now,
-                    TraceEventKind::PageTransfer,
-                    owner,
-                    Some(txn),
-                    Some(page),
-                    u64::from(from.raw()),
-                );
-                self.send_msg(
-                    now,
-                    Msg {
-                        from: owner,
-                        to: from,
-                        body: MsgBody::PageReply {
-                            txn,
-                            page,
-                            seqno,
-                            found: true,
-                            via_gem: false,
-                        },
-                    },
-                    None,
-                    None,
-                );
-            }
-            None => {
-                // Already replaced and written back: the requester reads
-                // the permanent database (its read queues behind the
-                // write-back on the same disk, so it sees the new
-                // version).
-                self.send_msg(
-                    now,
-                    Msg {
-                        from: owner,
-                        to: from,
-                        body: MsgBody::PageReply {
-                            txn,
-                            page,
-                            seqno: 0,
-                            found: false,
-                            via_gem: false,
-                        },
-                    },
-                    None,
-                    None,
-                );
-            }
+        let via_gem = cached.is_some() && self.cfg.page_transfer == PageTransferMode::Gem;
+        let reply = Msg {
+            from: owner,
+            to: from,
+            body: MsgBody::PageReply {
+                txn,
+                page,
+                seqno: cached.unwrap_or(0),
+                found: cached.is_some(),
+                via_gem,
+            },
+        };
+        if via_gem {
+            self.start_io(now, IoOp::TransferStore(reply));
+        } else {
+            self.send_page_reply(now, reply);
         }
     }
 
-    /// Owner finished storing the transferred page in GEM: notify.
-    pub(crate) fn gem_transfer_stored(&mut self, now: SimTime, msg: Msg, seqno: u64) {
-        self.counters.gem_transfers += 1;
-        let MsgBody::PageReq { txn, page } = msg.body else {
-            return;
-        };
-        self.emit(
-            now,
-            TraceEventKind::PageTransfer,
-            msg.from,
-            Some(txn),
-            Some(page),
-            u64::from(msg.to.raw()),
-        );
-        self.send_msg(
-            now,
-            Msg {
-                from: msg.from,
-                to: msg.to,
-                body: MsgBody::PageReply {
-                    txn,
-                    page,
-                    seqno,
-                    found: true,
-                    via_gem: true,
-                },
-            },
-            None,
-            None,
-        );
+    /// Sends the owner's reply to a page request; one that carries the
+    /// page, or announces it in GEM, is a page transfer.
+    pub(crate) fn send_page_reply(&mut self, now: SimTime, reply: Msg) {
+        if let MsgBody::PageReply {
+            txn,
+            page,
+            found: true,
+            via_gem,
+            ..
+        } = reply.body
+        {
+            if !via_gem {
+                self.counters.page_transfers += 1;
+            }
+            self.emit(
+                now,
+                TraceEventKind::PageTransfer,
+                reply.from,
+                Some(txn),
+                Some(page),
+                u64::from(reply.to.raw()),
+            );
+        }
+        self.send_msg(now, reply, None, None);
     }
 
-    /// The requester processes a page reply.
+    /// The requester processes a page reply: reads the page if its
+    /// owner no longer had it, fetches it from GEM, or installs the copy
+    /// the reply carried.
     #[allow(clippy::too_many_arguments)]
     fn requester_page_reply(
         &mut self,
@@ -311,77 +238,13 @@ impl Engine {
     ) {
         let Some(t) = self.txns.get(&txn) else { return };
         debug_assert_eq!(t.node, node);
+        debug_assert_eq!(t.access().0, page, "{txn:?} got another page");
         if !found {
-            self.start_storage_read_for(now, txn, page);
-            return;
+            self.start_io(now, IoOp::Read(txn));
+        } else if via_gem {
+            self.start_io(now, IoOp::TransferFetch(txn));
+        } else {
+            self.install_page(now, txn, seqno, Arrival::Transfer);
         }
-        if via_gem {
-            // Fetch the page from GEM (synchronous).
-            let svc = self.fixed(self.cfg.gem.io_init_instr);
-            self.dispatch(
-                now,
-                node,
-                Job {
-                    service: svc,
-                    gem_entries: 0,
-                    gem_pages: 1,
-                    txn: Some(txn),
-                    cont: Cont::GemTransferFetched(txn),
-                },
-            );
-            return;
-        }
-        self.install_transferred_page(now, txn, page, seqno);
-    }
-
-    /// Requester finished reading the transferred page out of GEM.
-    pub(crate) fn gem_transfer_fetched(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get(&id) else { return };
-        let page = t.spec.refs()[t.step].page;
-        let seqno = t.seqno(page);
-        self.install_transferred_page(now, id, page, seqno);
-    }
-
-    fn install_transferred_page(&mut self, now: SimTime, id: TxnId, page: PageId, seqno: u64) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
-        };
-        let node = t.node;
-        let waited = (now - t.wait_since).as_nanos();
-        let delay_ms = (now - t.wait_since).as_millis_f64();
-        t.end_io_wait(now);
-        self.metrics.page_req_delay.record(delay_ms);
-        let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-        if let Some((victim, _)) = evicted {
-            self.start_evict_write(now, node, victim);
-        }
-        self.emit(
-            now,
-            TraceEventKind::PageReadDone,
-            node,
-            Some(id),
-            Some(page),
-            waited,
-        );
-        self.finish_access(now, id);
-    }
-
-    /// Delayed storage read used by the not-found page-reply path (the
-    /// transaction is mid-access; the page identity is explicit).
-    fn start_storage_read_for(&mut self, now: SimTime, id: TxnId, page: PageId) {
-        debug_assert_eq!(self.txn(id).spec.refs()[self.txn(id).step].page, page);
-        let node = self.txn(id).node;
-        let svc = self.fixed(self.cfg.disk.io_instr_per_page);
-        self.dispatch(
-            now,
-            node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: Some(id),
-                cont: Cont::StorageReadIssue(id),
-            },
-        );
     }
 }

@@ -4,6 +4,7 @@
 mod access;
 mod commit;
 mod events;
+mod io;
 mod locking;
 mod maintenance;
 mod messages;
@@ -24,7 +25,7 @@ use dbshare_node::{BufferManager, CostModel};
 use dbshare_storage::globallog::LocalLog;
 use dbshare_storage::StorageSubsystem;
 use dbshare_workload::Workload;
-use desim::trace::{TraceEventKind, TraceSink};
+use desim::trace::{TraceEvent, TraceEventKind};
 use desim::{Calendar, Resource, Rng, SimDuration, SimTime};
 
 /// Interval between deadlock / timeout scans.
@@ -97,9 +98,9 @@ pub struct Engine {
     pub(crate) mean_arrival_gap_us: f64,
     /// Observation configuration (default: observe nothing).
     pub(crate) observe: Observe,
-    /// Trace sink, installed only when tracing is enabled; every
+    /// The trace, collected only when tracing is enabled; every
     /// emission is behind a single `is_some()` branch.
-    pub(crate) tracer: Option<Box<dyn TraceSink + Send>>,
+    pub(crate) trace: Option<Vec<TraceEvent>>,
     /// Timeline sampler state, armed at end of warm-up when requested.
     pub(crate) timeline: Option<TimelineState>,
     /// Instant of the most recent commit (any node) — the no-progress
@@ -180,7 +181,7 @@ impl Engine {
             cfg,
             mean_arrival_gap_us,
             observe: Observe::default(),
-            tracer: None,
+            trace: None,
             timeline: None,
             last_commit_at: SimTime::ZERO,
             last_watchdog: SimTime::ZERO,
@@ -401,18 +402,10 @@ impl Engine {
             Cont::ReleaseExec(t) => self.release_exec(now, t),
             Cont::SendDone { msg, last_of } => self.send_done(now, msg, last_of),
             Cont::RecvDone { msg } => self.handle_msg(now, msg),
-            Cont::StorageReadIssue(t) => self.storage_read_issue(now, t),
-            Cont::StorageReadDone(t) => self.storage_read_done(now, t),
-            Cont::GemPageAccessDone(t) => self.storage_read_done(now, t),
             Cont::CommitInit(t) => self.commit_init(now, t),
-            Cont::CommitWriteInit { txn, idx } => self.commit_write_init(now, txn, idx),
-            Cont::CommitWriteIssue { txn, idx } => self.commit_write_issue(now, txn, idx),
-            Cont::CommitIoChain { txn, idx } => self.commit_io_chain(now, txn, idx),
-            Cont::EvictWriteIssue { node, page } => self.evict_write_issue(now, node, page),
-            Cont::EvictWriteDone { node, page } => self.evict_write_done(now, node, page),
+            Cont::IoIssue(op) => self.io_issue(now, op),
+            Cont::IoDone { op, sync } => self.io_done(now, op, sync),
             Cont::GemOwnerClear { node, page } => self.gem_owner_clear(node, page),
-            Cont::GemTransferStored { msg, seqno } => self.gem_transfer_stored(now, msg, seqno),
-            Cont::GemTransferFetched(t) => self.gem_transfer_fetched(now, t),
         }
     }
 
@@ -467,17 +460,7 @@ impl Engine {
         let Some(t) = self.txns.get(&id) else { return };
         let node = t.node;
         let svc = self.sample(node, |c, r| c.bot(r));
-        self.dispatch(
-            now,
-            node,
-            Job {
-                service: svc,
-                gem_entries: 0,
-                gem_pages: 0,
-                txn: Some(id),
-                cont: Cont::BotDone(id),
-            },
-        );
+        self.dispatch(now, node, Job::cpu(svc, Some(id), Cont::BotDone(id)));
     }
 
     /// Ends a transaction: statistics, MPL hand-over, run termination.

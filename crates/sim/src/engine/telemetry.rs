@@ -11,7 +11,7 @@ use crate::metrics::Counters;
 use crate::observe::{Observations, Observe, TimelineWindow};
 use dbshare_model::{NodeId, PageId, TxnId};
 use dbshare_storage::DeviceBusySnapshot;
-use desim::trace::{pack_page, TraceEvent, TraceEventKind, TraceSink, VecSink, NO_PAGE, NO_TXN};
+use desim::trace::{pack_page, TraceEvent, TraceEventKind, NO_PAGE, NO_TXN};
 use desim::{SimDuration, SimTime};
 
 /// Baselines and accumulators of the timeline sampler between ticks.
@@ -38,15 +38,7 @@ impl Engine {
         self.observe = observe;
     }
 
-    /// Installs a custom trace sink (implies trace emission). The
-    /// default sink when [`Observe::trace`] is set is a collecting
-    /// [`VecSink`] whose events come back in the run's
-    /// [`Observations`].
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink + Send>) {
-        self.tracer = Some(sink);
-    }
-
-    /// Emits one trace record if a sink is installed. Integer-only
+    /// Appends one trace record if tracing is on. Integer-only
     /// arguments and a cheap early-out: free when tracing is off.
     #[inline]
     pub(crate) fn emit(
@@ -58,10 +50,10 @@ impl Engine {
         page: Option<PageId>,
         arg: u64,
     ) {
-        let Some(tracer) = self.tracer.as_mut() else {
+        let Some(trace) = self.trace.as_mut() else {
             return;
         };
-        tracer.record(&TraceEvent {
+        trace.push(TraceEvent {
             at,
             kind,
             node: node.raw(),
@@ -258,16 +250,12 @@ impl Engine {
     /// the report is identical to [`run`](Engine::run) and the
     /// observations are empty.
     pub fn run_observed(mut self) -> (crate::RunReport, Observations) {
-        if self.observe.trace && self.tracer.is_none() {
-            self.tracer = Some(Box::new(VecSink::new()));
+        if self.observe.trace {
+            self.trace = Some(Vec::new());
         }
         let now = self.run_loop();
         let timeline = self.flush_timeline(now);
-        let trace = self
-            .tracer
-            .as_mut()
-            .map(|s| s.take_events())
-            .unwrap_or_default();
+        let trace = self.trace.take().unwrap_or_default();
         let report = self.build_report(now);
         (report, Observations { timeline, trace })
     }

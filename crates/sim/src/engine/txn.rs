@@ -287,12 +287,16 @@ impl Txn {
         self.waiting_page = None;
     }
 
-    /// Ends an I/O or page wait at `now`, accumulating the waited time.
-    pub fn end_io_wait(&mut self, now: SimTime) {
+    /// Ends an I/O or page wait at `now`, accumulating and returning
+    /// the waited time (zero if none was open).
+    pub fn end_io_wait(&mut self, now: SimTime) -> SimDuration {
+        let mut waited = SimDuration::ZERO;
         if matches!(self.phase, Phase::PageWait | Phase::CommitIo) && now >= self.wait_since {
-            self.io_wait += now - self.wait_since;
+            waited = now - self.wait_since;
+            self.io_wait += waited;
         }
         self.phase = Phase::Running;
         self.waiting_page = None;
+        waited
     }
 }

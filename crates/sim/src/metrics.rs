@@ -90,12 +90,10 @@ impl Metrics {
 pub(crate) struct Counters {
     pub committed: u64,
     pub lock_requests: u64,
-    pub remote_lock_requests: u64,
     pub ra_local_grants: u64,
     pub lock_waits: u64,
     pub page_requests: u64,
     pub page_transfers: u64,
-    pub gem_transfers: u64,
     pub storage_reads: u64,
     pub commit_writes: u64,
     pub log_writes: u64,
@@ -113,12 +111,10 @@ impl Counters {
         Counters {
             committed: self.committed - base.committed,
             lock_requests: self.lock_requests - base.lock_requests,
-            remote_lock_requests: self.remote_lock_requests - base.remote_lock_requests,
             ra_local_grants: self.ra_local_grants - base.ra_local_grants,
             lock_waits: self.lock_waits - base.lock_waits,
             page_requests: self.page_requests - base.page_requests,
             page_transfers: self.page_transfers - base.page_transfers,
-            gem_transfers: self.gem_transfers - base.gem_transfers,
             storage_reads: self.storage_reads - base.storage_reads,
             commit_writes: self.commit_writes - base.commit_writes,
             log_writes: self.log_writes - base.log_writes,

@@ -26,4 +26,4 @@ mod subsystem;
 
 pub mod globallog;
 
-pub use subsystem::{AccessClass, DeviceBusySnapshot, DeviceReport, StorageSubsystem};
+pub use subsystem::{DeviceBusySnapshot, DeviceReport, IoPath, IoTarget, StorageSubsystem};

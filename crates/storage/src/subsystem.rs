@@ -5,38 +5,30 @@ use dbshare_model::{NodeId, PageId, StorageAllocation, SystemConfig};
 use desim::lru::LruCache;
 use desim::{MultiServer, SimDuration, SimTime};
 
-/// How a page access was served — used for statistics and for the
-/// engine to decide CPU overhead (3000 instructions per disk I/O, 300
-/// for GEM I/O, Table 4.1) and synchrony (GEM accesses keep the CPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessClass {
-    /// Served by a magnetic disk (16.4 ms average unqueued).
-    DbDisk,
-    /// Hit in a shared disk cache (1.4 ms: controller + transfer).
-    DiskCacheHit,
-    /// Write absorbed by a non-volatile disk cache (1.4 ms).
-    NvCacheWrite,
-    /// Served by GEM (50 µs, synchronous — CPU held).
-    Gem,
-    /// Log disk write (6.4 ms).
-    LogDisk,
-}
-
-impl AccessClass {
-    /// True if the access is synchronous (the CPU stays busy until the
-    /// device completes — only GEM accesses qualify, §2).
-    pub const fn is_synchronous(self) -> bool {
-        matches!(self, AccessClass::Gem)
-    }
-}
-
-/// Outcome of a storage operation: what served it and when it completes.
+/// How a page I/O runs (§2, Table 4.1): what its initiation costs the
+/// CPU, and whether the CPU waits out the device access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Served {
-    /// Completion instant (including queueing).
-    pub done: SimTime,
-    /// Device class that served the request.
-    pub class: AccessClass,
+pub enum IoPath {
+    /// A synchronous GEM page access: the initiating CPU stays busy for
+    /// its 50 µs (GEM-resident partitions).
+    GemSync,
+    /// An asynchronous access with GEM's 300-instruction initiation: a
+    /// write into a GEM write buffer, or a log write to GEM.
+    GemAsync,
+    /// An asynchronous disk access with the 3,000-instruction
+    /// initiation (disk caches included).
+    Disk,
+}
+
+/// What a page I/O reads or writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoTarget {
+    /// A read of a database page.
+    Read(PageId),
+    /// A write of a database page.
+    Write(PageId),
+    /// A commit-log write.
+    Log,
 }
 
 /// One partition's backing store.
@@ -78,9 +70,10 @@ fn disk_array(disks: u32) -> Vec<MultiServer> {
 
 /// All external devices of one configuration (§3.3).
 ///
-/// The engine calls these methods while processing an event at `now`;
-/// each returns the completion instant for the caller to schedule a
-/// follow-up event. Device statistics accumulate internally.
+/// The engine asks [`io_path`](StorageSubsystem::io_path) how an I/O
+/// runs, and calls the device methods while processing an event at
+/// `now`; each returns the completion instant for the caller to
+/// schedule a follow-up event. Device statistics accumulate internally.
 #[derive(Debug)]
 pub struct StorageSubsystem {
     parts: Vec<PartStore>,
@@ -200,48 +193,29 @@ impl StorageSubsystem {
     ///
     /// For cached arrays the cache directory decides hit or miss (the
     /// page is staged into the cache on a miss, per \[Gr89\]).
-    pub fn read_page(&mut self, now: SimTime, page: PageId) -> Served {
+    pub fn read_page(&mut self, now: SimTime, page: PageId) -> SimTime {
         let part = &mut self.parts[page.partition().index()];
         part.reads += 1;
         match part.alloc {
             StorageAllocation::Gem => {
                 self.gem_page_ops += 1;
-                Served {
-                    done: self.gem.offer(now, self.gem_page_time),
-                    class: AccessClass::Gem,
-                }
+                self.gem.offer(now, self.gem_page_time)
             }
-            StorageAllocation::Disk { .. } => Served {
-                done: {
-                    let t = self.db_disk_time;
-                    part.disk_for(page).offer(now, t)
-                },
-                class: AccessClass::DbDisk,
-            },
+            StorageAllocation::Disk { .. } => part.disk_for(page).offer(now, self.db_disk_time),
             StorageAllocation::CachedDisk { .. } => {
                 let cache = part.cache.as_mut().expect("cached allocation has cache");
                 if cache.get(&page.number()).is_some() {
                     part.read_hits += 1;
-                    Served {
-                        done: part
-                            .controller
-                            .as_mut()
-                            .expect("cached allocation has controller")
-                            .offer(now, self.cache_hit_time),
-                        class: AccessClass::DiskCacheHit,
-                    }
+                    part.controller
+                        .as_mut()
+                        .expect("cached allocation has controller")
+                        .offer(now, self.cache_hit_time)
                 } else {
                     // Stage the page into the cache; a dirty NV page
                     // never gets evicted un-destaged because destaging
                     // is immediate (see `write_page`).
                     cache.insert(page.number(), ());
-                    Served {
-                        done: {
-                            let t = self.db_disk_time;
-                            part.disk_for(page).offer(now, t)
-                        },
-                        class: AccessClass::DbDisk,
-                    }
+                    part.disk_for(page).offer(now, self.db_disk_time)
                 }
             }
             StorageAllocation::WriteBufferedDisk { .. } => {
@@ -250,18 +224,9 @@ impl StorageSubsystem {
                     // Recently written: served from the GEM write buffer.
                     part.read_hits += 1;
                     self.gem_page_ops += 1;
-                    Served {
-                        done: self.gem.offer(now, self.gem_page_time),
-                        class: AccessClass::Gem,
-                    }
+                    self.gem.offer(now, self.gem_page_time)
                 } else {
-                    Served {
-                        done: {
-                            let t = self.db_disk_time;
-                            part.disk_for(page).offer(now, t)
-                        },
-                        class: AccessClass::DbDisk,
-                    }
+                    part.disk_for(page).offer(now, self.db_disk_time)
                 }
             }
         }
@@ -278,24 +243,15 @@ impl StorageSubsystem {
     ///   be served from a volatile cache), but the cache copy is
     ///   refreshed so later readers of any node hit.
     /// * Plain disks: a 16.4 ms disk write.
-    pub fn write_page(&mut self, now: SimTime, page: PageId) -> Served {
+    pub fn write_page(&mut self, now: SimTime, page: PageId) -> SimTime {
         let part = &mut self.parts[page.partition().index()];
         part.writes += 1;
         match part.alloc {
             StorageAllocation::Gem => {
                 self.gem_page_ops += 1;
-                Served {
-                    done: self.gem.offer(now, self.gem_page_time),
-                    class: AccessClass::Gem,
-                }
+                self.gem.offer(now, self.gem_page_time)
             }
-            StorageAllocation::Disk { .. } => Served {
-                done: {
-                    let t = self.db_disk_time;
-                    part.disk_for(page).offer(now, t)
-                },
-                class: AccessClass::DbDisk,
-            },
+            StorageAllocation::Disk { .. } => part.disk_for(page).offer(now, self.db_disk_time),
             StorageAllocation::CachedDisk { .. } => {
                 let nonvolatile = part.nonvolatile;
                 let cache = part.cache.as_mut().expect("cached allocation has cache");
@@ -308,20 +264,10 @@ impl StorageSubsystem {
                         .offer(now, self.cache_hit_time);
                     // Asynchronous destage: occupies the array but the
                     // caller does not wait.
-                    let t = self.db_disk_time;
-                    part.disk_for(page).offer(now, t);
-                    Served {
-                        done,
-                        class: AccessClass::NvCacheWrite,
-                    }
+                    part.disk_for(page).offer(now, self.db_disk_time);
+                    done
                 } else {
-                    Served {
-                        done: {
-                            let t = self.db_disk_time;
-                            part.disk_for(page).offer(now, t)
-                        },
-                        class: AccessClass::DbDisk,
-                    }
+                    part.disk_for(page).offer(now, self.db_disk_time)
                 }
             }
             StorageAllocation::WriteBufferedDisk { .. } => {
@@ -334,12 +280,8 @@ impl StorageSubsystem {
                 cache.insert(page.number(), ());
                 self.gem_page_ops += 1;
                 let done = self.gem.offer(now, self.gem_page_time);
-                let t = self.db_disk_time;
-                part.disk_for(page).offer(now, t); // async destage
-                Served {
-                    done,
-                    class: AccessClass::Gem,
-                }
+                part.disk_for(page).offer(now, self.db_disk_time); // async destage
+                done
             }
         }
     }
@@ -347,32 +289,29 @@ impl StorageSubsystem {
     /// Appends one page to `node`'s log (commit phase 1, §3.2). With
     /// [`LogStorage::Gem`](dbshare_model::LogStorage) the record goes to
     /// GEM instead of the node's log disks (§2 extension).
-    pub fn write_log(&mut self, now: SimTime, node: NodeId) -> Served {
+    pub fn write_log(&mut self, now: SimTime, node: NodeId) -> SimTime {
         if self.log_in_gem {
             self.gem_page_ops += 1;
-            return Served {
-                done: self.gem.offer(now, self.gem_page_time),
-                class: AccessClass::Gem,
-            };
+            return self.gem.offer(now, self.gem_page_time);
         }
-        Served {
-            done: self.log[node.index()].offer(now, self.log_time),
-            class: AccessClass::LogDisk,
-        }
+        self.log[node.index()].offer(now, self.log_time)
     }
 
-    /// True if the commit log is GEM-resident.
-    pub fn log_is_gem(&self) -> bool {
-        self.log_in_gem
-    }
-
-    /// True if writes to `page` complete in GEM (GEM-resident partition
-    /// or a GEM write buffer in front of the disks).
-    pub fn write_goes_to_gem(&self, page: PageId) -> bool {
-        matches!(
-            self.parts[page.partition().index()].alloc,
-            StorageAllocation::Gem | StorageAllocation::WriteBufferedDisk { .. }
-        )
+    /// The path an I/O on `target` takes: synchronous in GEM for
+    /// GEM-resident pages; GEM-initiated for writes into a GEM write
+    /// buffer and for a GEM log; a disk I/O otherwise.
+    pub fn io_path(&self, target: IoTarget) -> IoPath {
+        let (page, write) = match target {
+            IoTarget::Read(page) => (page, false),
+            IoTarget::Write(page) => (page, true),
+            IoTarget::Log if self.log_in_gem => return IoPath::GemAsync,
+            IoTarget::Log => return IoPath::Disk,
+        };
+        match self.parts[page.partition().index()].alloc {
+            StorageAllocation::Gem => IoPath::GemSync,
+            StorageAllocation::WriteBufferedDisk { .. } if write => IoPath::GemAsync,
+            _ => IoPath::Disk,
+        }
     }
 
     /// Performs `count` synchronous GEM *entry* accesses (global lock
@@ -406,13 +345,6 @@ impl StorageSubsystem {
         }
     }
 
-    /// Transfers one page through GEM (the `PageTransferMode::Gem`
-    /// extension: writer stores the page, reader fetches it).
-    pub fn gem_page_op(&mut self, now: SimTime) -> SimTime {
-        self.gem_page_ops += 1;
-        self.gem.offer(now, self.gem_page_time)
-    }
-
     /// Sends `bytes` over the interconnection network; returns delivery
     /// time (transmission only — CPU send/receive overhead is charged
     /// by the engine on the nodes' CPUs).
@@ -420,15 +352,6 @@ impl StorageSubsystem {
         self.messages += 1;
         let wire = SimDuration::from_secs_f64(bytes as f64 / (self.bandwidth_mb_s * 1e6));
         self.network.offer(now, wire)
-    }
-
-    /// True if pages of `page`'s partition live in GEM (synchronous
-    /// access, 300-instruction I/O initiation).
-    pub fn is_gem_resident(&self, page: PageId) -> bool {
-        matches!(
-            self.parts[page.partition().index()].alloc,
-            StorageAllocation::Gem
-        )
     }
 
     /// Restarts device statistics windows (end of warm-up).
@@ -606,13 +529,15 @@ mod tests {
         PageId::new(PartitionId::new(0), n)
     }
 
+    const DISK: SimDuration = SimDuration::from_micros(16_400);
+    const CACHE: SimDuration = SimDuration::from_micros(1_400);
+    const GEM: SimDuration = SimDuration::from_micros(50);
+
     #[test]
     fn disk_read_takes_16_4_ms() {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::disk(2)));
-        let r = s.read_page(SimTime::ZERO, page(1));
-        assert_eq!(r.class, AccessClass::DbDisk);
-        assert_eq!(r.done, SimTime::from_micros(16_400));
-        assert!(!r.class.is_synchronous());
+        assert_eq!(s.io_path(IoTarget::Read(page(1))), IoPath::Disk);
+        assert_eq!(s.read_page(SimTime::ZERO, page(1)), SimTime::ZERO + DISK);
     }
 
     #[test]
@@ -620,17 +545,15 @@ mod tests {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::disk(1)));
         let a = s.read_page(SimTime::ZERO, page(1));
         let b = s.read_page(SimTime::ZERO, page(2));
-        assert_eq!(b.done, a.done + SimDuration::from_micros(16_400));
+        assert_eq!(b, a + DISK);
     }
 
     #[test]
     fn gem_resident_read_takes_50_us_sync() {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::Gem));
-        let r = s.read_page(SimTime::ZERO, page(1));
-        assert_eq!(r.class, AccessClass::Gem);
-        assert_eq!(r.done, SimTime::from_micros(50));
-        assert!(r.class.is_synchronous());
-        assert!(s.is_gem_resident(page(0)));
+        assert_eq!(s.read_page(SimTime::ZERO, page(1)), SimTime::ZERO + GEM);
+        assert_eq!(s.io_path(IoTarget::Read(page(0))), IoPath::GemSync);
+        assert_eq!(s.io_path(IoTarget::Write(page(0))), IoPath::GemSync);
     }
 
     #[test]
@@ -641,11 +564,10 @@ mod tests {
             nonvolatile: false,
         }));
         let miss = s.read_page(SimTime::ZERO, page(1));
-        assert_eq!(miss.class, AccessClass::DbDisk);
-        let hit = s.read_page(miss.done, page(1));
-        assert_eq!(hit.class, AccessClass::DiskCacheHit);
-        assert_eq!(hit.done - miss.done, SimDuration::from_micros(1_400));
-        let rep = s.report(hit.done);
+        assert_eq!(miss, SimTime::ZERO + DISK);
+        let hit = s.read_page(miss, page(1));
+        assert_eq!(hit, miss + CACHE);
+        let rep = s.report(hit);
         assert_eq!(rep.partitions[0].reads, 2);
         assert_eq!(rep.partitions[0].read_hits, 1);
     }
@@ -659,14 +581,13 @@ mod tests {
         }));
         let mut t = SimTime::ZERO;
         for n in [1u64, 2, 3] {
-            t = s.read_page(t, page(n)).done;
+            t = s.read_page(t, page(n));
         }
         // page 1 was evicted by page 3
         let r = s.read_page(t, page(1));
-        assert_eq!(r.class, AccessClass::DbDisk);
+        assert_eq!(r, t + DISK);
         // page 3 still cached
-        let r = s.read_page(r.done, page(3));
-        assert_eq!(r.class, AccessClass::DiskCacheHit);
+        assert_eq!(s.read_page(r, page(3)), r + CACHE);
     }
 
     #[test]
@@ -676,12 +597,11 @@ mod tests {
             cache_pages: 10,
             nonvolatile: true,
         }));
+        assert_eq!(s.io_path(IoTarget::Write(page(5))), IoPath::Disk);
         let w = s.write_page(SimTime::ZERO, page(5));
-        assert_eq!(w.class, AccessClass::NvCacheWrite);
-        assert_eq!(w.done, SimTime::from_micros(1_400));
+        assert_eq!(w, SimTime::ZERO + CACHE);
         // subsequent read hits the cache
-        let r = s.read_page(w.done, page(5));
-        assert_eq!(r.class, AccessClass::DiskCacheHit);
+        assert_eq!(s.read_page(w, page(5)), w + CACHE);
         // the destage occupied the array
         let rep = s.report(SimTime::from_millis(100));
         assert!(rep.partitions[0].disk_utilization > 0.0);
@@ -695,17 +615,16 @@ mod tests {
             nonvolatile: false,
         }));
         let w = s.write_page(SimTime::ZERO, page(5));
-        assert_eq!(w.class, AccessClass::DbDisk); // full disk latency
-        let r = s.read_page(w.done, page(5));
-        assert_eq!(r.class, AccessClass::DiskCacheHit); // global buffer effect
+        assert_eq!(w, SimTime::ZERO + DISK); // full disk latency
+        assert_eq!(s.read_page(w, page(5)), w + CACHE); // global buffer effect
     }
 
     #[test]
     fn log_write_takes_6_4_ms_per_node() {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::disk(1)));
+        assert_eq!(s.io_path(IoTarget::Log), IoPath::Disk);
         let w = s.write_log(SimTime::ZERO, NodeId::new(1));
-        assert_eq!(w.class, AccessClass::LogDisk);
-        assert_eq!(w.done, SimTime::from_micros(6_400));
+        assert_eq!(w, SimTime::from_micros(6_400));
     }
 
     #[test]
@@ -739,17 +658,15 @@ mod tests {
             disks: 2,
             buffer_pages: 8,
         }));
-        assert!(s.write_goes_to_gem(page(1)));
-        assert!(!s.is_gem_resident(page(1)));
+        assert_eq!(s.io_path(IoTarget::Write(page(1))), IoPath::GemAsync);
+        assert_eq!(s.io_path(IoTarget::Read(page(1))), IoPath::Disk);
         let w = s.write_page(SimTime::ZERO, page(1));
-        assert_eq!(w.class, AccessClass::Gem);
-        assert_eq!(w.done, SimTime::from_micros(50));
+        assert_eq!(w, SimTime::ZERO + GEM);
         // a read of the recently written page hits the buffer
-        let r = s.read_page(w.done, page(1));
-        assert_eq!(r.class, AccessClass::Gem);
+        let r = s.read_page(w, page(1));
+        assert_eq!(r, w + GEM);
         // an unrelated page reads from disk
-        let r2 = s.read_page(r.done, page(2));
-        assert_eq!(r2.class, AccessClass::DbDisk);
+        assert_eq!(s.read_page(r, page(2)), r + DISK);
         // the destage occupied the disk array
         let rep = s.report(SimTime::from_millis(100));
         assert!(rep.partitions[0].disk_utilization > 0.0);
@@ -763,11 +680,12 @@ mod tests {
         }));
         let mut t = SimTime::ZERO;
         for n in [1u64, 3, 5] {
-            t = s.write_page(t, page(n)).done;
+            t = s.write_page(t, page(n));
         }
-        // page 1 fell out of the (destaged) buffer: read goes to disk
-        assert_eq!(s.read_page(t, page(1)).class, AccessClass::DbDisk);
-        assert_eq!(s.read_page(t, page(5)).class, AccessClass::Gem);
+        // page 1 fell out of the (destaged) buffer: the read goes to
+        // the disk, queued behind the destages
+        assert!(s.read_page(t, page(1)) >= t + DISK);
+        assert_eq!(s.read_page(t, page(5)), t + GEM);
     }
 
     #[test]
@@ -775,10 +693,9 @@ mod tests {
         let mut cfg = cfg_with(StorageAllocation::disk(1));
         cfg.log_storage = dbshare_model::LogStorage::Gem;
         let mut s = StorageSubsystem::new(&cfg);
-        assert!(s.log_is_gem());
+        assert_eq!(s.io_path(IoTarget::Log), IoPath::GemAsync);
         let w = s.write_log(SimTime::ZERO, NodeId::new(0));
-        assert_eq!(w.class, AccessClass::Gem);
-        assert_eq!(w.done, SimTime::from_micros(50));
+        assert_eq!(w, SimTime::ZERO + GEM);
         let rep = s.report(SimTime::from_millis(1));
         assert_eq!(rep.log_utilization[0], 0.0);
     }
