@@ -67,8 +67,9 @@ pub(crate) enum Arrival {
 
 impl Engine {
     /// Starts `op`: the initiation CPU job on the node that performs
-    /// it, on the path storage names. A transaction reading from disk
-    /// waits from here, unless its page request's wait is still open.
+    /// it, on the path storage names. A transaction whose read is
+    /// asynchronous waits from here, unless the wait of its page
+    /// request is still open.
     pub(crate) fn start_io(&mut self, now: SimTime, op: IoOp) {
         let (node, txn, path) = match op {
             IoOp::Read(id) => {

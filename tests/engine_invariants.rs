@@ -1,11 +1,15 @@
 //! Engine-level invariants: determinism, conservation, admission
 //! control, and abort/restart machinery.
 
+use dbshare::desim::trace::{unpack_page, TraceEventKind};
 use dbshare::desim::Rng;
 use dbshare::model::gla::{GlaMap, PartitionGla};
 use dbshare::model::{NodeId, PageId, PartitionId, TxnTypeId};
 use dbshare::prelude::*;
+use dbshare::sim::Observe;
+use dbshare::workload::debit_credit::BT;
 use dbshare::workload::Workload;
+use std::collections::HashMap;
 
 fn quick() -> RunLength {
     RunLength {
@@ -383,4 +387,47 @@ fn scales_to_32_nodes() {
         r.cpu_utilization
     );
     assert_eq!(r.timeout_aborts, 0);
+}
+
+/// A page request whose owner already wrote its copy back is answered
+/// "not found", and the requester reads the page like a buffer miss: a
+/// GEM-resident page synchronously from GEM, counted and traced once,
+/// when the read completes. GEM locking, NOFORCE and a 200-page buffer
+/// on 3 nodes evict owned BRANCH/TELLER pages often enough for a few
+/// requests to miss their copy.
+#[test]
+fn page_replies_without_a_copy_read_gem_resident_pages_from_gem() {
+    let p = DebitCreditRun {
+        routing: RoutingStrategy::Random,
+        bt: BtStorage::Gem,
+        ..DebitCreditRun::baseline(3, RunLength::quick())
+    };
+    let observe = Observe {
+        trace: true,
+        timeline_every: None,
+    };
+    let (_, obs) = experiments::RunSpec::DebitCredit(p).execute_observed(observe);
+    // The instant of each transaction's BRANCH/TELLER read in progress.
+    let mut reading = HashMap::new();
+    let mut after_request = 0;
+    for e in &obs.trace {
+        if unpack_page(e.page).is_none_or(|(part, _)| part != BT.raw()) {
+            continue;
+        }
+        match e.kind {
+            TraceEventKind::PageRead => {
+                let again = reading.insert(e.txn, e.at);
+                assert_eq!(again, None, "T{} read its page twice", e.txn);
+            }
+            TraceEventKind::PageReadDone => {
+                if let Some(at) = reading.remove(&e.txn) {
+                    assert_eq!(at, e.at, "T{}'s GEM read was not synchronous", e.txn);
+                    // The wait of a page request ends here.
+                    after_request += usize::from(e.arg > 0);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(after_request > 0, "no page request missed its copy");
 }
