@@ -25,7 +25,7 @@
 //!   [`fxhash::FxHashSet`]) for the per-event state lookups,
 //! * [`InlineVec`] — an inline small-vector for per-event element
 //!   lists, so steady state never touches the global allocator,
-//! * [`trace`] — structured, sim-time-stamped event records and sinks
+//! * [`trace`] — structured, sim-time-stamped event records
 //!   for deterministic (diffable) execution traces.
 //!
 //! # Example

@@ -282,7 +282,7 @@ pub fn debit_credit_run_at(
 }
 
 /// Builds the fully configured engine for a debit-credit run without
-/// running it (observed execution attaches its sinks first).
+/// running it (observed execution sets its observation first).
 fn debit_credit_engine_at(
     p: DebitCreditRun,
     tps: f64,
