@@ -28,10 +28,12 @@
 //! the whole suite, with events/s of host wall-clock) to stderr —
 //! stdout stays byte-identical with or without the flag.
 //!
-//! The binary installs a counting global allocator (a thread-local
-//! increment per allocation), so every artifact records per-job
-//! `host_allocs` / `allocs_per_event`. `--alloc-stats` additionally
-//! prints the per-figure and suite allocs/event to stderr.
+//! The binary installs a counting global allocator (thread-local
+//! counters updated on every allocation and free), so every artifact
+//! records per-job `host_allocs` / `allocs_per_event` and the job's
+//! `peak_heap_bytes`.
+//! `--alloc-stats` additionally prints the per-figure and suite
+//! allocs/event and the largest per-job peak heap to stderr.
 //!
 //! Every run is also appended to the experiment store — one JSON line
 //! per job under `exphistory/history.jsonl` (`--history DIR` to
@@ -98,9 +100,10 @@ use dbshare_sim::{RunProfile, RunReport};
 use std::path::{Path, PathBuf};
 
 /// Count every heap allocation the reproduction performs, so
-/// `--alloc-stats` can report per-job allocator traffic and the
-/// artifact can pin allocs/event. Counting is a thread-local increment
-/// per `alloc`/`realloc` — cheap enough to leave always on.
+/// `--alloc-stats` can report per-job allocator traffic and peak heap,
+/// and the artifact can pin allocs/event. Counting is a few
+/// thread-local updates per allocation and free — cheap enough to
+/// leave always on.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -844,21 +847,29 @@ fn main() {
         // byte-identical with or without the flag. The rows are the
         // store's per-figure aggregates of this run's records, the
         // same fold --history prints.
-        let line = |name: &str, allocs: u64, events: u64, wall_secs: f64| {
+        let line = |name: &str, allocs: u64, events: u64, wall_secs: f64, peak: u64| {
             eprintln!(
                 "alloc [{name}]: {:.4} allocs/event ({allocs} allocs, {events} events, \
-                 {wall_secs:.2}s job wall)",
+                 {wall_secs:.2}s job wall), peak heap {peak} bytes",
                 allocs as f64 / (events.max(1)) as f64,
             );
         };
-        let (mut allocs, mut events, mut wall_secs) = (0, 0, 0.0);
+        let (mut allocs, mut events, mut wall_secs, mut peak) = (0, 0, 0.0, 0);
         for row in figure_runs(&outcome.store_records(&provenance)) {
-            line(&row.figure, row.host_allocs, row.events, row.wall_secs);
+            let row_peak = row.peak_heap_bytes.unwrap_or(0);
+            line(
+                &row.figure,
+                row.host_allocs,
+                row.events,
+                row.wall_secs,
+                row_peak,
+            );
             allocs += row.host_allocs;
             events += row.events;
             wall_secs += row.wall_secs;
+            peak = peak.max(row_peak);
         }
-        line("suite", allocs, events, wall_secs);
+        line("suite", allocs, events, wall_secs, peak);
     }
 
     if !outcome.results.is_empty() {

@@ -33,6 +33,9 @@ pub struct FigureRun {
     /// Summed host heap allocations of the rows that carry the
     /// report-only [`JobDetail`](crate::JobDetail) (legacy rows add 0).
     pub host_allocs: u64,
+    /// Largest per-job peak heap of the run's jobs, in bytes. `None`
+    /// when no job carried the count (legacy rows).
+    pub peak_heap_bytes: Option<u64>,
     /// Largest per-job peak RSS of the run's jobs, in MiB — the
     /// memory budget the whole figure fit in. `None` when no job
     /// carried the sample (legacy rows, non-Linux hosts).
@@ -76,6 +79,7 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
                     events: 0,
                     allocs_per_event: 0.0,
                     host_allocs: 0,
+                    peak_heap_bytes: None,
                     peak_rss_mb: None,
                     binding: None,
                     binding_utilization: None,
@@ -89,6 +93,9 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
         rows[at].wall_secs += r.wall_secs;
         rows[at].events += r.events_processed;
         rows[at].host_allocs += r.detail.as_ref().map_or(0, |d| d.host_allocs);
+        if let Some(bytes) = r.detail.as_ref().and_then(|d| d.peak_heap_bytes) {
+            rows[at].peak_heap_bytes = rows[at].peak_heap_bytes.max(Some(bytes));
+        }
         if let Some(mb) = r.peak_rss_mb {
             let merged = rows[at].peak_rss_mb.map_or(mb, |best| best.max(mb));
             rows[at].peak_rss_mb = Some(merged);
@@ -185,6 +192,7 @@ mod tests {
             rec.detail = Some(crate::JobDetail {
                 host_allocs: allocs,
                 host_alloc_bytes: 64 * allocs,
+                peak_heap_bytes: Some(1_000 * allocs),
                 sim_seconds: 1.0,
                 measured_txns: 10,
                 norm_response_ms: 1.0,
@@ -196,8 +204,9 @@ mod tests {
         }
         let rows = figure_runs(&records);
         assert_eq!((rows[0].run.as_str(), rows[0].host_allocs), ("r1", 12));
+        assert_eq!(rows[0].peak_heap_bytes, Some(7_000));
         // Rows without the trailer add nothing.
-        assert_eq!(rows[2].host_allocs, 0);
+        assert_eq!((rows[2].host_allocs, rows[2].peak_heap_bytes), (0, None));
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub struct Record {
 }
 
 /// Per-job figures a record carries for readers of the artifact:
-/// host allocation totals and the run's simulated headline numbers.
+/// host allocation totals and peak heap, and the run's simulated
+/// headline numbers.
 /// Neither the gate nor the trend tables read them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDetail {
@@ -107,6 +108,9 @@ pub struct JobDetail {
     pub host_allocs: u64,
     /// Bytes those allocations requested.
     pub host_alloc_bytes: u64,
+    /// Peak heap bytes the job held live. `None` on rows written before
+    /// the peak was counted; rendered only when present.
+    pub peak_heap_bytes: Option<u64>,
     /// Length of the measurement window in simulated seconds.
     pub sim_seconds: f64,
     /// Committed transactions in the measurement window.
@@ -219,6 +223,9 @@ impl Record {
             doc.set("events_per_sec", Json::Num(self.events_per_sec()));
             doc.set("host_allocs", Json::Num(d.host_allocs as f64));
             doc.set("host_alloc_bytes", Json::Num(d.host_alloc_bytes as f64));
+            if let Some(bytes) = d.peak_heap_bytes {
+                doc.set("peak_heap_bytes", Json::Num(bytes as f64));
+            }
             doc.set("sim_seconds", Json::Num(d.sim_seconds));
             doc.set("measured_txns", Json::Num(d.measured_txns as f64));
             doc.set("norm_response_ms", Json::Num(d.norm_response_ms));
@@ -272,6 +279,10 @@ impl Record {
             Some(_) => Some(JobDetail {
                 host_allocs: num_field("host_allocs")? as u64,
                 host_alloc_bytes: num_field("host_alloc_bytes")? as u64,
+                peak_heap_bytes: match doc.get("peak_heap_bytes") {
+                    None => None,
+                    Some(_) => Some(num_field("peak_heap_bytes")? as u64),
+                },
                 sim_seconds: num_field("sim_seconds")?,
                 measured_txns: num_field("measured_txns")? as u64,
                 norm_response_ms: num_field("norm_response_ms")?,
@@ -455,6 +466,7 @@ mod tests {
         rec.detail = Some(JobDetail {
             host_allocs: 4_375,
             host_alloc_bytes: 1_048_576,
+            peak_heap_bytes: Some(524_288),
             sim_seconds: 12.5,
             measured_txns: 2_500,
             norm_response_ms: 71.7,
@@ -473,6 +485,14 @@ mod tests {
         let back = Record::from_line(&line).expect("parses back");
         assert_eq!(back, rec);
         assert_eq!(back.to_line(), line);
+
+        // A trailer written before the peak heap was counted parses
+        // without it and re-renders unchanged.
+        let mut older = doc.clone();
+        older.remove("peak_heap_bytes");
+        let back = Record::from_json(&older).expect("older trailer parses");
+        assert_eq!(back.detail.as_ref().unwrap().peak_heap_bytes, None);
+        assert_eq!(back.to_json(), older);
 
         let mut partial = doc;
         partial.remove("sim_seconds");

@@ -160,6 +160,7 @@ impl Outcome {
                     detail: Some(dbshare_expstore::JobDetail {
                         host_allocs: res.report.profile.host_allocs,
                         host_alloc_bytes: res.report.profile.host_alloc_bytes,
+                        peak_heap_bytes: Some(res.report.profile.peak_heap_bytes),
                         sim_seconds: res.report.sim_seconds,
                         measured_txns: res.report.measured_txns,
                         norm_response_ms: res.report.norm_response_ms,

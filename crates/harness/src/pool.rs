@@ -99,10 +99,15 @@ pub fn run_jobs_ticked(
                 let allocs0 = alloc_track::thread_allocs();
                 let bytes0 = alloc_track::thread_alloc_bytes();
                 let gauge = ticker.map(|t| t.register(format!("{} n={}", job.curve, job.nodes)));
+                // The heap high-water mark starts at the live bytes the
+                // thread holds now, so it measures this job alone.
+                alloc_track::reset_thread_peak();
+                let live0 = alloc_track::thread_live_bytes();
                 let start = Instant::now();
                 let (mut report, observations) =
                     job.spec.execute_instrumented(job.observe, gauge.clone());
                 let wall_secs = start.elapsed().as_secs_f64();
+                report.profile.peak_heap_bytes = (alloc_track::thread_peak_bytes() - live0) as u64;
                 if let (Some(t), Some(gauge)) = (ticker, &gauge) {
                     t.finish(gauge, report.events_processed);
                 }

@@ -1,0 +1,92 @@
+//! Memory follows live state. A converging run's peak heap does not
+//! grow with its length, and the lock state PCL builds before the first
+//! event grows about linearly with the node count.
+//!
+//! This binary installs the counting allocator, so the job pool records
+//! each job's exact peak heap (`RunProfile::peak_heap_bytes`). The
+//! counts are deterministic for a given build, so the bounds do not
+//! flake.
+
+#[global_allocator]
+static ALLOC: dbshare_harness::CountingAlloc = dbshare_harness::CountingAlloc;
+
+use dbshare_harness::{alloc_track, run_jobs, Job, Observe};
+use dbshare_model::{CouplingMode, RoutingStrategy, SystemConfig};
+use dbshare_sim::experiments::{RunLength, RunSpec, ScaleRun};
+use dbshare_sim::Engine;
+use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
+
+/// Largest peak-heap growth allowed from L to 4L measured transactions.
+const MAX_RUN_LENGTH_GROWTH: u64 = 16 * 1024;
+
+/// Largest PCL `Engine::new` heap at 200 nodes, as a multiple of the
+/// heap at 50 nodes. Four times the nodes cost four times the tables.
+const MAX_NODE_COUNT_RATIO: f64 = 4.5;
+
+/// 3 nodes, NOFORCE, affinity routing, 50 TPS per node: below every
+/// saturation point, so the live state is bounded by the MPL and the
+/// run length changes nothing but the number of transactions.
+fn converging(coupling: CouplingMode, measured: u64) -> Job {
+    Job {
+        figure: "memory".into(),
+        curve: format!("{coupling:?}"),
+        nodes: 3,
+        spec: RunSpec::Scale(ScaleRun {
+            nodes: 3,
+            accounts: 10_000,
+            coupling,
+            tps_per_node: 50.0,
+            page_metadata_budget: 8_192,
+            run: RunLength {
+                warmup: 3_000,
+                measured,
+            },
+            seed: 7,
+        }),
+        observe: Observe::default(),
+    }
+}
+
+#[test]
+fn peak_heap_does_not_grow_with_run_length() {
+    for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
+        let jobs = vec![converging(coupling, 2_000), converging(coupling, 8_000)];
+        let results = run_jobs(jobs, 1, false);
+        for r in &results {
+            assert!(!r.report.truncated, "{coupling:?} must converge");
+        }
+        let short = results[0].report.profile.peak_heap_bytes;
+        let long = results[1].report.profile.peak_heap_bytes;
+        assert!(short > 0, "counting allocator not active");
+        assert!(
+            long < short + MAX_RUN_LENGTH_GROWTH,
+            "{coupling:?}: peak heap {short} B at 2,000 measured, {long} B at 8,000"
+        );
+    }
+}
+
+/// Heap bytes a PCL engine holds once built, before its first event.
+fn pcl_engine_heap(nodes: u16) -> i64 {
+    let mut cfg = SystemConfig::debit_credit(nodes);
+    cfg.coupling = CouplingMode::Pcl;
+    cfg.page_metadata_budget = Some(8_192);
+    let dc = DebitCredit::with_accounts(nodes, 1_000_000);
+    let wl = DebitCreditWorkload::new(dc, cfg.arrival_tps_per_node, RoutingStrategy::Affinity);
+    cfg.partitions = wl.partitions().to_vec();
+    let live0 = alloc_track::thread_live_bytes();
+    let engine = Engine::new(cfg, Box::new(wl)).expect("valid configuration");
+    let heap = alloc_track::thread_live_bytes() - live0;
+    drop(engine);
+    heap
+}
+
+#[test]
+fn pcl_lock_state_grows_linearly_with_nodes() {
+    let (small, large) = (pcl_engine_heap(50), pcl_engine_heap(200));
+    assert!(small > 0, "counting allocator not active");
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio <= MAX_NODE_COUNT_RATIO,
+        "PCL engine heap {small} B at 50 nodes, {large} B at 200 ({ratio:.1}x)"
+    );
+}

@@ -107,7 +107,10 @@ impl Locking {
     /// node's buffer, capped by `page_metadata_budget`: entries past
     /// the cap are materialized lazily on first touch, which trades a
     /// few early rehashes for not committing `buffer × nodes` entries
-    /// of RAM up front on 200-node runs.
+    /// of RAM up front on 200-node runs. The one GLT is sized for every
+    /// live transaction; each GLA for one node's MPL, growing on demand
+    /// when random routing sends it more, so the pre-sized total stays
+    /// linear in the node count.
     pub(crate) fn new(cfg: &SystemConfig, workload: &dyn Workload, live: usize) -> Self {
         let nodes = cfg.nodes as usize;
         let hot_pages = cfg.buffer_pages_per_node as usize * 2;
@@ -119,7 +122,7 @@ impl Locking {
             CouplingMode::Pcl => Locking::Pcl(Pcl {
                 gla_map: workload.gla_map(),
                 gla: (0..nodes)
-                    .map(|_| GlaState::with_capacity(cap(hot_pages), live))
+                    .map(|_| GlaState::with_capacity(cap(hot_pages), cfg.mpl_per_node as usize))
                     .collect(),
                 ra: (0..nodes).map(|_| RaTable::new()).collect(),
                 pending_acks: (0..nodes).map(|_| fxhash::map_with_capacity(16)).collect(),

@@ -363,13 +363,8 @@ impl Engine {
     // Report assembly
     // ------------------------------------------------------------------
 
-    /// Builds the end-of-run report at `now`. Also constructs and
-    /// validates the merged global log (§2 / \[Ra91a\]) — an internal
-    /// consistency check on commit ordering.
+    /// Builds the end-of-run report at `now`.
     pub(crate) fn build_report(&mut self, now: SimTime) -> RunReport {
-        let global_log = dbshare_storage::globallog::merge(&self.local_logs);
-        let global_log_records = dbshare_storage::globallog::validate(&global_log)
-            .expect("global log must merge consistently") as u64;
         let c = self.counters.since(&self.base);
         let n = self.measured.max(1) as f64;
         let dev = self.storage.report(now);
@@ -440,13 +435,13 @@ impl Engine {
                 .part_names
                 .iter()
                 .cloned()
-                .zip(dev.partitions.iter().map(|p| p.disk_utilization))
+                .zip(dev.disk_utilization)
                 .collect(),
             log_utilization_max: dev.log_utilization.iter().cloned().fold(0.0, f64::max),
             deadlock_aborts: c.deadlock_aborts,
             timeout_aborts: c.timeout_aborts,
             crash_aborts: c.crash_aborts,
-            global_log_records,
+            global_log_records: self.update_commits,
             events_processed: self.cal.total_scheduled(),
             profile: self.profile.clone(),
             tps_per_node_at_80pct_cpu: if cpu_avg > 1e-9 {

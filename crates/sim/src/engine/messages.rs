@@ -203,13 +203,10 @@ impl Engine {
             txn,
             page,
             found: true,
-            via_gem,
             ..
         } = reply.body
         {
-            if !via_gem {
-                self.counters.page_transfers += 1;
-            }
+            self.counters.page_transfers += 1;
             self.emit(
                 now,
                 TraceEventKind::PageTransfer,

@@ -5,9 +5,7 @@
 //! so the per-event transaction lookup does not need a hash map at
 //! all: a flat `index` vector maps `TxnId::raw()` to a slot in a slab
 //! of `Option<Txn>`, making `get`/`get_mut` two array indexes. Slots
-//! are recycled through a free list; the index grows by 4 bytes per
-//! transaction ever admitted (a few hundred kilobytes for the longest
-//! paper runs).
+//! are recycled through a free list.
 //!
 //! The API mirrors the `HashMap<TxnId, Txn>` it replaced, so call
 //! sites read identically. Iteration is in slot order — deterministic
@@ -34,10 +32,6 @@ const NIL: u32 = u32::MAX;
 /// runs stay under it and keep their exact historical allocation
 /// profile; scale runs cross it within the first second of sim time.
 const COMPACT_MIN: usize = 1 << 14;
-
-/// Largest index pre-allocation honoured by [`TxnTable::with_capacity`]
-/// — beyond it the sliding window makes up-front sizing pointless.
-const MAX_INDEX_PREALLOC: usize = 1 << 20;
 
 /// Converts a slab position to its `u32` slot index, refusing to wrap
 /// into the `NIL` sentinel: at 2^32-1 concurrently live transactions
@@ -72,13 +66,13 @@ pub(crate) struct TxnTable {
 
 impl TxnTable {
     /// Creates a table pre-sized for `live` concurrently active
-    /// transactions (the MPL bound) and `total` admissions overall
-    /// (capped: the sliding index never needs more than a window).
-    pub fn with_capacity(live: usize, total: usize) -> Self {
+    /// transactions (the MPL bound) and one compaction window of
+    /// index entries, whatever the run length.
+    pub fn with_capacity(live: usize) -> Self {
         TxnTable {
             slots: Vec::with_capacity(live),
             free: Vec::new(),
-            index: Vec::with_capacity(total.min(MAX_INDEX_PREALLOC)),
+            index: Vec::with_capacity(COMPACT_MIN),
             base: 0,
             since_compact: 0,
             live: 0,
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut t = TxnTable::with_capacity(4, 16);
+        let mut t = TxnTable::with_capacity(4);
         t.insert(TxnId::new(0), mk(0));
         t.insert(TxnId::new(1), mk(1));
         assert_eq!(t.len(), 2);
@@ -291,7 +285,7 @@ mod tests {
 
     #[test]
     fn slots_recycle_but_ids_do_not() {
-        let mut t = TxnTable::with_capacity(2, 64);
+        let mut t = TxnTable::with_capacity(2);
         for id in 0..50u64 {
             t.insert(TxnId::new(id), mk(id));
             if id >= 2 {
@@ -309,7 +303,7 @@ mod tests {
 
     #[test]
     fn retire_keeps_storage_for_renewal_in_place() {
-        let mut t = TxnTable::with_capacity(2, 8);
+        let mut t = TxnTable::with_capacity(2);
         t.insert(TxnId::new(0), mk(0));
         t.get_mut(&TxnId::new(0)).unwrap().step = 9;
         t.retire(&TxnId::new(0));
@@ -337,7 +331,7 @@ mod tests {
 
     #[test]
     fn index_window_slides_and_lookups_survive() {
-        let mut t = TxnTable::with_capacity(2, 64);
+        let mut t = TxnTable::with_capacity(2);
         // Drive far past COMPACT_MIN with a bounded live set.
         let total = (COMPACT_MIN * 3) as u64;
         for id in 0..total {
@@ -379,7 +373,7 @@ mod tests {
 
     #[test]
     fn get_mut_mutates_in_place() {
-        let mut t = TxnTable::with_capacity(1, 1);
+        let mut t = TxnTable::with_capacity(1);
         t.insert(TxnId::new(0), mk(0));
         t.get_mut(&TxnId::new(0)).unwrap().step = 7;
         assert_eq!(t.get(&TxnId::new(0)).unwrap().step, 7);

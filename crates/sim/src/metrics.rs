@@ -174,6 +174,10 @@ pub struct RunProfile {
     /// Host heap bytes requested while executing the run. Same caveats
     /// as [`host_allocs`](Self::host_allocs).
     pub host_alloc_bytes: u64,
+    /// Peak host heap bytes the run held live above what its thread
+    /// held when it started; a merged profile keeps the largest. Same
+    /// caveats as [`host_allocs`](Self::host_allocs).
+    pub peak_heap_bytes: u64,
 }
 
 impl RunProfile {
@@ -195,6 +199,7 @@ impl RunProfile {
         self.cont_storage += other.cont_storage;
         self.host_allocs += other.host_allocs;
         self.host_alloc_bytes += other.host_alloc_bytes;
+        self.peak_heap_bytes = self.peak_heap_bytes.max(other.peak_heap_bytes);
     }
 
     /// Host heap allocations per processed calendar event — the
@@ -310,7 +315,8 @@ pub struct RunReport {
     /// Page requests per transaction (NOFORCE misses served by owners).
     pub page_requests_per_txn: f64,
     /// Pages transferred between nodes per transaction (page-request
-    /// replies under GEM locking; grant piggybacks under PCL).
+    /// replies that carry the page or announce it in GEM under GEM
+    /// locking; grant piggybacks under PCL).
     pub page_transfers_per_txn: f64,
     /// Read-authorization revocations sent per transaction (PCL read
     /// optimization).
@@ -347,8 +353,9 @@ pub struct RunReport {
     /// Transactions killed by an injected node crash (their restarts
     /// run on surviving nodes).
     pub crash_aborts: u64,
-    /// Records in the merged global log (update commits over the whole
-    /// run incl. warm-up; the merge is validated every run, §2/\[Ra91a\]).
+    /// Records a global log merged from the nodes' local logs would
+    /// hold: update commits over the whole run, warm-up included
+    /// (§2/\[Ra91a\]).
     pub global_log_records: u64,
     /// Calendar events processed over the whole run (simulator-
     /// performance figure; pairs with the criterion benches).

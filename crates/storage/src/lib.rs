@@ -24,6 +24,4 @@
 
 mod subsystem;
 
-pub mod globallog;
-
 pub use subsystem::{DeviceBusySnapshot, DeviceReport, IoPath, IoTarget, StorageSubsystem};

@@ -50,9 +50,6 @@ struct PartStore {
     /// timing; presence is what matters).
     cache: Option<LruCache<u64, ()>>,
     nonvolatile: bool,
-    reads: u64,
-    read_hits: u64,
-    writes: u64,
 }
 
 impl PartStore {
@@ -92,7 +89,6 @@ pub struct StorageSubsystem {
     gem_entry_time: SimDuration,
     bandwidth_mb_s: f64,
     log_in_gem: bool,
-    gem_page_ops: u64,
     gem_entry_ops: u64,
     messages: u64,
     stats_since: SimTime,
@@ -117,9 +113,6 @@ impl StorageSubsystem {
                     controller: None,
                     cache: None,
                     nonvolatile: false,
-                    reads: 0,
-                    read_hits: 0,
-                    writes: 0,
                 },
                 StorageAllocation::CachedDisk {
                     disks,
@@ -134,9 +127,6 @@ impl StorageSubsystem {
                     controller: Some(MultiServer::new((disks / 2).max(2))),
                     cache: Some(LruCache::new(cache_pages as usize)),
                     nonvolatile,
-                    reads: 0,
-                    read_hits: 0,
-                    writes: 0,
                 },
                 StorageAllocation::Gem => PartStore {
                     alloc: p.storage.clone(),
@@ -144,9 +134,6 @@ impl StorageSubsystem {
                     controller: None,
                     cache: None,
                     nonvolatile: true,
-                    reads: 0,
-                    read_hits: 0,
-                    writes: 0,
                 },
                 StorageAllocation::WriteBufferedDisk {
                     disks,
@@ -157,9 +144,6 @@ impl StorageSubsystem {
                     controller: None,
                     cache: Some(LruCache::new(buffer_pages as usize)),
                     nonvolatile: true,
-                    reads: 0,
-                    read_hits: 0,
-                    writes: 0,
                 },
             })
             .collect();
@@ -182,7 +166,6 @@ impl StorageSubsystem {
             gem_entry_time: cfg.gem_entry_time(),
             bandwidth_mb_s: cfg.comm.bandwidth_mb_per_s,
             log_in_gem: cfg.log_storage == dbshare_model::LogStorage::Gem,
-            gem_page_ops: 0,
             gem_entry_ops: 0,
             messages: 0,
             stats_since: SimTime::ZERO,
@@ -195,17 +178,12 @@ impl StorageSubsystem {
     /// page is staged into the cache on a miss, per \[Gr89\]).
     pub fn read_page(&mut self, now: SimTime, page: PageId) -> SimTime {
         let part = &mut self.parts[page.partition().index()];
-        part.reads += 1;
         match part.alloc {
-            StorageAllocation::Gem => {
-                self.gem_page_ops += 1;
-                self.gem.offer(now, self.gem_page_time)
-            }
+            StorageAllocation::Gem => self.gem.offer(now, self.gem_page_time),
             StorageAllocation::Disk { .. } => part.disk_for(page).offer(now, self.db_disk_time),
             StorageAllocation::CachedDisk { .. } => {
                 let cache = part.cache.as_mut().expect("cached allocation has cache");
                 if cache.get(&page.number()).is_some() {
-                    part.read_hits += 1;
                     part.controller
                         .as_mut()
                         .expect("cached allocation has controller")
@@ -222,8 +200,6 @@ impl StorageSubsystem {
                 let cache = part.cache.as_mut().expect("write buffer exists");
                 if cache.get(&page.number()).is_some() {
                     // Recently written: served from the GEM write buffer.
-                    part.read_hits += 1;
-                    self.gem_page_ops += 1;
                     self.gem.offer(now, self.gem_page_time)
                 } else {
                     part.disk_for(page).offer(now, self.db_disk_time)
@@ -245,12 +221,8 @@ impl StorageSubsystem {
     /// * Plain disks: a 16.4 ms disk write.
     pub fn write_page(&mut self, now: SimTime, page: PageId) -> SimTime {
         let part = &mut self.parts[page.partition().index()];
-        part.writes += 1;
         match part.alloc {
-            StorageAllocation::Gem => {
-                self.gem_page_ops += 1;
-                self.gem.offer(now, self.gem_page_time)
-            }
+            StorageAllocation::Gem => self.gem.offer(now, self.gem_page_time),
             StorageAllocation::Disk { .. } => part.disk_for(page).offer(now, self.db_disk_time),
             StorageAllocation::CachedDisk { .. } => {
                 let nonvolatile = part.nonvolatile;
@@ -278,7 +250,6 @@ impl StorageSubsystem {
                 // instruction initiation).
                 let cache = part.cache.as_mut().expect("write buffer exists");
                 cache.insert(page.number(), ());
-                self.gem_page_ops += 1;
                 let done = self.gem.offer(now, self.gem_page_time);
                 part.disk_for(page).offer(now, self.db_disk_time); // async destage
                 done
@@ -291,7 +262,6 @@ impl StorageSubsystem {
     /// GEM instead of the node's log disks (§2 extension).
     pub fn write_log(&mut self, now: SimTime, node: NodeId) -> SimTime {
         if self.log_in_gem {
-            self.gem_page_ops += 1;
             return self.gem.offer(now, self.gem_page_time);
         }
         self.log[node.index()].offer(now, self.log_time)
@@ -326,7 +296,6 @@ impl StorageSubsystem {
     /// Performs `count` synchronous GEM *page* accesses back-to-back
     /// (equivalent to one request of `count ×` the page time).
     pub fn gem_pages(&mut self, now: SimTime, count: u32) -> SimTime {
-        self.gem_page_ops += count as u64;
         self.gem.offer(now, self.gem_page_time * count as u64)
     }
 
@@ -363,9 +332,6 @@ impl StorageSubsystem {
             if let Some(c) = p.controller.as_mut() {
                 c.reset_stats(now);
             }
-            p.reads = 0;
-            p.read_hits = 0;
-            p.writes = 0;
         }
         for l in &mut self.log {
             l.reset_stats(now);
@@ -373,7 +339,6 @@ impl StorageSubsystem {
         self.gem.reset_stats(now);
         self.lock_engine.reset_stats(now);
         self.network.reset_stats(now);
-        self.gem_page_ops = 0;
         self.gem_entry_ops = 0;
         self.messages = 0;
         self.stats_since = now;
@@ -422,17 +387,13 @@ impl StorageSubsystem {
             gem_utilization: self.gem.utilization_since(since, now),
             lock_engine_utilization: self.lock_engine.utilization_since(since, now),
             network_utilization: self.network.utilization_since(since, now),
-            gem_page_ops: self.gem_page_ops,
             gem_entry_ops: self.gem_entry_ops,
             messages: self.messages,
-            partitions: self
+            disk_utilization: self
                 .parts
                 .iter()
-                .map(|p| PartitionTraffic {
-                    reads: p.reads,
-                    read_hits: p.read_hits,
-                    writes: p.writes,
-                    disk_utilization: if p.disks.is_empty() {
+                .map(|p| {
+                    if p.disks.is_empty() {
                         0.0
                     } else {
                         p.disks
@@ -440,7 +401,7 @@ impl StorageSubsystem {
                             .map(|d| d.utilization_since(since, now))
                             .sum::<f64>()
                             / p.disks.len() as f64
-                    },
+                    }
                 })
                 .collect(),
             log_utilization: self
@@ -475,19 +436,6 @@ pub struct DeviceBusySnapshot {
     pub disk_servers: u32,
 }
 
-/// Traffic counters for one partition's store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionTraffic {
-    /// Page reads served.
-    pub reads: u64,
-    /// Reads that hit a disk cache.
-    pub read_hits: u64,
-    /// Page writes served.
-    pub writes: u64,
-    /// Utilization of the disk array.
-    pub disk_utilization: f64,
-}
-
 /// Snapshot of device statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceReport {
@@ -497,14 +445,12 @@ pub struct DeviceReport {
     pub lock_engine_utilization: f64,
     /// Network utilization.
     pub network_utilization: f64,
-    /// GEM page operations performed.
-    pub gem_page_ops: u64,
     /// GEM entry operations performed.
     pub gem_entry_ops: u64,
     /// Messages transmitted.
     pub messages: u64,
-    /// Per-partition traffic.
-    pub partitions: Vec<PartitionTraffic>,
+    /// Per-partition disk-array utilization.
+    pub disk_utilization: Vec<f64>,
     /// Per-node log-disk utilization.
     pub log_utilization: Vec<f64>,
 }
@@ -567,9 +513,6 @@ mod tests {
         assert_eq!(miss, SimTime::ZERO + DISK);
         let hit = s.read_page(miss, page(1));
         assert_eq!(hit, miss + CACHE);
-        let rep = s.report(hit);
-        assert_eq!(rep.partitions[0].reads, 2);
-        assert_eq!(rep.partitions[0].read_hits, 1);
     }
 
     #[test]
@@ -604,7 +547,7 @@ mod tests {
         assert_eq!(s.read_page(w, page(5)), w + CACHE);
         // the destage occupied the array
         let rep = s.report(SimTime::from_millis(100));
-        assert!(rep.partitions[0].disk_utilization > 0.0);
+        assert!(rep.disk_utilization[0] > 0.0);
     }
 
     #[test]
@@ -669,7 +612,7 @@ mod tests {
         assert_eq!(s.read_page(r, page(2)), r + DISK);
         // the destage occupied the disk array
         let rep = s.report(SimTime::from_millis(100));
-        assert!(rep.partitions[0].disk_utilization > 0.0);
+        assert!(rep.disk_utilization[0] > 0.0);
     }
 
     #[test]
@@ -704,9 +647,11 @@ mod tests {
     fn reset_stats_clears_counters() {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::disk(1)));
         s.read_page(SimTime::ZERO, page(1));
+        s.gem_entries(SimTime::ZERO, 2);
+        s.send(SimTime::ZERO, 100);
         s.reset_stats(SimTime::from_millis(50));
         let rep = s.report(SimTime::from_millis(100));
-        assert_eq!(rep.partitions[0].reads, 0);
-        assert_eq!(rep.partitions[0].disk_utilization, 0.0);
+        assert_eq!(rep.disk_utilization[0], 0.0);
+        assert_eq!((rep.gem_entry_ops, rep.messages), (0, 0));
     }
 }

@@ -333,9 +333,8 @@ fn sim_time_cap_does_not_touch_healthy_runs() {
 
 #[test]
 fn global_log_covers_every_update_commit() {
-    // Every debit-credit transaction is an update: the merged (and
-    // engine-validated) global log holds one record per commit,
-    // including warm-up.
+    // Every debit-credit transaction is an update: the global log
+    // holds one record per commit, including warm-up.
     let r = debit_credit_run(DebitCreditRun::baseline(3, quick()));
     assert_eq!(r.global_log_records, quick().warmup + quick().measured);
 }

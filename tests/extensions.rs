@@ -149,6 +149,16 @@ fn gem_page_transfers_relieve_the_network() {
         gem.mean_response_ms,
         net.mean_response_ms
     );
+    // Nearly every page request finds the page at its owner, who sends
+    // it over the wire or through GEM: both are page transfers.
+    for (run, r) in [("network", &net), ("gem", &gem)] {
+        assert!(
+            r.page_transfers_per_txn >= 0.9 * r.page_requests_per_txn,
+            "{run}: {} transfers vs {} requests per txn",
+            r.page_transfers_per_txn,
+            r.page_requests_per_txn
+        );
+    }
 }
 
 #[test]
