@@ -81,38 +81,39 @@ impl Engine {
         } else {
             self.nodes[node.index()].buffer.lookup_unversioned(page)
         };
+        let seen = &mut self.counters.buffer[page.partition().index()];
         match lookup {
-            Lookup::Hit => self.finish_access(now, id),
-            miss => {
-                if miss == Lookup::Invalidated {
-                    self.counters.invalidations += 1;
-                }
-                match copy {
-                    // Sequential insert: the page is created in the
-                    // buffer, no read I/O is ever needed. A shipped copy
-                    // is installed as it arrived.
-                    _ if r.append || copy == PageCopy::Shipped => {
-                        self.install_page(now, id, seqno, Arrival::InPlace)
-                    }
-                    PageCopy::Owner(owner) if owner != node => {
-                        // Request the current version from its owner.
-                        self.counters.page_requests += 1;
-                        self.txn_mut(id)
-                            .begin_wait(now, Phase::PageWait, Some(page));
-                        self.send_msg(
-                            now,
-                            Msg {
-                                from: node,
-                                to: owner,
-                                body: MsgBody::PageReq { txn: id, page },
-                            },
-                            Some(id),
-                            None,
-                        );
-                    }
-                    _ => self.start_io(now, IoOp::Read(id)),
-                }
+            Lookup::Hit => {
+                seen.hits += 1;
+                return self.finish_access(now, id);
             }
+            Lookup::Miss => seen.misses += 1,
+            Lookup::Invalidated => seen.invalidations += 1,
+        }
+        match copy {
+            // Sequential insert: the page is created in the buffer, no
+            // read I/O is ever needed. A shipped copy is installed as it
+            // arrived.
+            _ if r.append || copy == PageCopy::Shipped => {
+                self.install_page(now, id, seqno, Arrival::InPlace)
+            }
+            PageCopy::Owner(owner) if owner != node => {
+                // Request the current version from its owner.
+                self.counters.page_requests += 1;
+                self.txn_mut(id)
+                    .begin_wait(now, Phase::PageWait, Some(page));
+                self.send_msg(
+                    now,
+                    Msg {
+                        from: node,
+                        to: owner,
+                        body: MsgBody::PageReq { txn: id, page },
+                    },
+                    Some(id),
+                    None,
+                );
+            }
+            _ => self.start_io(now, IoOp::Read(id)),
         }
     }
 

@@ -62,9 +62,6 @@ pub(crate) struct Pcl {
     queued: FxHashMap<TxnId, ReqCtx>,
     /// Write locks waiting for read-authorization revocations.
     pending_writes: FxHashMap<TxnId, PendingWrite>,
-    /// Each GLA's `(local, remote)` request counts at the end of
-    /// warm-up.
-    base_requests: Vec<(u64, u64)>,
 }
 
 /// A lock request as its GLA sees it.
@@ -128,17 +125,7 @@ impl Locking {
                 pending_acks: (0..nodes).map(|_| fxhash::map_with_capacity(16)).collect(),
                 queued: fxhash::map_with_capacity(live),
                 pending_writes: fxhash::map_with_capacity(live),
-                base_requests: vec![(0, 0); nodes],
             }),
-        }
-    }
-
-    /// Snapshots the GLA request counts at the end of warm-up.
-    pub(crate) fn end_warmup(&mut self) {
-        if let Locking::Pcl(p) = self {
-            for (base, g) in p.base_requests.iter_mut().zip(&p.gla) {
-                *base = g.request_counts();
-            }
         }
     }
 }
@@ -297,6 +284,11 @@ impl Engine {
             return;
         }
         let local = ctx.from == gla;
+        if local {
+            self.counters.gla_local_requests += 1;
+        } else {
+            self.counters.gla_remote_requests += 1;
+        }
         let ro = self.cfg.pcl_read_optimization;
         let out = self.pcl().gla[gla.index()].request(txn, ctx.from, ctx.page, ctx.mode, local, ro);
         let granted = out.reply != LockReply::Queued;
@@ -902,16 +894,11 @@ impl Engine {
     /// requester's own GLA or under a read authorization) over the
     /// measurement window `c`; `None` under GEM locking.
     pub(crate) fn local_lock_fraction(&self, c: &Counters) -> Option<f64> {
-        let Locking::Pcl(p) = &self.locking else {
+        let Locking::Pcl(_) = self.locking else {
             return None;
         };
-        let (mut local, mut remote) = (c.ra_local_grants, 0);
-        for (g, base) in p.gla.iter().zip(&p.base_requests) {
-            let (l, r) = g.request_counts();
-            local += l - base.0;
-            remote += r - base.1;
-        }
-        let total = local + remote;
+        let local = c.ra_local_grants + c.gla_local_requests;
+        let total = local + c.gla_remote_requests;
         Some(if total == 0 {
             1.0
         } else {

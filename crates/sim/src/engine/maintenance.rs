@@ -5,7 +5,6 @@ use super::{Engine, Event, Phase, LOCK_TIMEOUT, RESTART_DELAY_MS};
 use crate::metrics::RunReport;
 use dbshare_lockmgr::deadlock::{choose_victim, find_cycle, has_cycle};
 use dbshare_model::{NodeId, TxnId};
-use dbshare_node::buffer::BufferCounters;
 use desim::trace::TraceEventKind;
 use desim::{SimDuration, SimTime};
 
@@ -324,18 +323,9 @@ impl Engine {
         for v in victims {
             self.abort(now, v, AbortReason::Crash);
         }
-        // The buffer content is gone; its lookups stay counted in the
-        // timeline's buffer totals.
-        let parts = self.part_names.len();
-        let lost = std::mem::replace(
-            &mut self.nodes[node.index()].buffer,
-            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, parts),
-        );
-        for pi in 0..parts {
-            let c = lost.counters(pi);
-            self.crashed_buffer.0 += c.hits;
-            self.crashed_buffer.1 += c.misses;
-        }
+        // The buffer content is lost; `Counters` keeps its lookups.
+        self.nodes[node.index()].buffer =
+            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, self.part_names.len());
         self.crash_locks(now, node);
     }
 
@@ -377,19 +367,12 @@ impl Engine {
         let cpu_avg = cpu_per_node.iter().sum::<f64>() / cpu_per_node.len() as f64;
         let cpu_max = cpu_per_node.iter().cloned().fold(0.0, f64::max);
 
-        // Aggregate buffer counters per partition across nodes.
-        let mut hit_ratios = Vec::new();
-        for (pi, name) in self.part_names.iter().enumerate() {
-            let mut agg = BufferCounters::default();
-            for ctx in &self.nodes {
-                let cnt = ctx.buffer.counters(pi);
-                agg.hits += cnt.hits;
-                agg.misses += cnt.misses;
-                agg.invalidations += cnt.invalidations;
-            }
-            hit_ratios.push((name.clone(), agg.hit_ratio()));
-        }
-
+        let hit_ratios = self
+            .part_names
+            .iter()
+            .cloned()
+            .zip(c.buffer.iter().map(|b| b.hit_ratio()))
+            .collect();
         let local_lock_fraction = self.local_lock_fraction(&c);
 
         let avg_refs = self.metrics.refs_completed as f64 / n;
@@ -417,8 +400,8 @@ impl Engine {
             gem_utilization: dev.gem_utilization,
             lock_engine_utilization: dev.lock_engine_utilization,
             network_utilization: dev.network_utilization,
-            messages_per_txn: dev.messages as f64 / n,
-            gem_entries_per_txn: dev.gem_entry_ops as f64 / n,
+            messages_per_txn: c.messages as f64 / n,
+            gem_entries_per_txn: c.gem_entries as f64 / n,
             page_requests_per_txn: c.page_requests as f64 / n,
             page_transfers_per_txn: c.page_transfers as f64 / n,
             revokes_per_txn: c.revokes_sent as f64 / n,
@@ -426,7 +409,7 @@ impl Engine {
             lock_requests_per_txn: c.lock_requests as f64 / n,
             local_lock_fraction,
             lock_waits_per_txn: c.lock_waits as f64 / n,
-            invalidations_per_txn: c.invalidations as f64 / n,
+            invalidations_per_txn: c.buffer_total().invalidations as f64 / n,
             reads_per_txn: c.storage_reads as f64 / n,
             writes_per_txn: (c.commit_writes + c.log_writes) as f64 / n,
             evict_writes_per_txn: c.evict_writes as f64 / n,
@@ -441,7 +424,7 @@ impl Engine {
             deadlock_aborts: c.deadlock_aborts,
             timeout_aborts: c.timeout_aborts,
             crash_aborts: c.crash_aborts,
-            global_log_records: self.update_commits,
+            global_log_records: self.counters.update_commits,
             events_processed: self.cal.total_scheduled(),
             profile: self.profile.clone(),
             tps_per_node_at_80pct_cpu: if cpu_avg > 1e-9 {

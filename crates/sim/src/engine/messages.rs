@@ -56,6 +56,7 @@ impl Engine {
             self.cfg.comm.short_msg_bytes
         };
         let delivered = self.storage.send(now, bytes);
+        self.counters.messages += 1;
         self.emit(
             now,
             TraceEventKind::MsgSend,

@@ -60,6 +60,8 @@ pub struct Engine {
     pub(crate) txns: TxnTable,
     pub(crate) next_txn: u64,
     pub(crate) counters: Counters,
+    /// The counts at the end of warm-up, which the report's window
+    /// starts from.
     pub(crate) base: Counters,
     pub(crate) metrics: Metrics,
     /// Always-on event-loop profile (whole run, incl. warm-up).
@@ -88,13 +90,6 @@ pub struct Engine {
     /// Specs of retired transactions; the workload generator reuses
     /// their reference buffers for new draws.
     pub(crate) spare_specs: Vec<TxnSpec>,
-    /// Buffer hits and misses counted by buffers that a node crash
-    /// discarded, so the timeline's cumulative totals never fall.
-    pub(crate) crashed_buffer: (u64, u64),
-    /// Update commits over the whole run, warm-up included: the
-    /// records a global log merged from the nodes' local logs would
-    /// hold (§2 / \[Ra91a\]).
-    pub(crate) update_commits: u64,
     pub(crate) mean_arrival_gap_us: f64,
     /// Observation configuration (default: observe nothing).
     pub(crate) observe: Observe,
@@ -147,6 +142,7 @@ impl Engine {
         let part_locking = cfg.partitions.iter().map(|p| p.locking).collect();
         let part_names = cfg.partitions.iter().map(|p| p.name.clone()).collect();
         let mean_arrival_gap_us = 1e6 / (cfg.arrival_tps_per_node * cfg.nodes as f64);
+        let counters = Counters::new(cfg.partitions.len());
         Ok(Engine {
             cal: Calendar::new(),
             workload,
@@ -155,8 +151,8 @@ impl Engine {
             locking,
             txns: TxnTable::with_capacity(live),
             next_txn: 0,
-            counters: Counters::default(),
-            base: Counters::default(),
+            base: counters.clone(),
+            counters,
             metrics: Metrics::default(),
             profile: RunProfile::default(),
             arrival_rng: master.derive(1),
@@ -173,8 +169,6 @@ impl Engine {
             scratch_queue: Vec::new(),
             release_pool: Vec::new(),
             spare_specs: Vec::new(),
-            crashed_buffer: (0, 0),
-            update_commits: 0,
             cfg,
             mean_arrival_gap_us,
             observe: Observe::default(),
@@ -341,7 +335,9 @@ impl Engine {
         if job.gem_entries > 0 || job.gem_pages > 0 {
             let mut done = now;
             if job.gem_entries > 0 {
-                done = self.storage.lock_table_entries(now, job.gem_entries);
+                let (end, in_gem) = self.storage.lock_table_entries(now, job.gem_entries);
+                self.counters.gem_entries += u64::from(in_gem);
+                done = end;
             }
             if job.gem_pages > 0 {
                 done = self.storage.gem_pages(now, job.gem_pages).max(done);
@@ -482,9 +478,18 @@ impl Engine {
         // Commits, like the records of every node's local log, never go
         // back in time.
         assert!(now >= self.last_commit_at, "commits must be monotone");
-        self.update_commits += u64::from(update);
-        self.counters.committed += 1;
         self.last_commit_at = now;
+        // Counted before the commit that ends warm-up takes the
+        // snapshot, so that commit stays out of every window.
+        let c = &mut self.counters;
+        c.committed += 1;
+        c.update_commits += u64::from(update);
+        c.resp_ns += (now - arrival).as_nanos();
+        c.input_ns += (admitted - arrival).as_nanos();
+        c.lock_ns += lock_wait.as_nanos();
+        c.io_ns += io_wait.as_nanos();
+        c.cpu_wait_ns += cpu_wait.as_nanos();
+        c.cpu_service_ns += cpu_service.as_nanos();
         self.emit(
             now,
             TraceEventKind::TxnCommit,
@@ -498,14 +503,6 @@ impl Engine {
             self.metrics.record_completion(
                 now - arrival,
                 spec.refs().len(),
-                admitted - arrival,
-                lock_wait,
-                io_wait,
-                cpu_wait,
-                cpu_service,
-            );
-            self.timeline_note_commit(
-                now - arrival,
                 admitted - arrival,
                 lock_wait,
                 io_wait,
@@ -540,6 +537,9 @@ impl Engine {
         }
     }
 
+    /// Starts the measurement window: one snapshot of the counts, and
+    /// a reset of the time integrals (CPU and MPL occupancy, device
+    /// busy time, the response statistics).
     fn end_warmup(&mut self, now: SimTime) {
         self.warmed = true;
         self.metrics = Metrics {
@@ -551,9 +551,7 @@ impl Engine {
         for ctx in self.nodes.iter_mut() {
             ctx.cpus.reset_stats(now);
             ctx.mpl.reset_stats(now);
-            ctx.buffer.reset_counters();
         }
-        self.locking.end_warmup();
         self.arm_timeline(now);
     }
 

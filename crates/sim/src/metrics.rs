@@ -1,5 +1,6 @@
 //! Measurement collection and the end-of-run report.
 
+use dbshare_node::buffer::BufferCounters;
 use desim::stats::{BatchMeans, DurationHistogram, RunningStat};
 use desim::{SimDuration, SimTime};
 use std::fmt;
@@ -84,12 +85,21 @@ impl Metrics {
     }
 }
 
-/// Engine-level event counters (snapshotted at the end of warm-up so
-/// reports cover only the measurement window).
+/// Every integer count the report and the timeline read. Each is
+/// counted over the whole run at the one engine hook where its event
+/// happens, and windowed only by [`since`](Counters::since): against
+/// the warm-up snapshot for the report, against the previous tick for
+/// the timeline.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub committed: u64,
+    /// Commits of transactions that modified a page.
+    pub update_commits: u64,
     pub lock_requests: u64,
+    /// Requests at a PCL lock authority from its own node.
+    pub gla_local_requests: u64,
+    /// Requests at a PCL lock authority from another node.
+    pub gla_remote_requests: u64,
     pub ra_local_grants: u64,
     pub lock_waits: u64,
     pub page_requests: u64,
@@ -98,19 +108,42 @@ pub(crate) struct Counters {
     pub commit_writes: u64,
     pub log_writes: u64,
     pub evict_writes: u64,
-    pub invalidations: u64,
+    pub messages: u64,
+    /// Synchronous GEM lock-table entry accesses.
+    pub gem_entries: u64,
     pub deadlock_aborts: u64,
     pub timeout_aborts: u64,
     pub crash_aborts: u64,
     pub revokes_sent: u64,
+    /// Buffer lookups by partition, on every node.
+    pub buffer: Vec<BufferCounters>,
+    /// Per-commit sums in nanoseconds: response time, then its input,
+    /// lock, I/O and CPU waits and CPU service.
+    pub resp_ns: u64,
+    pub input_ns: u64,
+    pub lock_ns: u64,
+    pub io_ns: u64,
+    pub cpu_wait_ns: u64,
+    pub cpu_service_ns: u64,
 }
 
 impl Counters {
-    /// Counter delta `self - base` (measurement window totals).
+    /// Zero counts for a database of `partitions` partitions.
+    pub(crate) fn new(partitions: usize) -> Counters {
+        Counters {
+            buffer: vec![BufferCounters::default(); partitions],
+            ..Counters::default()
+        }
+    }
+
+    /// Counter delta `self - base` (the totals of a window).
     pub(crate) fn since(&self, base: &Counters) -> Counters {
         Counters {
             committed: self.committed - base.committed,
+            update_commits: self.update_commits - base.update_commits,
             lock_requests: self.lock_requests - base.lock_requests,
+            gla_local_requests: self.gla_local_requests - base.gla_local_requests,
+            gla_remote_requests: self.gla_remote_requests - base.gla_remote_requests,
             ra_local_grants: self.ra_local_grants - base.ra_local_grants,
             lock_waits: self.lock_waits - base.lock_waits,
             page_requests: self.page_requests - base.page_requests,
@@ -119,12 +152,40 @@ impl Counters {
             commit_writes: self.commit_writes - base.commit_writes,
             log_writes: self.log_writes - base.log_writes,
             evict_writes: self.evict_writes - base.evict_writes,
-            invalidations: self.invalidations - base.invalidations,
+            messages: self.messages - base.messages,
+            gem_entries: self.gem_entries - base.gem_entries,
             deadlock_aborts: self.deadlock_aborts - base.deadlock_aborts,
             timeout_aborts: self.timeout_aborts - base.timeout_aborts,
             crash_aborts: self.crash_aborts - base.crash_aborts,
             revokes_sent: self.revokes_sent - base.revokes_sent,
+            buffer: self
+                .buffer
+                .iter()
+                .zip(&base.buffer)
+                .map(|(c, b)| BufferCounters {
+                    hits: c.hits - b.hits,
+                    misses: c.misses - b.misses,
+                    invalidations: c.invalidations - b.invalidations,
+                })
+                .collect(),
+            resp_ns: self.resp_ns - base.resp_ns,
+            input_ns: self.input_ns - base.input_ns,
+            lock_ns: self.lock_ns - base.lock_ns,
+            io_ns: self.io_ns - base.io_ns,
+            cpu_wait_ns: self.cpu_wait_ns - base.cpu_wait_ns,
+            cpu_service_ns: self.cpu_service_ns - base.cpu_service_ns,
         }
+    }
+
+    /// Buffer lookups summed over the partitions.
+    pub(crate) fn buffer_total(&self) -> BufferCounters {
+        let mut total = BufferCounters::default();
+        for c in &self.buffer {
+            total.hits += c.hits;
+            total.misses += c.misses;
+            total.invalidations += c.invalidations;
+        }
+        total
     }
 }
 
@@ -603,13 +664,19 @@ mod tests {
         let a = Counters {
             committed: 10,
             page_requests: 4,
-            ..Counters::default()
+            ..Counters::new(2)
         };
         let mut b = a.clone();
         b.committed = 25;
         b.page_requests = 9;
+        b.buffer[0].hits = 3;
+        b.buffer[1].hits = 4;
+        b.buffer[1].invalidations = 1;
         let d = b.since(&a);
         assert_eq!(d.committed, 15);
         assert_eq!(d.page_requests, 5);
+        assert_eq!(d.buffer[1].hits, 4);
+        let total = d.buffer_total();
+        assert_eq!((total.hits, total.misses, total.invalidations), (7, 0, 1));
     }
 }

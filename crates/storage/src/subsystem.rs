@@ -89,8 +89,6 @@ pub struct StorageSubsystem {
     gem_entry_time: SimDuration,
     bandwidth_mb_s: f64,
     log_in_gem: bool,
-    gem_entry_ops: u64,
-    messages: u64,
     stats_since: SimTime,
 }
 
@@ -166,8 +164,6 @@ impl StorageSubsystem {
             gem_entry_time: cfg.gem_entry_time(),
             bandwidth_mb_s: cfg.comm.bandwidth_mb_per_s,
             log_in_gem: cfg.log_storage == dbshare_model::LogStorage::Gem,
-            gem_entry_ops: 0,
-            messages: 0,
             stats_since: SimTime::ZERO,
         }
     }
@@ -289,7 +285,6 @@ impl StorageSubsystem {
     /// back-to-back, which on the FIFO GEM server is equivalent to one
     /// request of `count ×` the entry time.
     pub fn gem_entries(&mut self, now: SimTime, count: u32) -> SimTime {
-        self.gem_entry_ops += count as u64;
         self.gem.offer(now, self.gem_entry_time * count as u64)
     }
 
@@ -304,13 +299,14 @@ impl StorageSubsystem {
     /// lock engine holds the table (\[Yu87\] comparison, §5), as one
     /// lock-engine operation per two entry accesses (a read plus a
     /// Compare&Swap make one lock operation) — the same protocol at
-    /// 100–500 µs per operation instead of 2 µs per entry.
-    pub fn lock_table_entries(&mut self, now: SimTime, entries: u32) -> SimTime {
+    /// 100–500 µs per operation instead of 2 µs per entry. Returns the
+    /// completion instant and the number of GEM entry accesses made.
+    pub fn lock_table_entries(&mut self, now: SimTime, entries: u32) -> (SimTime, u32) {
         if self.lock_engine_holds_locks {
-            self.lock_engine
-                .offer(now, self.lock_engine_time * (entries / 2) as u64)
+            let op = self.lock_engine_time * (entries / 2) as u64;
+            (self.lock_engine.offer(now, op), 0)
         } else {
-            self.gem_entries(now, entries)
+            (self.gem_entries(now, entries), entries)
         }
     }
 
@@ -318,7 +314,6 @@ impl StorageSubsystem {
     /// time (transmission only — CPU send/receive overhead is charged
     /// by the engine on the nodes' CPUs).
     pub fn send(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.messages += 1;
         let wire = SimDuration::from_secs_f64(bytes as f64 / (self.bandwidth_mb_s * 1e6));
         self.network.offer(now, wire)
     }
@@ -339,8 +334,6 @@ impl StorageSubsystem {
         self.gem.reset_stats(now);
         self.lock_engine.reset_stats(now);
         self.network.reset_stats(now);
-        self.gem_entry_ops = 0;
-        self.messages = 0;
         self.stats_since = now;
     }
 
@@ -380,15 +373,13 @@ impl StorageSubsystem {
         }
     }
 
-    /// Device utilization and traffic report over the statistics window.
+    /// Device utilization report over the statistics window.
     pub fn report(&self, now: SimTime) -> DeviceReport {
         let since = self.stats_since;
         DeviceReport {
             gem_utilization: self.gem.utilization_since(since, now),
             lock_engine_utilization: self.lock_engine.utilization_since(since, now),
             network_utilization: self.network.utilization_since(since, now),
-            gem_entry_ops: self.gem_entry_ops,
-            messages: self.messages,
             disk_utilization: self
                 .parts
                 .iter()
@@ -445,10 +436,6 @@ pub struct DeviceReport {
     pub lock_engine_utilization: f64,
     /// Network utilization.
     pub network_utilization: f64,
-    /// GEM entry operations performed.
-    pub gem_entry_ops: u64,
-    /// Messages transmitted.
-    pub messages: u64,
     /// Per-partition disk-array utilization.
     pub disk_utilization: Vec<f64>,
     /// Per-node log-disk utilization.
@@ -573,8 +560,8 @@ mod tests {
     #[test]
     fn gem_entries_serialize_on_server() {
         let mut s = StorageSubsystem::new(&cfg_with(StorageAllocation::disk(1)));
-        let done = s.gem_entries(SimTime::ZERO, 2);
-        assert_eq!(done, SimTime::from_micros(4));
+        let (done, in_gem) = s.lock_table_entries(SimTime::ZERO, 2);
+        assert_eq!((done, in_gem), (SimTime::from_micros(4), 2));
         // utilization visible
         let rep = s.report(SimTime::from_micros(400));
         assert!(
@@ -582,7 +569,20 @@ mod tests {
             "{}",
             rep.gem_utilization
         );
-        assert_eq!(rep.gem_entry_ops, 2);
+    }
+
+    #[test]
+    fn lock_engine_runs_entries_off_gem() {
+        let mut cfg = cfg_with(StorageAllocation::disk(1));
+        cfg.coupling = dbshare_model::CouplingMode::LockEngine;
+        cfg.lock_engine.op_service_us = 100.0;
+        let mut s = StorageSubsystem::new(&cfg);
+        // Four entry accesses are two lock-engine operations, none in GEM.
+        let (done, in_gem) = s.lock_table_entries(SimTime::ZERO, 4);
+        assert_eq!((done, in_gem), (SimTime::from_micros(200), 0));
+        let rep = s.report(SimTime::from_micros(400));
+        assert_eq!(rep.gem_utilization, 0.0);
+        assert!((rep.lock_engine_utilization - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -592,7 +592,6 @@ mod tests {
         assert_eq!(s.send(SimTime::ZERO, 100), SimTime::from_micros(10));
         // 4 KB queued behind it: 10 µs + 409.6 µs
         assert_eq!(s.send(SimTime::ZERO, 4096).as_nanos(), 10_000 + 409_600);
-        assert_eq!(s.report(SimTime::from_millis(1)).messages, 2);
     }
 
     #[test]
@@ -652,6 +651,6 @@ mod tests {
         s.reset_stats(SimTime::from_millis(50));
         let rep = s.report(SimTime::from_millis(100));
         assert_eq!(rep.disk_utilization[0], 0.0);
-        assert_eq!((rep.gem_entry_ops, rep.messages), (0, 0));
+        assert_eq!((rep.gem_utilization, rep.network_utilization), (0.0, 0.0));
     }
 }
