@@ -19,6 +19,11 @@ use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
 /// Largest peak-heap growth allowed from L to 4L measured transactions.
 const MAX_RUN_LENGTH_GROWTH: u64 = 16 * 1024;
 
+/// Measured-transaction counts of the run-length check, each four times
+/// the one before. The last passes 16,384 admissions, where the
+/// transaction index must compact instead of growing.
+const RUN_LENGTHS: [u64; 3] = [2_000, 8_000, 32_000];
+
 /// Largest PCL `Engine::new` heap at 200 nodes, as a multiple of the
 /// heap at 50 nodes. Four times the nodes cost four times the tables.
 const MAX_NODE_COUNT_RATIO: f64 = 4.5;
@@ -50,18 +55,25 @@ fn converging(coupling: CouplingMode, measured: u64) -> Job {
 #[test]
 fn peak_heap_does_not_grow_with_run_length() {
     for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
-        let jobs = vec![converging(coupling, 2_000), converging(coupling, 8_000)];
-        let results = run_jobs(jobs, 1, false);
+        let jobs = RUN_LENGTHS.iter().map(|&m| converging(coupling, m));
+        let results = run_jobs(jobs.collect(), 1, false);
         for r in &results {
             assert!(!r.report.truncated, "{coupling:?} must converge");
         }
-        let short = results[0].report.profile.peak_heap_bytes;
-        let long = results[1].report.profile.peak_heap_bytes;
-        assert!(short > 0, "counting allocator not active");
         assert!(
-            long < short + MAX_RUN_LENGTH_GROWTH,
-            "{coupling:?}: peak heap {short} B at 2,000 measured, {long} B at 8,000"
+            results[0].report.profile.peak_heap_bytes > 0,
+            "counting allocator not active"
         );
+        for (pair, lengths) in results.windows(2).zip(RUN_LENGTHS.windows(2)) {
+            let short = pair[0].report.profile.peak_heap_bytes;
+            let long = pair[1].report.profile.peak_heap_bytes;
+            assert!(
+                long < short + MAX_RUN_LENGTH_GROWTH,
+                "{coupling:?}: peak heap {short} B at {} measured, {long} B at {}",
+                lengths[0],
+                lengths[1]
+            );
+        }
     }
 }
 

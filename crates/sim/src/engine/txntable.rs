@@ -28,9 +28,10 @@ use desim::SimTime;
 
 const NIL: u32 = u32::MAX;
 
-/// Below this index length compaction is not attempted: the paper-scale
-/// runs stay under it and keep their exact historical allocation
-/// profile; scale runs cross it within the first second of sim time.
+/// The index's initial capacity. Compaction is attempted only when the
+/// index is full, so the paper-scale runs, which stay under it, keep
+/// their exact historical allocation profile; scale runs fill it
+/// within the first second of sim time.
 const COMPACT_MIN: usize = 1 << 14;
 
 /// Converts a slab position to its `u32` slot index, refusing to wrap
@@ -58,9 +59,6 @@ pub(crate) struct TxnTable {
     index: Vec<u32>,
     /// First id still covered by `index`; every id below it completed.
     base: u64,
-    /// Admissions since the last compaction attempt (amortizes the
-    /// prefix scan).
-    since_compact: usize,
     live: usize,
 }
 
@@ -74,25 +72,23 @@ impl TxnTable {
             free: Vec::new(),
             index: Vec::with_capacity(COMPACT_MIN),
             base: 0,
-            since_compact: 0,
             live: 0,
         }
     }
 
-    /// Drops the all-`NIL` prefix once it dominates the index. Called
-    /// every `COMPACT_MIN` admissions; the scan touches at most the
-    /// prefix it would drain, so the cost is amortized constant.
+    /// Drops the all-`NIL` prefix when the index is full and the prefix
+    /// is at least half of it, so the index keeps its capacity. A scan
+    /// that finds less lets the index grow; either way the next scan is
+    /// at least half a capacity of admissions away, so the cost is
+    /// amortized constant.
     fn compact(&mut self) {
-        self.since_compact += 1;
-        if self.since_compact < COMPACT_MIN || self.index.len() < COMPACT_MIN {
+        if self.index.len() < self.index.capacity() {
             return;
         }
-        self.since_compact = 0;
         let nil_prefix = self.index.iter().take_while(|&&s| s == NIL).count();
         if nil_prefix * 2 >= self.index.len() {
             self.index.drain(..nil_prefix);
             self.base += nil_prefix as u64;
-            self.index.shrink_to(self.index.len().max(COMPACT_MIN));
         }
     }
 
@@ -341,13 +337,15 @@ mod tests {
             }
         }
         assert_eq!(t.len(), 2);
-        // The index slid: it holds a window, not 4 bytes per id ever.
+        // The index slid: it holds a window, not 4 bytes per id ever,
+        // and compacting when full kept it in its first allocation.
         assert!(t.base > 0, "index never compacted");
         assert!(
             t.index.len() < COMPACT_MIN * 2,
             "index grew unboundedly: {}",
             t.index.len()
         );
+        assert_eq!(t.index.capacity(), COMPACT_MIN, "index reallocated");
         // Live ids still resolve; slid-out (completed) ids resolve to
         // None — exactly as their retained NIL entries did.
         assert!(t.contains_key(&TxnId::new(total - 1)));
