@@ -31,8 +31,6 @@ pub struct MultiServer {
     free_at: BinaryHeap<Reverse<SimTime>>,
     servers: u32,
     busy: SimDuration,
-    wait: SimDuration,
-    requests: u64,
     last_request: SimTime,
 }
 
@@ -52,8 +50,6 @@ impl MultiServer {
             free_at,
             servers,
             busy: SimDuration::ZERO,
-            wait: SimDuration::ZERO,
-            requests: 0,
             last_request: SimTime::ZERO,
         }
     }
@@ -78,28 +74,12 @@ impl MultiServer {
         let done = start + service;
         self.free_at.push(Reverse(done));
         self.busy += service;
-        self.wait += start - now;
-        self.requests += 1;
         done
     }
 
     /// Number of servers.
     pub fn servers(&self) -> u32 {
         self.servers
-    }
-
-    /// Total requests served (or in progress).
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Mean queueing delay (time between request and service start).
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.requests == 0 {
-            SimDuration::ZERO
-        } else {
-            self.wait / self.requests
-        }
     }
 
     /// Cumulative busy server-time accrued so far (full service is
@@ -124,8 +104,6 @@ impl MultiServer {
     /// `now` onwards.
     pub fn reset_stats(&mut self, _now: SimTime) {
         self.busy = SimDuration::ZERO;
-        self.wait = SimDuration::ZERO;
-        self.requests = 0;
     }
 
     /// Utilization measured over the window `(since, now]`, assuming
@@ -165,8 +143,6 @@ pub struct Resource<T> {
     queue: VecDeque<(T, SimTime)>,
     busy_integral: TimeWeighted,
     queue_integral: TimeWeighted,
-    grants: u64,
-    total_wait: SimDuration,
 }
 
 impl<T> Resource<T> {
@@ -183,8 +159,6 @@ impl<T> Resource<T> {
             queue: VecDeque::new(),
             busy_integral: TimeWeighted::new(),
             queue_integral: TimeWeighted::new(),
-            grants: 0,
-            total_wait: SimDuration::ZERO,
         }
     }
 
@@ -199,7 +173,6 @@ impl<T> Resource<T> {
             self.busy_integral.update(now, f64::from(self.in_use));
             self.in_use += 1;
             self.busy_integral.set_current(f64::from(self.in_use));
-            self.grants += 1;
             Some(token)
         } else {
             self.queue_integral.update(now, self.queue.len() as f64);
@@ -225,8 +198,6 @@ impl<T> Resource<T> {
             self.queue_integral
                 .update(now, self.queue.len() as f64 + 1.0);
             self.queue_integral.set_current(self.queue.len() as f64);
-            self.grants += 1;
-            self.total_wait += now - since;
             Some((token, since))
         } else {
             self.busy_integral.update(now, f64::from(self.in_use));
@@ -249,20 +220,6 @@ impl<T> Resource<T> {
     /// Tokens currently queued.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Number of grants so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Mean wait of tokens that queued before being granted.
-    pub fn mean_queue_wait(&self) -> SimDuration {
-        if self.grants == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.grants
-        }
     }
 
     /// The busy-units integral (unit-seconds) up to `now`, without
@@ -289,8 +246,6 @@ impl<T> Resource<T> {
     pub fn reset_stats(&mut self, now: SimTime) {
         self.busy_integral.reset(now, f64::from(self.in_use));
         self.queue_integral.reset(now, self.queue.len() as f64);
-        self.grants = 0;
-        self.total_wait = SimDuration::ZERO;
     }
 
     /// Removes every queued token into `out` (failure handling: the
@@ -317,8 +272,6 @@ mod tests {
         assert_eq!(d1, SimTime::from_millis(10));
         assert_eq!(d2, SimTime::from_millis(20)); // waited 8ms
         assert_eq!(d3, SimTime::from_millis(35)); // idle gap 20..25
-        assert_eq!(s.requests(), 3);
-        assert_eq!(s.mean_wait(), SimDuration::from_millis(8) / 3);
     }
 
     #[test]
@@ -387,16 +340,6 @@ mod tests {
         // busy 5ms of 10ms
         let u = r.utilization(SimTime::from_millis(10));
         assert!((u - 0.5).abs() < 1e-9, "{u}");
-    }
-
-    #[test]
-    fn resource_mean_queue_wait() {
-        let mut r: Resource<u8> = Resource::new(1);
-        assert_eq!(r.acquire(SimTime::ZERO, 0), Some(0));
-        assert_eq!(r.acquire(SimTime::ZERO, 1), None);
-        r.release(SimTime::from_millis(8));
-        // one queued grant waited 8ms over 2 grants total
-        assert_eq!(r.mean_queue_wait(), SimDuration::from_millis(4));
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl RunningStat {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (0 if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {

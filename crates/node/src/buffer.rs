@@ -174,11 +174,6 @@ impl BufferManager {
             .unwrap_or(false)
     }
 
-    /// Drops a page (testing and recovery paths).
-    pub fn discard(&mut self, page: PageId) -> Option<Frame> {
-        self.lru.remove(&page)
-    }
-
     /// Pages currently buffered.
     pub fn len(&self) -> usize {
         self.lru.len()

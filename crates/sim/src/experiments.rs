@@ -273,7 +273,7 @@ pub fn debit_credit_run_with(
 /// [`debit_credit_run_with`] at an explicit per-node arrival rate (the
 /// database still scales with the rate, §4.1). Used by
 /// [`find_tps_at_cpu`]'s probes so every preset option is honoured.
-pub fn debit_credit_run_at(
+fn debit_credit_run_at(
     p: DebitCreditRun,
     tps: f64,
     tweak: impl FnOnce(&mut SystemConfig),
