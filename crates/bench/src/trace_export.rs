@@ -16,6 +16,7 @@
 //! comfortably.
 
 use dbshare_harness::{Observations, TimelineWindow};
+use dbshare_node::buffer::BufferCounters;
 use desim::trace::{unpack_page, TraceEvent, TraceEventKind, NO_TXN};
 
 /// Formats a nanosecond count as a microsecond JSON number with three
@@ -187,7 +188,8 @@ cpu_util_mean,cpu_util_per_node,gem_util,disk_util,net_util,log_util";
 
 /// Renders a figure's timelines as one CSV: every window of every
 /// curve point, labelled by curve and node count. Per-commit response
-/// components are window means in milliseconds; `cpu_util_per_node`
+/// components are window means in milliseconds; `buffer_hit_rate` is
+/// the report's hit ratio, hits over all lookups; `cpu_util_per_node`
 /// joins the per-node utilizations with `;` so the column count stays
 /// fixed across node counts.
 pub fn timeline_csv(rows: &[TimelineRows<'_>]) -> String {
@@ -209,12 +211,12 @@ pub fn timeline_csv(rows: &[TimelineRows<'_>]) -> String {
                     0.0
                 }
             };
-            let accesses = w.buffer_hits + w.buffer_misses;
-            let hit_rate = if accesses > 0 {
-                w.buffer_hits as f64 / accesses as f64
-            } else {
-                0.0
-            };
+            let hit_rate = BufferCounters {
+                hits: w.buffer_hits,
+                misses: w.buffer_misses,
+                invalidations: w.buffer_invalidations,
+            }
+            .hit_ratio();
             let cpu_mean = if w.cpu_util.is_empty() {
                 0.0
             } else {
@@ -349,6 +351,7 @@ mod tests {
             resp_ns: 8_000_000,
             buffer_hits: 3,
             buffer_misses: 1,
+            buffer_invalidations: 4,
             cpu_util: vec![0.5, 0.25],
             ..TimelineWindow::default()
         };
@@ -362,7 +365,7 @@ mod tests {
         assert_eq!(lines.next(), Some(TIMELINE_HEADER));
         let row = lines.next().expect("data row");
         assert!(row.starts_with("2 CPUs,4,0,"));
-        assert!(row.contains("0.750000")); // buffer hit rate
+        assert!(row.contains("0.375000")); // hits over all 8 lookups
         assert!(row.contains("0.500000;0.250000")); // per-node cpu util
         assert_eq!(
             row.split(',').count(),

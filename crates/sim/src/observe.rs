@@ -72,6 +72,9 @@ pub struct TimelineWindow {
     pub buffer_hits: u64,
     /// Buffer misses across all nodes and partitions.
     pub buffer_misses: u64,
+    /// Buffer lookups that found an invalidated copy, across all nodes
+    /// and partitions.
+    pub buffer_invalidations: u64,
     /// Summed response time of transactions committed in the window
     /// (nanoseconds; divide by `committed` for the window mean).
     pub resp_ns: u64,
