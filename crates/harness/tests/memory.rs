@@ -1,6 +1,7 @@
 //! Memory follows live state. A converging run's peak heap does not
-//! grow with its length, and the lock state PCL builds before the first
-//! event grows about linearly with the node count.
+//! grow with its length, also when nearly every transaction locks a page
+//! no transaction locked before, and the lock state PCL builds before
+//! the first event grows about linearly with the node count.
 //!
 //! This binary installs the counting allocator, so the job pool records
 //! each job's exact peak heap (`RunProfile::peak_heap_bytes`). The
@@ -11,8 +12,8 @@
 static ALLOC: dbshare_harness::CountingAlloc = dbshare_harness::CountingAlloc;
 
 use dbshare_harness::{alloc_track, run_jobs, Job, Observe};
-use dbshare_model::{CouplingMode, RoutingStrategy, SystemConfig};
-use dbshare_sim::experiments::{RunLength, RunSpec, ScaleRun};
+use dbshare_model::{CouplingMode, RoutingStrategy, SystemConfig, UpdateStrategy};
+use dbshare_sim::experiments::{DebitCreditRun, RunLength, RunSpec, ScaleRun};
 use dbshare_sim::Engine;
 use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
 
@@ -75,6 +76,52 @@ fn peak_heap_does_not_grow_with_run_length() {
             );
         }
     }
+}
+
+/// 8 nodes, GEM locking, FORCE, affinity routing, 1,000-page buffers,
+/// seed 1: nearly every transaction updates an ACCOUNT page (8 million
+/// of them) that no transaction touched before.
+fn fresh_pages(measured: u64) -> Job {
+    let run = RunLength {
+        warmup: 2_000,
+        measured,
+    };
+    Job {
+        figure: "memory".into(),
+        curve: "GEM/FORCE".into(),
+        nodes: 8,
+        spec: RunSpec::DebitCredit(DebitCreditRun {
+            coupling: CouplingMode::GemLocking,
+            update: UpdateStrategy::Force,
+            buffer: 1_000,
+            seed: 1,
+            ..DebitCreditRun::baseline(8, run)
+        }),
+        observe: Observe::default(),
+    }
+}
+
+/// The GLT keeps an entry only while a buffer holds a copy of its page
+/// (or a lock or an owner needs it), so a run that touches a new page in
+/// every transaction holds as many entries at 32,000 measured
+/// transactions as at 8,000. (From 2,000 to 8,000 the heap still grows
+/// by about 24 KB for reasons other than the lock table.)
+#[test]
+fn gem_peak_heap_does_not_grow_with_the_pages_touched() {
+    let lengths = [8_000, 32_000];
+    let results = run_jobs(lengths.iter().map(|&m| fresh_pages(m)).collect(), 1, false);
+    for r in &results {
+        assert!(!r.report.truncated, "the FORCE run must converge");
+    }
+    let short = results[0].report.profile.peak_heap_bytes;
+    let long = results[1].report.profile.peak_heap_bytes;
+    assert!(short > 0, "counting allocator not active");
+    assert!(
+        long < short + MAX_RUN_LENGTH_GROWTH,
+        "peak heap {short} B at {} measured, {long} B at {}",
+        lengths[0],
+        lengths[1]
+    );
 }
 
 /// Heap bytes a PCL engine holds once built, before its first event.

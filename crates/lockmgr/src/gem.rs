@@ -10,10 +10,19 @@
 //! under NOFORCE, the *page owner* — the node whose buffer holds the
 //! most recent version. Comparing sequence numbers at lock time detects
 //! buffer invalidations without any extra communication.
+//!
+//! An entry lives only while something can be compared with its
+//! sequence number: a node buffer holding a copy of the page (the table
+//! counts them), a lock holder or waiter, or an owner. It is dropped the
+//! moment the last of these goes; the next request finds the page at
+//! sequence number 0 again. No buffered copy carries a number of the
+//! dropped entry, so every later version check gives the same answer as
+//! if the entry had stayed.
 
 use crate::table::{LockMode, LockReply, LockTable};
 use dbshare_model::{NodeId, PageId, TxnId};
 use desim::fxhash::{self, FxHashMap};
+use std::collections::hash_map::Entry as Slot;
 
 /// Global-lock-table metadata of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,6 +33,30 @@ pub struct PageInfo {
     /// not yet on permanent storage (NOFORCE); `None` means permanent
     /// storage is current.
     pub owner: Option<NodeId>,
+}
+
+/// One page's entry: its metadata and the number of node buffers
+/// holding a copy.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    seqno: u64,
+    owner: Option<NodeId>,
+    copies: u32,
+}
+
+impl Entry {
+    fn info(&self) -> PageInfo {
+        PageInfo {
+            seqno: self.seqno,
+            owner: self.owner,
+        }
+    }
+
+    /// No buffered copy and no owner: only a lock holder or waiter can
+    /// still keep the entry.
+    fn unpinned(&self) -> bool {
+        self.copies == 0 && self.owner.is_none()
+    }
 }
 
 /// Reply to a GEM lock request: the lock outcome plus the coherency
@@ -53,7 +86,7 @@ pub struct GemReply {
 #[derive(Debug, Default)]
 pub struct GemLockTable {
     table: LockTable,
-    meta: FxHashMap<PageId, PageInfo>,
+    meta: FxHashMap<PageId, Entry>,
 }
 
 impl GemLockTable {
@@ -87,26 +120,53 @@ impl GemLockTable {
 
     /// Current metadata of `page`.
     pub fn info(&self, page: PageId) -> PageInfo {
-        self.meta.get(&page).copied().unwrap_or_default()
+        self.meta.get(&page).map(Entry::info).unwrap_or_default()
     }
 
     /// Records that `node` committed a modification of `page`:
     /// increments the sequence number and sets the owner (NOFORCE) or
-    /// marks storage current (`force_written = true`).
-    pub fn record_modification(&mut self, page: PageId, node: NodeId, force_written: bool) {
+    /// marks storage current (`force_written = true`). Returns the new
+    /// sequence number.
+    pub fn record_modification(&mut self, page: PageId, node: NodeId, force_written: bool) -> u64 {
         let e = self.meta.entry(page).or_default();
         e.seqno += 1;
         e.owner = if force_written { None } else { Some(node) };
+        e.seqno
     }
 
     /// Records that the owner wrote the current version back to
     /// permanent storage (dirty replacement, §3.2): future misses read
     /// from storage instead of requesting the page.
     pub fn record_writeback(&mut self, page: PageId, node: NodeId) {
-        if let Some(e) = self.meta.get_mut(&page) {
-            if e.owner == Some(node) {
-                e.owner = None;
+        if let Slot::Occupied(mut e) = self.meta.entry(page) {
+            if e.get().owner == Some(node) {
+                e.get_mut().owner = None;
+                if e.get().unpinned() && !self.table.is_locked(page) {
+                    e.remove();
+                }
             }
+        }
+    }
+
+    /// A node buffer took a copy of `page`.
+    pub fn copy_added(&mut self, page: PageId) {
+        self.meta.entry(page).or_default().copies += 1;
+    }
+
+    /// A node buffer dropped its copy of `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no buffer holds a counted copy of `page`.
+    pub fn copy_dropped(&mut self, page: PageId) {
+        const UNCOUNTED: &str = "a copy left that the GLT never counted";
+        let Slot::Occupied(mut e) = self.meta.entry(page) else {
+            panic!("{page:?}: {UNCOUNTED}");
+        };
+        let copies = &mut e.get_mut().copies;
+        *copies = copies.checked_sub(1).expect(UNCOUNTED);
+        if e.get().unpinned() && !self.table.is_locked(page) {
+            e.remove();
         }
     }
 
@@ -118,27 +178,69 @@ impl GemLockTable {
 
     /// Releases all locks of `txn`, returning newly granted waiters.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(PageId, TxnId, LockMode)> {
-        self.table.release_all(txn)
+        let meta = &mut self.meta;
+        self.table
+            .release_all_then(txn, |page| Self::unlocked(meta, page))
     }
 
     /// Releases a single lock (used on abort paths).
     pub fn release(&mut self, txn: TxnId, page: PageId) -> Vec<(TxnId, LockMode)> {
-        self.table.release(txn, page)
+        let meta = &mut self.meta;
+        self.table
+            .release_then(txn, page, |page| Self::unlocked(meta, page))
+    }
+
+    /// `page` lost its last lock holder or waiter.
+    fn unlocked(meta: &mut FxHashMap<PageId, Entry>, page: PageId) {
+        if let Slot::Occupied(e) = meta.entry(page) {
+            if e.get().unpinned() {
+                e.remove();
+            }
+        }
     }
 
     /// Clears the page ownership of every page owned by `node` (the
     /// node crashed and its buffered versions are gone; after log-based
-    /// recovery the permanent database is current again). Returns the
-    /// number of entries cleared.
-    pub fn clear_node_ownership(&mut self, node: NodeId) -> usize {
-        let mut cleared = 0;
-        for e in self.meta.values_mut() {
-            if e.owner == Some(node) {
-                e.owner = None;
-                cleared += 1;
+    /// recovery the permanent database is current again).
+    pub fn clear_node_ownership(&mut self, node: NodeId) {
+        let table = &self.table;
+        self.meta.retain(|&page, e| {
+            if e.owner != Some(node) {
+                return true;
             }
+            e.owner = None;
+            e.copies > 0 || table.is_locked(page)
+        });
+    }
+
+    /// Checks the copy counts against `recount(page)`, the number of
+    /// node buffers holding a copy of `page`: for each page of
+    /// `buffered` and each entry, the count must be that number, and an
+    /// entry without a copy must have an owner or a lock holder or
+    /// waiter. Allocates nothing. Returns the number of `buffered` pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first page that disagrees.
+    pub fn check_copies(
+        &self,
+        buffered: impl IntoIterator<Item = PageId>,
+        recount: impl Fn(PageId) -> u32,
+    ) -> usize {
+        let mut pages = 0;
+        for page in buffered {
+            let counted = self.meta.get(&page).map_or(0, |e| e.copies);
+            assert_eq!(counted, recount(page), "GLT copy count of {page:?}");
+            pages += 1;
         }
-        cleared
+        for (&page, e) in &self.meta {
+            assert_eq!(e.copies, recount(page), "GLT copy count of {page:?}");
+            assert!(
+                e.copies > 0 || e.owner.is_some() || self.table.is_locked(page),
+                "{page:?}: GLT entry without copy, owner or lock"
+            );
+        }
+        pages
     }
 }
 
@@ -208,6 +310,79 @@ mod tests {
         assert_eq!(granted, vec![(page(1), txn(2), LockMode::Write)]);
         assert_eq!(glt.table().grants(), 2);
         assert_eq!(glt.table().conflicts(), 1);
+    }
+
+    #[test]
+    fn entry_lives_while_a_copy_is_buffered() {
+        let mut glt = GemLockTable::new();
+        glt.request(txn(1), page(1), LockMode::Write);
+        glt.copy_added(page(1));
+        assert_eq!(glt.record_modification(page(1), node(0), true), 1);
+        glt.release_all(txn(1));
+        glt.copy_added(page(1)); // a second node reads it
+        glt.copy_dropped(page(1));
+        assert_eq!(glt.info(page(1)).seqno, 1, "one copy still buffered");
+        glt.copy_dropped(page(1));
+        assert!(glt.meta.is_empty(), "no copy, owner or lock is left");
+        assert_eq!(glt.info(page(1)), PageInfo::default());
+    }
+
+    #[test]
+    fn entry_lives_while_owned() {
+        let mut glt = GemLockTable::new();
+        glt.request(txn(1), page(1), LockMode::Write);
+        glt.copy_added(page(1));
+        glt.record_modification(page(1), node(0), false);
+        glt.release_all(txn(1));
+        glt.copy_dropped(page(1)); // dirty eviction: the write-back runs
+        assert_eq!(glt.info(page(1)).owner, Some(node(0)));
+        glt.record_writeback(page(1), node(0));
+        assert!(glt.meta.is_empty());
+    }
+
+    #[test]
+    fn entry_lives_while_locked() {
+        let mut glt = GemLockTable::new();
+        glt.request(txn(1), page(1), LockMode::Read);
+        glt.request(txn(2), page(1), LockMode::Write);
+        glt.copy_added(page(1));
+        glt.record_modification(page(1), node(0), true);
+        glt.copy_dropped(page(1)); // invalidated while locked
+        assert_eq!(glt.info(page(1)).seqno, 1);
+        glt.release(txn(1), page(1)); // txn 2 is granted
+        assert_eq!(glt.info(page(1)).seqno, 1);
+        glt.release(txn(2), page(1));
+        assert!(glt.meta.is_empty());
+    }
+
+    #[test]
+    fn crash_drops_the_entries_only_ownership_kept() {
+        let mut glt = GemLockTable::new();
+        for p in 1..=3 {
+            glt.request(txn(p), page(p), LockMode::Write);
+            glt.copy_added(page(p));
+            glt.record_modification(page(p), node(0), false);
+            glt.release_all(txn(p));
+            glt.copy_dropped(page(p));
+        }
+        glt.copy_added(page(2)); // buffered elsewhere
+        glt.request(txn(9), page(3), LockMode::Read); // locked
+        glt.clear_node_ownership(node(0));
+        let mut left: Vec<u64> = glt.meta.keys().map(|p| p.number()).collect();
+        left.sort_unstable();
+        assert_eq!(left, vec![2, 3]);
+        assert_eq!(glt.info(page(2)).owner, None);
+        let recount = |p: PageId| u32::from(p == page(2));
+        assert_eq!(glt.check_copies([page(2)], recount), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "GLT copy count")]
+    fn check_copies_catches_a_miscount() {
+        let mut glt = GemLockTable::new();
+        glt.copy_added(page(1));
+        glt.copy_added(page(1));
+        glt.check_copies([page(1)], |_| 1);
     }
 
     #[test]

@@ -184,6 +184,17 @@ impl LockTable {
     /// Releases `txn`'s lock on `page` (or removes its queued request),
     /// returning the waiters granted as a result.
     pub fn release(&mut self, txn: TxnId, page: PageId) -> Vec<(TxnId, LockMode)> {
+        self.release_then(txn, page, |_| {})
+    }
+
+    /// [`release`](Self::release), calling `on_idle(page)` if the page is
+    /// left without a holder or waiter.
+    pub(crate) fn release_then(
+        &mut self,
+        txn: TxnId,
+        page: PageId,
+        on_idle: impl FnOnce(PageId),
+    ) -> Vec<(TxnId, LockMode)> {
         let Some(state) = self.locks.get_mut(&page) else {
             return Vec::new();
         };
@@ -204,6 +215,7 @@ impl LockTable {
             if let Some(state) = self.locks.remove(&page) {
                 self.free_states.push(state);
             }
+            on_idle(page);
         }
         granted
     }
@@ -212,6 +224,16 @@ impl LockTable {
     /// abort), returning all newly granted `(page, txn, mode)` triples
     /// in deterministic (page, queue) order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(PageId, TxnId, LockMode)> {
+        self.release_all_then(txn, |_| {})
+    }
+
+    /// [`release_all`](Self::release_all), calling `on_idle(page)` for each
+    /// page left without a holder or waiter.
+    pub(crate) fn release_all_then(
+        &mut self,
+        txn: TxnId,
+        mut on_idle: impl FnMut(PageId),
+    ) -> Vec<(PageId, TxnId, LockMode)> {
         // The page list lives in a reusable scratch buffer and the
         // emptied held-set returns to the pool, so the common
         // no-waiters release performs no allocation at all (`out`
@@ -225,7 +247,7 @@ impl LockTable {
         pages.sort_unstable();
         let mut out = Vec::new();
         for &page in &pages {
-            for (t, m) in self.release(txn, page) {
+            for (t, m) in self.release_then(txn, page, &mut on_idle) {
                 out.push((page, t, m));
             }
         }
@@ -266,6 +288,11 @@ impl LockTable {
             }
         }
         granted
+    }
+
+    /// True if `page` has a lock holder or waiter.
+    pub(crate) fn is_locked(&self, page: PageId) -> bool {
+        self.locks.contains_key(&page)
     }
 
     /// The mode `txn` currently holds on `page`, if any.

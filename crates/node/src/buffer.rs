@@ -19,6 +19,15 @@ pub struct Frame {
     pub dirty: bool,
 }
 
+/// What putting a page copy in the buffer did to its set of copies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placed {
+    /// The buffer held no copy of the page before.
+    pub added: bool,
+    /// The copy evicted to make room, clean or dirty.
+    pub evicted: Option<(PageId, Frame)>,
+}
+
 /// Outcome of a buffer lookup against the current version number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -121,35 +130,32 @@ impl BufferManager {
         }
     }
 
-    /// Inserts (or refreshes) a page copy, returning an evicted dirty
-    /// page that must be written back, if any. Clean evictions are
-    /// silent (their disk copy is current).
-    pub fn insert(&mut self, page: PageId, seqno: u64, dirty: bool) -> Option<(PageId, Frame)> {
-        self.lru
-            .insert(page, Frame { seqno, dirty })
-            .filter(|(_, f)| f.dirty)
+    /// Inserts (or refreshes) a page copy. Reports whether the buffer
+    /// held no copy of the page before, and the copy evicted to make
+    /// room, clean or dirty (a dirty one must be written back).
+    pub fn insert(&mut self, page: PageId, seqno: u64, dirty: bool) -> Placed {
+        let len = self.lru.len();
+        let evicted = self.lru.insert(page, Frame { seqno, dirty });
+        Placed {
+            added: evicted.is_some() || self.lru.len() > len,
+            evicted,
+        }
     }
 
     /// Marks a cached page as modified with its new version number
     /// (commit time). If the page was meanwhile replaced, it is
     /// re-inserted dirty — the transaction's copy still exists
-    /// conceptually. Returns an evicted dirty page if the re-insert
-    /// displaced one.
-    pub fn mark_dirty(&mut self, page: PageId, new_seqno: u64) -> Option<(PageId, Frame)> {
+    /// conceptually. Reports what [`insert`](Self::insert) reports.
+    pub fn mark_dirty(&mut self, page: PageId, new_seqno: u64) -> Placed {
         if let Some(f) = self.lru.get_mut(&page) {
             f.seqno = new_seqno;
             f.dirty = true;
-            None
+            Placed {
+                added: false,
+                evicted: None,
+            }
         } else {
             self.insert(page, new_seqno, true)
-        }
-    }
-
-    /// Marks a page clean after its write-back completed (it may have
-    /// been evicted meanwhile; that is fine).
-    pub fn mark_clean(&mut self, page: PageId) {
-        if let Some(f) = self.lru.peek_mut(&page) {
-            f.dirty = false;
         }
     }
 
@@ -172,6 +178,12 @@ impl BufferManager {
             .peek(&page)
             .map(|f| f.seqno >= current_seqno)
             .unwrap_or(false)
+    }
+
+    /// The buffered pages, most recently used first (does not touch
+    /// recency).
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.lru.iter_mru().map(|(&page, _)| page)
     }
 
     /// Pages currently buffered.
@@ -240,31 +252,73 @@ mod tests {
         let mut b = BufferManager::new(2, 1);
         b.insert(page(0, 1), 0, true);
         b.insert(page(0, 2), 0, false);
-        let evicted = b.insert(page(0, 3), 0, false);
+        let placed = b.insert(page(0, 3), 0, false);
         assert_eq!(
-            evicted,
+            placed,
+            Placed {
+                added: true,
+                evicted: Some((
+                    page(0, 1),
+                    Frame {
+                        seqno: 0,
+                        dirty: true
+                    }
+                )),
+            }
+        );
+    }
+
+    #[test]
+    fn clean_eviction_is_reported() {
+        let mut b = BufferManager::new(1, 1);
+        assert_eq!(
+            b.insert(page(0, 1), 3, false),
+            Placed {
+                added: true,
+                evicted: None,
+            }
+        );
+        let placed = b.insert(page(0, 2), 0, false);
+        assert!(placed.added);
+        assert_eq!(
+            placed.evicted,
             Some((
                 page(0, 1),
                 Frame {
-                    seqno: 0,
-                    dirty: true
+                    seqno: 3,
+                    dirty: false
                 }
             ))
         );
     }
 
     #[test]
-    fn clean_eviction_is_silent() {
+    fn refresh_adds_no_copy() {
         let mut b = BufferManager::new(1, 1);
         b.insert(page(0, 1), 0, false);
-        assert_eq!(b.insert(page(0, 2), 0, false), None);
+        assert_eq!(
+            b.insert(page(0, 1), 2, true),
+            Placed {
+                added: false,
+                evicted: None,
+            }
+        );
+        assert!(b.is_dirty(page(0, 1)));
+        assert_eq!(b.pages().collect::<Vec<_>>(), vec![page(0, 1)]);
     }
 
     #[test]
     fn mark_dirty_updates_version() {
         let mut b = BufferManager::new(2, 1);
         b.insert(page(0, 1), 0, false);
-        assert_eq!(b.mark_dirty(page(0, 1), 1), None);
+        let placed = b.mark_dirty(page(0, 1), 1);
+        assert_eq!(
+            placed,
+            Placed {
+                added: false,
+                evicted: None,
+            }
+        );
         assert_eq!(b.cached_seqno(page(0, 1)), Some(1));
         assert!(b.has_valid(page(0, 1), 1));
         assert!(!b.has_valid(page(0, 1), 2));
@@ -275,18 +329,14 @@ mod tests {
         let mut b = BufferManager::new(1, 1);
         b.insert(page(0, 1), 0, false);
         b.insert(page(0, 2), 0, false); // 1 evicted (clean)
-        assert_eq!(b.mark_dirty(page(0, 1), 4), None); // 2 evicted, clean
+        let placed = b.mark_dirty(page(0, 1), 4); // 2 evicted, clean
+        assert!(placed.added);
+        assert_eq!(
+            placed.evicted.map(|(p, f)| (p, f.dirty)),
+            Some((page(0, 2), false))
+        );
         assert_eq!(b.cached_seqno(page(0, 1)), Some(4));
-    }
-
-    #[test]
-    fn mark_clean_after_writeback() {
-        let mut b = BufferManager::new(2, 1);
-        b.insert(page(0, 1), 1, true);
-        b.mark_clean(page(0, 1));
-        b.insert(page(0, 2), 0, false);
-        // now evicting page 1 is silent (clean)
-        assert_eq!(b.insert(page(0, 3), 0, false), None);
+        assert!(b.is_dirty(page(0, 1)));
     }
 
     #[test]

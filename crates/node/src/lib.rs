@@ -17,5 +17,5 @@
 pub mod buffer;
 pub mod cost;
 
-pub use buffer::{BufferManager, Frame, Lookup};
+pub use buffer::{BufferManager, Frame, Lookup, Placed};
 pub use cost::CostModel;

@@ -1,13 +1,13 @@
 //! Randomized tests of the buffer manager: capacity is never
 //! exceeded, lookups agree with a reference model of page presence and
-//! versions, and dirty pages are never silently dropped.
+//! versions, and every copy that enters or leaves is reported.
 //!
 //! Cases are generated with desim's deterministic RNG (seeded,
 //! reproducible) so the workspace builds and tests without any registry
 //! dependency.
 
 use dbshare_model::{PageId, PartitionId};
-use dbshare_node::buffer::{BufferManager, Lookup};
+use dbshare_node::buffer::{BufferManager, Lookup, Placed};
 use desim::Rng;
 use std::collections::HashMap;
 
@@ -22,11 +22,10 @@ enum Op {
     Lookup { page: u8, seqno: u8 },
     Insert { page: u8, seqno: u8, dirty: bool },
     MarkDirty { page: u8, seqno: u8 },
-    MarkClean { page: u8 },
 }
 
 fn random_op(rng: &mut Rng) -> Op {
-    match rng.below(4) {
+    match rng.below(3) {
         0 => Op::Lookup {
             page: rng.below(30) as u8,
             seqno: rng.below(8) as u8,
@@ -36,13 +35,34 @@ fn random_op(rng: &mut Rng) -> Op {
             seqno: rng.below(8) as u8,
             dirty: rng.chance(0.5),
         },
-        2 => Op::MarkDirty {
+        _ => Op::MarkDirty {
             page: rng.below(30) as u8,
             seqno: rng.below(8) as u8,
         },
-        _ => Op::MarkClean {
-            page: rng.below(30) as u8,
-        },
+    }
+}
+
+/// Applies a put of `p` as `frame` to the model and checks the buffer's
+/// report: a new copy exactly when the model had none, and an eviction,
+/// clean or dirty, exactly when the model overflows, of a cached page
+/// with the version and flag it was cached with.
+fn check_placed(
+    model: &mut HashMap<u8, (u8, bool)>,
+    cap: u64,
+    p: u8,
+    frame: (u8, bool),
+    placed: Placed,
+) {
+    let added = model.insert(p, frame).is_none();
+    assert_eq!(placed.added, added, "new copy of {p}");
+    match placed.evicted {
+        Some((ep, f)) => {
+            let k = ep.number() as u8;
+            assert_ne!(k, p, "a page evicted itself");
+            let gone = model.remove(&k).expect("evicted page was cached");
+            assert_eq!(gone, (f.seqno as u8, f.dirty), "frame of {k}");
+        }
+        None => assert!(model.len() as u64 <= cap, "an eviction went unreported"),
     }
 }
 
@@ -55,8 +75,6 @@ fn buffer_agrees_with_reference_model() {
         let mut buf = BufferManager::new(cap, 1);
         // model: page -> (seqno, dirty)
         let mut model: HashMap<u8, (u8, bool)> = HashMap::new();
-        let mut dirty_evictions = 0u32;
-        let mut model_dirty_drops = 0u32;
 
         for _ in 0..n_ops {
             match random_op(&mut rng) {
@@ -77,41 +95,16 @@ fn buffer_agrees_with_reference_model() {
                     seqno,
                     dirty,
                 } => {
-                    let evicted = buf.insert(page(p), seqno as u64, dirty);
-                    model.insert(p, (seqno, dirty));
-                    if let Some((ep, frame)) = evicted {
-                        assert!(frame.dirty, "only dirty evictions surface");
-                        dirty_evictions += 1;
-                        let removed = model.remove(&(ep.number() as u8));
-                        assert!(removed.is_some());
-                        model_dirty_drops += 1;
-                    } else if model.len() > cap as usize {
-                        // a clean page was evicted silently; drop the LRU
-                        // one from the model by syncing against the buffer
-                        model.retain(|&k, _| buf.cached_seqno(page(k)).is_some());
-                    }
+                    let placed = buf.insert(page(p), seqno as u64, dirty);
+                    check_placed(&mut model, cap, p, (seqno, dirty), placed);
                 }
                 Op::MarkDirty { page: p, seqno } => {
-                    let evicted = buf.mark_dirty(page(p), seqno as u64);
-                    model.insert(p, (seqno, true));
-                    if let Some((ep, frame)) = evicted {
-                        assert!(frame.dirty);
-                        dirty_evictions += 1;
-                        model.remove(&(ep.number() as u8));
-                        model_dirty_drops += 1;
-                    } else {
-                        model.retain(|&k, _| buf.cached_seqno(page(k)).is_some());
-                    }
-                }
-                Op::MarkClean { page: p } => {
-                    buf.mark_clean(page(p));
-                    if let Some(e) = model.get_mut(&p) {
-                        e.1 = false;
-                    }
+                    let placed = buf.mark_dirty(page(p), seqno as u64);
+                    check_placed(&mut model, cap, p, (seqno, true), placed);
                 }
             }
             assert!(buf.len() as u64 <= cap, "capacity exceeded");
-            assert_eq!(dirty_evictions, model_dirty_drops);
+            assert_eq!(buf.len(), model.len());
             // every model entry is present with the same seqno
             for (&k, &(s, d)) in &model {
                 assert_eq!(buf.cached_seqno(page(k)), Some(s as u64));

@@ -88,7 +88,10 @@ impl Engine {
                 return self.finish_access(now, id);
             }
             Lookup::Miss => seen.misses += 1,
-            Lookup::Invalidated => seen.invalidations += 1,
+            Lookup::Invalidated => {
+                seen.invalidations += 1;
+                self.copy_left(page);
+            }
         }
         match copy {
             // Sequential insert: the page is created in the buffer, no

@@ -11,7 +11,8 @@
 //! anything else is asynchronous, and the job continues at
 //! [`Cont::IoIssue`], which issues the device access and fires
 //! `IoDone` at its completion. A page copy enters a buffer for an
-//! access in one place, [`install_page`](Engine::install_page).
+//! access in one place, [`install_page`](Engine::install_page), and
+//! every copy enters a buffer through [`put_copy`](Engine::put_copy).
 //!
 //! A synchronous read is counted and traced (`PageRead`) when it
 //! completes, an asynchronous one when it is issued. A synchronous
@@ -211,10 +212,7 @@ impl Engine {
         if arrival == Arrival::Transfer {
             self.metrics.page_req_delay.record(waited.as_millis_f64());
         }
-        let evicted = self.nodes[node.index()].buffer.insert(page, seqno, false);
-        if let Some((victim, _)) = evicted {
-            self.start_io(now, IoOp::WriteBack { node, page: victim });
-        }
+        self.put_copy(now, node, page, seqno, false);
         if arrival != Arrival::InPlace {
             self.emit(
                 now,
@@ -226,5 +224,34 @@ impl Engine {
             );
         }
         self.finish_access(now, id);
+    }
+
+    /// Puts version `seqno` of `page` in `node`'s buffer, as a modified
+    /// copy if `dirty`. The copy that enters and the one evicted for it
+    /// are counted at the lock state, and an evicted dirty page is
+    /// written back.
+    pub(crate) fn put_copy(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        page: PageId,
+        seqno: u64,
+        dirty: bool,
+    ) {
+        let buffer = &mut self.nodes[node.index()].buffer;
+        let placed = if dirty {
+            buffer.mark_dirty(page, seqno)
+        } else {
+            buffer.insert(page, seqno, false)
+        };
+        if placed.added {
+            self.copy_entered(page);
+        }
+        if let Some((victim, frame)) = placed.evicted {
+            self.copy_left(victim);
+            if frame.dirty {
+                self.start_io(now, IoOp::WriteBack { node, page: victim });
+            }
+        }
     }
 }

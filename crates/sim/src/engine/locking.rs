@@ -23,7 +23,6 @@
 //!   [`release_aborted`](Engine::release_aborted).
 
 use super::events::ReleasePages;
-use super::io::IoOp;
 use super::maintenance::AbortReason;
 use super::txn::Grantor;
 use super::{Cont, Engine, Job, Msg, MsgBody, Phase, Txn};
@@ -629,10 +628,7 @@ impl Engine {
                 (0, noforce) // latched partitions are node-local
             } else {
                 match &mut self.locking {
-                    Locking::Glt(glt) => {
-                        glt.record_modification(p, node, !noforce);
-                        (glt.info(p).seqno, noforce)
-                    }
+                    Locking::Glt(glt) => (glt.record_modification(p, node, !noforce), noforce),
                     Locking::Pcl(pcl) => {
                         let held = self.txns.get(&id).and_then(|t| t.locks.get(&p).copied());
                         let held = held.expect("a modified page is write-locked");
@@ -644,15 +640,7 @@ impl Engine {
                     }
                 }
             };
-            let buffer = &mut self.nodes[node.index()].buffer;
-            let evicted = if keep_dirty {
-                buffer.mark_dirty(p, new_seq)
-            } else {
-                buffer.insert(p, new_seq, false)
-            };
-            if let Some((victim, _)) = evicted {
-                self.start_io(now, IoOp::WriteBack { node, page: victim });
-            }
+            self.put_copy(now, node, p, new_seq, keep_dirty);
         }
         let released = self.txn(id).held.len() as u64;
         let here = match self.locking {
@@ -734,16 +722,7 @@ impl Engine {
                 if noforce {
                     // The GLA node owns its partition's pages: the new
                     // version now lives (dirty) in its buffer.
-                    let evicted = self.nodes[gla.index()].buffer.mark_dirty(page, new_seq);
-                    if let Some((victim, _)) = evicted {
-                        self.start_io(
-                            now,
-                            IoOp::WriteBack {
-                                node: gla,
-                                page: victim,
-                            },
-                        );
-                    }
+                    self.put_copy(now, gla, page, new_seq, true);
                 }
             }
         }
@@ -812,15 +791,67 @@ impl Engine {
     /// transaction holding or waiting for a lock there aborts.
     pub(crate) fn crash_locks(&mut self, now: SimTime, node: NodeId) {
         let victims = match &mut self.locking {
-            Locking::Glt(glt) => {
-                glt.clear_node_ownership(node);
-                return;
-            }
+            Locking::Glt(glt) => return glt.clear_node_ownership(node),
             Locking::Pcl(p) => p.gla[node.index()].table().all_txns(),
         };
         for v in victims {
             self.abort(now, v, AbortReason::Crash);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Buffered copies
+    // ------------------------------------------------------------------
+
+    /// The GLT, if it keeps the entry of `page` (a page of a locked
+    /// partition under GEM locking or the lock engine).
+    fn glt_of(&mut self, page: PageId) -> Option<&mut GemLockTable> {
+        if !self.locked_partition(page) {
+            return None;
+        }
+        match &mut self.locking {
+            Locking::Glt(glt) => Some(glt),
+            Locking::Pcl(_) => None,
+        }
+    }
+
+    /// A copy of `page` entered a node's buffer.
+    pub(crate) fn copy_entered(&mut self, page: PageId) {
+        if let Some(glt) = self.glt_of(page) {
+            glt.copy_added(page);
+        }
+    }
+
+    /// A copy of `page` left a node's buffer: evicted, invalidated, or
+    /// lost in a crash.
+    pub(crate) fn copy_left(&mut self, page: PageId) {
+        if let Some(glt) = self.glt_of(page) {
+            glt.copy_dropped(page);
+        }
+    }
+
+    /// Checks the GLT's copy counts against a recount of the node
+    /// buffers (see [`GemLockTable::check_copies`]), returning the
+    /// number of buffered copies of locked partitions' pages; 0 under
+    /// PCL.
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn check_copy_counts(&self) -> usize {
+        let Locking::Glt(glt) = &self.locking else {
+            return 0;
+        };
+        let buffered = self.nodes.iter().flat_map(|ctx| {
+            ctx.buffer
+                .pages()
+                .filter(|&page| self.locked_partition(page))
+        });
+        let recount = |page| {
+            let holders = self
+                .nodes
+                .iter()
+                .filter(|ctx| ctx.buffer.cached_seqno(page).is_some());
+            holders.count() as u32
+        };
+        glt.check_copies(buffered, recount)
     }
 
     /// A dirty page's write-back on `node` completed. Under GEM
@@ -910,7 +941,97 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbshare_model::PartitionId;
+    use crate::experiments::{DebitCreditRun, RunLength, RunSpec};
+    use dbshare_model::{
+        CrashConfig, PageTransferMode, PartitionId, RoutingStrategy, UpdateStrategy,
+    };
+    use dbshare_node::BufferManager;
+    use dbshare_workload::{DebitCredit, DebitCreditWorkload};
+
+    /// A short debit-credit run of 4 nodes at 100 TPS each.
+    fn dc(coupling: CouplingMode, update: UpdateStrategy) -> DebitCreditRun {
+        let run = RunLength {
+            warmup: 400,
+            measured: 3_000,
+        };
+        DebitCreditRun {
+            coupling,
+            update,
+            ..DebitCreditRun::baseline(4, run)
+        }
+    }
+
+    /// `tests/failure_injection.rs`'s crash run: 4 nodes under random
+    /// routing, node 1 down from 3 s to 5 s.
+    fn crash_engine() -> Engine {
+        let mut cfg = SystemConfig::debit_credit(4);
+        cfg.routing = RoutingStrategy::Random;
+        cfg.crash = Some(CrashConfig {
+            node: 1,
+            at_secs: 3.0,
+            recovery_secs: 2.0,
+        });
+        cfg.run.warmup_txns = 400;
+        cfg.run.measured_txns = 4_000;
+        let wl =
+            DebitCreditWorkload::new(DebitCredit::new(4, 100.0), 100.0, RoutingStrategy::Random);
+        cfg.partitions = Workload::partitions(&wl).to_vec();
+        Engine::new(cfg, Box::new(wl)).expect("valid")
+    }
+
+    /// Runs `engine` and checks the GLT's copy counts against its
+    /// buffers; returns the engine for further checks.
+    fn checked(mut engine: Engine) -> Engine {
+        engine.run_loop();
+        assert!(engine.check_copy_counts() > 0, "nothing buffered to check");
+        engine
+    }
+
+    #[test]
+    fn glt_copy_counts_match_the_buffers() {
+        let force = dc(CouplingMode::GemLocking, UpdateStrategy::Force);
+        checked(RunSpec::DebitCredit(force).engine());
+
+        // Small buffers under random routing: invalidations, page
+        // requests to owners, and dirty write-backs.
+        let churn = DebitCreditRun {
+            routing: RoutingStrategy::Random,
+            buffer: 50,
+            ..dc(CouplingMode::GemLocking, UpdateStrategy::NoForce)
+        };
+        let e = checked(RunSpec::DebitCredit(churn).engine());
+        let c = &e.counters;
+        assert!(c.buffer_total().invalidations > 0, "no invalidation");
+        assert!(c.page_requests > 0, "no page request");
+        assert!(c.evict_writes > 0, "no write-back");
+
+        let via_gem = DebitCreditRun {
+            transfer: PageTransferMode::Gem,
+            ..churn
+        };
+        let e = checked(RunSpec::DebitCredit(via_gem).engine());
+        assert!(e.counters.page_transfers > 0, "no page through GEM");
+
+        let engine = RunSpec::LockEngine {
+            params: dc(CouplingMode::LockEngine, UpdateStrategy::NoForce),
+            op_service_us: 20.0,
+        };
+        checked(engine.engine());
+
+        let e = checked(crash_engine());
+        assert!(e.counters.crash_aborts > 0, "the crash must bite");
+    }
+
+    #[test]
+    #[should_panic(expected = "GLT copy count")]
+    fn copy_count_check_catches_a_lost_copy() {
+        let force = dc(CouplingMode::GemLocking, UpdateStrategy::Force);
+        let mut e = RunSpec::DebitCredit(force).engine();
+        e.run_loop();
+        // Empty one buffer behind the GLT's back.
+        e.nodes[0].buffer = BufferManager::new(e.cfg.buffer_pages_per_node, e.part_names.len());
+        e.check_copy_counts();
+    }
 
     /// Regression for the `out.revoke.len() as u32` truncation: a
     /// revoke set one wider than `u32::MAX` used to wrap `acks_left`

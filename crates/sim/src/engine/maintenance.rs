@@ -324,8 +324,13 @@ impl Engine {
             self.abort(now, v, AbortReason::Crash);
         }
         // The buffer content is lost; `Counters` keeps its lookups.
-        self.nodes[node.index()].buffer =
-            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, self.part_names.len());
+        let lost = std::mem::replace(
+            &mut self.nodes[node.index()].buffer,
+            dbshare_node::BufferManager::new(self.cfg.buffer_pages_per_node, self.part_names.len()),
+        );
+        for page in lost.pages() {
+            self.copy_left(page);
+        }
         self.crash_locks(now, node);
     }
 
@@ -355,7 +360,14 @@ impl Engine {
 
     /// Builds the end-of-run report at `now`.
     pub(crate) fn build_report(&mut self, now: SimTime) -> RunReport {
-        let c = self.counters.since(&self.base);
+        // A run cut off before warm-up ended measured nothing: its
+        // window is empty.
+        let base = if self.warmed {
+            &self.base
+        } else {
+            &self.counters
+        };
+        let c = self.counters.since(base);
         let n = self.measured.max(1) as f64;
         let dev = self.storage.report(now);
         let span = (now - self.metrics.started).as_secs_f64().max(1e-9);

@@ -257,6 +257,8 @@ impl Engine {
                 self.counters.committed,
             );
         }
+        #[cfg(debug_assertions)]
+        self.check_copy_counts();
         now
     }
 

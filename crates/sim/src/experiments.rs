@@ -140,7 +140,7 @@ impl RunSpec {
     }
 
     /// Builds the configured engine without running it.
-    fn engine(&self) -> Engine {
+    pub(crate) fn engine(&self) -> Engine {
         match *self {
             RunSpec::DebitCredit(p) => debit_credit_engine_at(p, 100.0, |_| {}),
             RunSpec::LockEngine {

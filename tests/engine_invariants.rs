@@ -312,6 +312,42 @@ fn sim_time_cap_truncates_overloaded_runs() {
     assert!(r.cpu_utilization > 0.9, "saturated: {}", r.cpu_utilization);
 }
 
+/// A cap that ends the run before warm-up does leaves an empty
+/// measurement window: no per-transaction count or hit ratio may be
+/// read over the warm-up.
+#[test]
+fn sim_time_cap_before_warm_up_ends_reports_an_empty_window() {
+    for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
+        let tps = 100.0;
+        let mut cfg = SystemConfig::debit_credit(2);
+        cfg.coupling = coupling;
+        cfg.run.warmup_txns = 2_000;
+        cfg.run.max_sim_secs = Some(3.0);
+        let wl = DebitCreditWorkload::new(DebitCredit::new(2, tps), tps, RoutingStrategy::Affinity);
+        let r = Engine::new(cfg, Box::new(wl)).expect("valid").run();
+        assert!(r.truncated, "{coupling:?}: the cap must end the warm-up");
+        assert_eq!(r.measured_txns, 0, "{coupling:?}");
+        let per_txn = [
+            r.messages_per_txn,
+            r.gem_entries_per_txn,
+            r.page_requests_per_txn,
+            r.page_transfers_per_txn,
+            r.revokes_per_txn,
+            r.lock_requests_per_txn,
+            r.lock_waits_per_txn,
+            r.invalidations_per_txn,
+            r.reads_per_txn,
+            r.writes_per_txn,
+            r.evict_writes_per_txn,
+        ];
+        assert_eq!(per_txn, [0.0; 11], "{coupling:?}");
+        for (name, ratio) in &r.hit_ratios {
+            assert_eq!(*ratio, 0.0, "{coupling:?}: {name} hit ratio");
+        }
+        assert_eq!(r.deadlock_aborts + r.timeout_aborts + r.crash_aborts, 0);
+    }
+}
+
 #[test]
 fn sim_time_cap_does_not_touch_healthy_runs() {
     let mut p = DebitCreditRun::baseline(1, quick());
