@@ -92,6 +92,9 @@ impl LockState {
 pub struct LockTable {
     locks: FxHashMap<PageId, LockState>,
     held: FxHashMap<TxnId, FxHashSet<PageId>>,
+    /// Queued requests over all pages: the waits-for scans return at
+    /// once when there are none.
+    queued: usize,
     grants: u64,
     conflicts: u64,
     /// Recycled [`LockState`]s: a page's entry is created on first
@@ -153,6 +156,7 @@ impl LockTable {
                 return LockReply::Granted;
             }
             self.conflicts += 1;
+            self.queued += 1;
             // Queue upgrades ahead of non-upgrade waiters.
             let pos = state.queue.iter().take_while(|w| w.upgrade).count();
             state.queue.insert(
@@ -172,6 +176,7 @@ impl LockTable {
             LockReply::Granted
         } else {
             self.conflicts += 1;
+            self.queued += 1;
             state.queue.push_back(Waiter {
                 txn,
                 mode,
@@ -195,15 +200,29 @@ impl LockTable {
         page: PageId,
         on_idle: impl FnOnce(PageId),
     ) -> Vec<(TxnId, LockMode)> {
-        let Some(state) = self.locks.get_mut(&page) else {
-            return Vec::new();
-        };
-        state.holders.retain(|&(t, _)| t != txn);
-        state.queue.retain(|w| w.txn != txn);
         if let Some(set) = self.held.get_mut(&txn) {
             set.remove(&page);
         }
+        self.release_page(txn, page, on_idle)
+    }
+
+    /// Removes `txn` from `page`'s holders and queue and grants the
+    /// waiters that can now proceed; `txn`'s held-page index is the
+    /// caller's.
+    fn release_page(
+        &mut self,
+        txn: TxnId,
+        page: PageId,
+        on_idle: impl FnOnce(PageId),
+    ) -> Vec<(TxnId, LockMode)> {
+        let Some(state) = self.locks.get_mut(&page) else {
+            return Vec::new();
+        };
+        let queued = state.queue.len();
+        state.holders.retain(|&(t, _)| t != txn);
+        state.queue.retain(|w| w.txn != txn);
         let granted = Self::promote(state);
+        self.queued -= queued - state.queue.len();
         let idle = state.holders.is_empty() && state.queue.is_empty();
         for &(t, _) in &granted {
             self.index_held(t, page);
@@ -247,7 +266,7 @@ impl LockTable {
         pages.sort_unstable();
         let mut out = Vec::new();
         for &page in &pages {
-            for (t, m) in self.release_then(txn, page, &mut on_idle) {
+            for (t, m) in self.release_page(txn, page, &mut on_idle) {
                 out.push((page, t, m));
             }
         }
@@ -318,6 +337,9 @@ impl LockTable {
     /// incompatible with, and for earlier incompatible queue entries.
     pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
         let mut edges = Vec::new();
+        if self.queued == 0 {
+            return edges;
+        }
         for state in self.locks.values() {
             for (i, w) in state.queue.iter().enumerate() {
                 for &(t, m) in &state.holders {
@@ -349,6 +371,9 @@ impl LockTable {
     /// distance — a path by induction. That is O(queue × holders +
     /// queue) edges per page instead of O(queue²).
     pub fn reduced_waits_for_edges(&self, out: &mut Vec<(TxnId, TxnId)>) {
+        if self.queued == 0 {
+            return;
+        }
         for state in self.locks.values() {
             let mut last_write = None;
             for (i, w) in state.queue.iter().enumerate() {
@@ -635,6 +660,40 @@ mod tests {
         lt.request(txn(2), page(1), LockMode::Write);
         assert!(reduced(&lt).contains(&e(2, 1)));
         assert!(crate::deadlock::has_cycle(&reduced(&lt)));
+    }
+
+    /// The table-wide queued count follows every queue change, and the
+    /// waits-for scans find nothing without a queued request.
+    #[test]
+    fn queued_count_follows_the_queues() {
+        let check = |lt: &LockTable| {
+            let queued: usize = lt.locks.values().map(|s| s.queue.len()).sum();
+            assert_eq!(lt.queued, queued);
+            let mut reduced = Vec::new();
+            lt.reduced_waits_for_edges(&mut reduced);
+            assert_eq!(reduced.is_empty(), queued == 0);
+        };
+        let mut lt = LockTable::new();
+        lt.request(txn(1), page(1), LockMode::Read);
+        lt.request(txn(2), page(1), LockMode::Read);
+        lt.request(txn(3), page(1), LockMode::Write);
+        lt.request(txn(1), page(1), LockMode::Write); // queued upgrade
+        lt.request(txn(4), page(2), LockMode::Write);
+        lt.request(txn(5), page(2), LockMode::Read);
+        check(&lt);
+        assert_eq!(lt.queued, 3);
+        lt.release(txn(3), page(1)); // a waiter gives up
+        check(&lt);
+        lt.release_all(txn(2)); // the upgrade is granted
+        check(&lt);
+        lt.release_all(txn(4)); // txn 5 is granted
+        check(&lt);
+        assert_eq!(lt.queued, 0);
+        assert!(lt.waits_for_edges().is_empty());
+        lt.release_all(txn(1));
+        lt.release_all(txn(5));
+        check(&lt);
+        assert!(lt.is_quiescent());
     }
 
     #[test]
