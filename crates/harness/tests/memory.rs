@@ -1,7 +1,9 @@
 //! Memory follows live state. A converging run's peak heap does not
 //! grow with its length, also when nearly every transaction locks a page
 //! no transaction locked before, and the lock state PCL builds before
-//! the first event grows about linearly with the node count.
+//! the first event grows about linearly with the node count. The trace
+//! job, whose million page references dominate its heap, stays under a
+//! fixed bound.
 //!
 //! This binary installs the counting allocator, so the job pool records
 //! each job's exact peak heap (`RunProfile::peak_heap_bytes`). The
@@ -13,7 +15,7 @@ static ALLOC: dbshare_harness::CountingAlloc = dbshare_harness::CountingAlloc;
 
 use dbshare_harness::{alloc_track, run_jobs, Job, Observe};
 use dbshare_model::{CouplingMode, RoutingStrategy, SystemConfig, UpdateStrategy};
-use dbshare_sim::experiments::{DebitCreditRun, RunLength, RunSpec, ScaleRun};
+use dbshare_sim::experiments::{DebitCreditRun, RunLength, RunSpec, ScaleRun, TraceRun};
 use dbshare_sim::Engine;
 use dbshare_workload::{DebitCredit, DebitCreditWorkload, Workload};
 
@@ -32,6 +34,11 @@ const RUN_LENGTHS: [u64; 3] = [2_000, 8_000, 32_000];
 /// (doubling the authorities' pre-sized maps leaves it unchanged).
 /// Keeping an entry per page ever locked adds over 2 MB.
 const MAX_PCL_GROWTH: u64 = 128 * 1024;
+
+/// Largest peak heap of the short trace job: about 1.12x the
+/// 23,212,171 B it takes with 16-byte page references. At 24 bytes (a
+/// page id of two words) it took 33,159,667 B.
+const MAX_TRACE_PEAK_HEAP: u64 = 26_000_000;
 
 /// Largest PCL `Engine::new` heap at 200 nodes, as a multiple of the
 /// heap at 50 nodes. Four times the nodes cost four times the tables.
@@ -175,5 +182,37 @@ fn pcl_lock_state_grows_linearly_with_nodes() {
     assert!(
         ratio <= MAX_NODE_COUNT_RATIO,
         "PCL engine heap {small} B at 50 nodes, {large} B at 200 ({ratio:.1}x)"
+    );
+}
+
+/// The Fig. 4.7 trace job (4 nodes, PCL with the read optimization,
+/// affinity routing), short: its heap is mostly the synthesized trace,
+/// about a million page references, whatever the run length.
+#[test]
+fn trace_job_peak_heap_is_bounded() {
+    let job = Job {
+        figure: "memory".into(),
+        curve: "PCL/affinity".into(),
+        nodes: 4,
+        spec: RunSpec::Trace(TraceRun {
+            nodes: 4,
+            coupling: CouplingMode::Pcl,
+            routing: RoutingStrategy::Affinity,
+            read_optimization: true,
+            run: RunLength {
+                warmup: 100,
+                measured: 1_000,
+            },
+            seed: 1,
+        }),
+        observe: Observe::default(),
+    };
+    let result = run_jobs(vec![job], 1, false).remove(0);
+    assert!(!result.report.truncated, "the trace job must converge");
+    let peak = result.report.profile.peak_heap_bytes;
+    assert!(peak > 0, "counting allocator not active");
+    assert!(
+        peak <= MAX_TRACE_PEAK_HEAP,
+        "trace job peak heap {peak} B exceeds {MAX_TRACE_PEAK_HEAP} B"
     );
 }

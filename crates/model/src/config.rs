@@ -6,6 +6,7 @@
 //! experiment presets in `dbshare-sim` adjust only the parameters each
 //! figure varies.
 
+use crate::ids::PAGE_NUMBER_BITS;
 use desim::SimDuration;
 use std::fmt;
 
@@ -484,6 +485,11 @@ impl SystemConfig {
             if p.pages == 0 {
                 return Err(ConfigError::new("partition with zero pages"));
             }
+            if p.pages > 1 << PAGE_NUMBER_BITS {
+                return Err(ConfigError::new(
+                    "partition with more than 2^48 pages: a page number has 48 bits",
+                ));
+            }
             match p.storage {
                 StorageAllocation::Disk { disks: 0 } => {
                     return Err(ConfigError::new("disk array with zero disks"));
@@ -655,6 +661,13 @@ mod tests {
         let mut c = good.clone();
         c.partitions[0].pages = 0;
         assert!(c.validate().is_err());
+
+        let mut c = good.clone();
+        c.partitions[0].pages = (1 << 48) + 1;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("2^48 pages"), "{err}");
+        c.partitions[0].pages = 1 << 48;
+        assert!(c.validate().is_ok());
 
         let mut c = good.clone();
         c.partitions[0].storage = StorageAllocation::disk(0);

@@ -5,6 +5,7 @@
 //! to introduce in a simulator that shuffles all three constantly.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifies a processing node (0-based).
 ///
@@ -63,8 +64,19 @@ impl fmt::Display for PartitionId {
     }
 }
 
+/// Bits of a [`PageId`] that hold the page number; the partition takes
+/// the 16 above them.
+pub(crate) const PAGE_NUMBER_BITS: u32 = 48;
+const PAGE_NUMBER_MASK: u64 = (1 << PAGE_NUMBER_BITS) - 1;
+
 /// Identifies a database page: a partition plus the page number inside
 /// that partition.
+///
+/// Both share one `u64`, the partition in the top 16 bits and the page
+/// number in the low 48 (the layout of `desim::trace::pack_page`), so a
+/// page reference, a lock-table key or a calendar event carrying one
+/// pays a single word. The derived order on the word is the
+/// (partition, number) order.
 ///
 /// ```rust
 /// use dbshare_model::{PageId, PartitionId};
@@ -72,30 +84,56 @@ impl fmt::Display for PartitionId {
 /// assert_eq!(p.partition(), PartitionId::new(1));
 /// assert_eq!(p.number(), 42);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PageId {
-    partition: PartitionId,
-    number: u64,
-}
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PageId(u64);
 
 impl PageId {
     /// Creates a page id.
+    ///
+    /// # Panics
+    ///
+    /// If `number` does not fit in 48 bits. `SystemConfig::validate`
+    /// rejects a partition with more pages than that.
     pub const fn new(partition: PartitionId, number: u64) -> Self {
-        PageId { partition, number }
+        assert!(
+            number <= PAGE_NUMBER_MASK,
+            "page number does not fit in 48 bits"
+        );
+        PageId(((partition.0 as u64) << PAGE_NUMBER_BITS) | number)
     }
     /// The partition (file) this page belongs to.
     pub const fn partition(self) -> PartitionId {
-        self.partition
+        PartitionId((self.0 >> PAGE_NUMBER_BITS) as u16)
     }
     /// The page number within the partition.
     pub const fn number(self) -> u64 {
-        self.number
+        self.0 & PAGE_NUMBER_MASK
+    }
+}
+
+/// Feeds the hasher the partition and then the number, as a hash
+/// derived on the two fields would: FxHash keeps the partition of a
+/// single word only in the high bits, which a table's bucket index
+/// ignores.
+impl Hash for PageId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.partition().hash(state);
+        self.number().hash(state);
+    }
+}
+
+impl fmt::Debug for PageId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageId")
+            .field("partition", &self.partition())
+            .field("number", &self.number())
+            .finish()
     }
 }
 
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.partition, self.number)
+        write!(f, "{}:{}", self.partition(), self.number())
     }
 }
 
@@ -181,5 +219,72 @@ mod tests {
         let a = PageId::new(PartitionId::new(0), 9);
         let b = PageId::new(PartitionId::new(1), 0);
         assert!(a < b);
+    }
+
+    /// A page reference is two words: the one-word page id and its
+    /// access flags.
+    #[test]
+    fn page_ids_take_one_word() {
+        assert_eq!(std::mem::size_of::<PageId>(), 8);
+        assert_eq!(std::mem::size_of::<crate::PageRef>(), 16);
+    }
+
+    /// Seeded (partition, number) pairs, extremes included, often
+    /// sharing a partition so that the number decides the order.
+    fn sample_pairs() -> Vec<(u16, u64)> {
+        let mut rng = desim::Rng::seed_from_u64(0x1D5);
+        let max_number = PAGE_NUMBER_MASK;
+        let mut pairs = vec![
+            (0, 0),
+            (0, max_number),
+            (u16::MAX, 0),
+            (u16::MAX, max_number),
+        ];
+        for _ in 0..200 {
+            let partition = match rng.below(3) {
+                0 => rng.below(4) as u16,
+                1 => u16::MAX - rng.below(2) as u16,
+                _ => rng.next_u64() as u16,
+            };
+            let number = match rng.below(3) {
+                0 => rng.below(16),
+                1 => max_number - rng.below(16),
+                _ => rng.below(max_number + 1),
+            };
+            pairs.push((partition, number));
+        }
+        pairs
+    }
+
+    /// The one-word id keeps the (partition, number) pair's order, the
+    /// values a hash derived on the two fields fed its hasher, and the
+    /// derived `Debug` text.
+    #[test]
+    fn page_id_keeps_the_two_field_contract() {
+        use desim::fxhash::FxHasher;
+        let pairs = sample_pairs();
+        let id = |&(p, n): &(u16, u64)| PageId::new(PartitionId::new(p), n);
+        for a in &pairs {
+            let page = id(a);
+            let (p, n) = *a;
+            assert_eq!((page.partition().raw(), page.number()), (p, n));
+            for b in &pairs {
+                assert_eq!(page.cmp(&id(b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+            let mut fed_id = FxHasher::default();
+            page.hash(&mut fed_id);
+            let mut fed_fields = FxHasher::default();
+            p.hash(&mut fed_fields);
+            n.hash(&mut fed_fields);
+            assert_eq!(fed_id.finish(), fed_fields.finish(), "{a:?}");
+            let derived = format!("PageId {{ partition: PartitionId({p}), number: {n} }}");
+            assert_eq!(format!("{page:?}"), derived);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "48 bits")]
+    fn page_id_rejects_a_number_past_48_bits() {
+        PageId::new(PartitionId::new(0), 1 << 48);
     }
 }

@@ -269,7 +269,7 @@ mod tests {
     /// carries its continuation: keep both from growing.
     #[test]
     fn events_stay_small() {
-        assert!(std::mem::size_of::<Cont>() <= 72);
-        assert!(std::mem::size_of::<Event>() <= 112);
+        assert!(std::mem::size_of::<Cont>() <= 64);
+        assert!(std::mem::size_of::<Event>() <= 104);
     }
 }
