@@ -10,20 +10,23 @@
 //!
 //! - **exit 1** when any job with an unchanged config fingerprint
 //!   produced a different metric fingerprint (the simulator is
-//!   deterministic — same config must mean bit-identical results), or
-//!   when a figure's aggregate events/s fell more than
-//!   `--max-regress-pct` percent (default 50) below the best recorded
-//!   run of the identical job set;
+//!   deterministic — same config must mean bit-identical results),
+//!   when a job's peak heap exceeds 1.25 times the latest count
+//!   recorded for its config fingerprint, when no job's config
+//!   fingerprint is recorded at all, or when a figure's aggregate
+//!   events/s fell more than `--max-regress-pct` percent (default 50)
+//!   below the best recorded run of the identical job set;
 //! - **exit 2** on unusable input: missing or malformed history or
-//!   artifact, an artifact of another schema (older builds wrote
-//!   `dbshare-bench/1`), or a history with nothing to gate against. A
+//!   artifact, an artifact of another schema or with rows of another
+//!   record version (older builds wrote `dbshare-bench/1`, or rows
+//!   without the peak heap and attribution), or an empty history. A
 //!   gate that cannot see its baseline must fail loudly, not pass
 //!   vacuously.
 //!
 //! Figures whose config set has no recorded counterpart are reported
 //! and skipped — changing a sweep's shape is not a regression.
 
-use dbshare_expstore::{gate_check, read_artifact_records, Store};
+use dbshare_expstore::{gate_check, read_artifact_records, Store, MAX_HEAP_GROWTH};
 use std::path::Path;
 
 fn fail(msg: &str) -> ! {
@@ -81,7 +84,7 @@ fn main() {
 
     println!(
         "perfgate: {} history record(s) vs {} current job(s), \
-         events/s floor at -{max_regress_pct:.0}%",
+         peak heap bound at {MAX_HEAP_GROWTH}x, events/s floor at -{max_regress_pct:.0}%",
         read.records.len(),
         current.len()
     );

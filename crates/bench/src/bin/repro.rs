@@ -462,12 +462,8 @@ fn print_history(store_path: &Path, wanted: &[&Figure]) {
         for (i, row) in fig_rows.iter().enumerate() {
             // Baseline: the best *earlier* run of the identical job
             // set, matching the gate's and the HTML report's framing.
-            let best_prior = fig_rows[..i]
-                .iter()
-                .filter(|p| p.config_set == row.config_set)
-                .map(|p| p.events_per_sec())
-                .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))));
-            let delta = match best_prior {
+            let best_prior = row.best_comparable(fig_rows[..i].iter().copied());
+            let delta = match best_prior.map(FigureRun::events_per_sec) {
                 None => "-".to_string(),
                 Some(best) => format!("{:+.1}%", (row.events_per_sec() / best - 1.0) * 100.0),
             };
@@ -482,7 +478,7 @@ fn print_history(store_path: &Path, wanted: &[&Figure]) {
                 row.events_per_sec(),
                 row.allocs_per_event,
                 rss::format_mb(row.peak_rss_mb),
-                row.binding.as_deref().unwrap_or("-"),
+                row.binding,
             );
         }
     }
@@ -856,18 +852,17 @@ fn main() {
         };
         let (mut allocs, mut events, mut wall_secs, mut peak) = (0, 0, 0.0, 0);
         for row in figure_runs(&outcome.store_records(&provenance)) {
-            let row_peak = row.peak_heap_bytes.unwrap_or(0);
             line(
                 &row.figure,
                 row.host_allocs,
                 row.events,
                 row.wall_secs,
-                row_peak,
+                row.peak_heap_bytes,
             );
             allocs += row.host_allocs;
             events += row.events;
             wall_secs += row.wall_secs;
-            peak = peak.max(row_peak);
+            peak = peak.max(row.peak_heap_bytes);
         }
         line("suite", allocs, events, wall_secs, peak);
     }

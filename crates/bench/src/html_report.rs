@@ -59,12 +59,8 @@ pub fn render(records: &[Record]) -> String {
         for (i, row) in fig_rows.iter().enumerate() {
             // Best *earlier* run of the identical job set: the store's
             // regression baseline.
-            let best_prior = fig_rows[..i]
-                .iter()
-                .filter(|p| p.config_set == row.config_set)
-                .map(|p| p.events_per_sec())
-                .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))));
-            let delta = match best_prior {
+            let best_prior = row.best_comparable(fig_rows[..i].iter().copied());
+            let delta = match best_prior.map(FigureRun::events_per_sec) {
                 None => "<td class=\"na\">&mdash;</td>".to_string(),
                 Some(best) => {
                     let pct = (row.events_per_sec() / best - 1.0) * 100.0;
@@ -85,12 +81,12 @@ pub fn render(records: &[Record]) -> String {
                 Some(mb) => format!("<td>{mb:.0}</td>"),
                 None => "<td class=\"na\">&mdash;</td>".to_string(),
             };
-            // The hottest job's binding constraint, when attributed
-            // (older stores carry none — dash, never a guess).
-            let binding = match (&row.binding, row.binding_utilization) {
-                (Some(b), Some(u)) => format!("<td>{} {:.0}%</td>", escape(b), u * 100.0),
-                _ => "<td class=\"na\">&mdash;</td>".to_string(),
-            };
+            // The hottest job's binding constraint.
+            let binding = format!(
+                "<td>{} {:.0}%</td>",
+                escape(&row.binding),
+                row.binding_utilization * 100.0
+            );
             out.push_str(&format!(
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
                  <td>{:.2}</td><td>{:.0}</td><td>{:.4}</td>\
@@ -117,31 +113,27 @@ pub fn render(records: &[Record]) -> String {
 }
 
 /// The figure's utilization stack: per-resource fill bars for every
-/// job of the latest run that carried an attribution, with the binding
-/// constraint's cell bolded. Empty for stores written before
-/// attribution existed — nothing rendered, never a zero bar.
+/// job of the figure's latest run, with the binding constraint's cell
+/// bolded.
 fn util_stack(records: &[Record], figure: &str) -> String {
-    let Some(run) = records
+    let run = &records
         .iter()
         .rev()
-        .find(|r| r.figure == figure && r.utils.is_some())
-        .map(|r| r.run.clone())
-    else {
-        return String::new();
-    };
+        .find(|r| r.figure == figure)
+        .expect("a reported figure has rows")
+        .run;
     let mut out = String::new();
     out.push_str(&format!(
         "<p class=\"meta\">utilization stack of run {} (binding constraint in bold)</p>\n\
          <table>\n<tr><th>curve</th><th>n</th><th>cpu</th><th>coupling</th>\
          <th>network</th><th>disk</th><th>log</th></tr>\n",
-        escape(&run)
+        escape(run)
     ));
     for r in records
         .iter()
-        .filter(|r| r.figure == figure && r.run == run)
+        .filter(|r| r.figure == figure && &r.run == run)
     {
-        let Some(us) = r.utils else { continue };
-        let binding = r.binding.as_deref().unwrap_or("");
+        let (us, binding) = (&r.utils, r.binding.as_str());
         let cell = |v: f64, is_binding: bool| {
             let pct = (v * 100.0).clamp(0.0, 100.0);
             format!(
@@ -303,7 +295,7 @@ const FOOTER: &str = "</body>\n</html>\n";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbshare_expstore::Provenance;
+    use dbshare_expstore::{JobDetail, Provenance, ResourceUtils};
 
     fn rec(run: &str, unix: u64, figure: &str, nodes: u16, wall: f64, metric: &str) -> Record {
         Record {
@@ -327,12 +319,29 @@ mod tests {
             mean_response_ms: 50.0,
             throughput_tps: 100.0,
             peak_rss_mb: Some(64.0),
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
+            binding: "network".into(),
+            binding_utilization: 0.71,
+            next_constraint: "cpu".into(),
+            next_utilization: 0.644,
+            utils: ResourceUtils {
+                cpu: 0.644,
+                coupling: 0.31,
+                network: 0.71,
+                disk: 0.39,
+                log: 0.1,
+            },
+            detail: JobDetail {
+                host_allocs: 6_000,
+                host_alloc_bytes: 384_000,
+                peak_heap_bytes: 1_048_576,
+                sim_seconds: 12.5,
+                measured_txns: 2_500,
+                norm_response_ms: 50.0,
+                tps_per_node_at_80pct_cpu: 128.0,
+                cpu_utilization: 0.644,
+                gem_utilization: 0.31,
+                disk_utilizations: vec![("ACCOUNT".into(), 0.39)],
+            },
         }
     }
 
@@ -366,27 +375,17 @@ mod tests {
 
     #[test]
     fn missing_rss_samples_render_as_dashes() {
-        let mut legacy = rec("r1", 1_754_000_000, "fig41", 1, 2.0, "m1");
-        legacy.peak_rss_mb = None;
-        let page = render(&[legacy]);
-        // One dash each for the missing baseline delta, the RSS, and
-        // the (unattributed) binding constraint — never a zero.
-        assert_eq!(page.matches("class=\"na\"").count(), 3, "{page}");
+        let mut unsampled = rec("r1", 1_754_000_000, "fig41", 1, 2.0, "m1");
+        unsampled.peak_rss_mb = None;
+        let page = render(&[unsampled]);
+        // One dash each for the missing baseline delta and the RSS —
+        // never a zero.
+        assert_eq!(page.matches("class=\"na\"").count(), 2, "{page}");
     }
 
     #[test]
     fn binding_column_and_utilization_stack_render() {
-        let mut attributed = rec("r1", 1_754_000_000, "fig41", 64, 2.0, "m1");
-        attributed.binding = Some("network".into());
-        attributed.binding_utilization = Some(0.71);
-        attributed.utils = Some(dbshare_expstore::ResourceUtils {
-            cpu: 0.644,
-            coupling: 0.31,
-            network: 0.71,
-            disk: 0.39,
-            log: 0.1,
-        });
-        let page = render(&[attributed]);
+        let page = render(&[rec("r1", 1_754_000_000, "fig41", 64, 2.0, "m1")]);
         assert!(page.contains("<th>binding</th>"), "{page}");
         assert!(page.contains("<td>network 71%</td>"), "{page}");
         assert!(page.contains("utilization stack of run r1"), "{page}");

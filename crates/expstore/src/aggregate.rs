@@ -30,22 +30,20 @@ pub struct FigureRun {
     pub events: u64,
     /// Event-weighted allocations per event.
     pub allocs_per_event: f64,
-    /// Summed host heap allocations of the rows that carry the
-    /// report-only [`JobDetail`](crate::JobDetail) (legacy rows add 0).
+    /// Summed host heap allocations of the jobs.
     pub host_allocs: u64,
-    /// Largest per-job peak heap of the run's jobs, in bytes. `None`
-    /// when no job carried the count (legacy rows).
-    pub peak_heap_bytes: Option<u64>,
+    /// Largest per-job peak heap of the run's jobs, in bytes.
+    pub peak_heap_bytes: u64,
     /// Largest per-job peak RSS of the run's jobs, in MiB — the
     /// memory budget the whole figure fit in. `None` when no job
-    /// carried the sample (legacy rows, non-Linux hosts).
+    /// carried the sample (non-Linux hosts).
     pub peak_rss_mb: Option<f64>,
     /// Binding constraint of the figure's hottest job — the resource
     /// with the highest binding utilization across the aggregated
-    /// rows. `None` when no row carried an attribution (legacy rows).
-    pub binding: Option<String>,
+    /// rows.
+    pub binding: String,
     /// That hottest job's binding utilization in `[0, 1]`.
-    pub binding_utilization: Option<f64>,
+    pub binding_utilization: f64,
     /// FNV-1a over the sorted config fingerprints of the jobs: two
     /// rows are comparable iff this matches.
     pub config_set: String,
@@ -55,6 +53,19 @@ impl FigureRun {
     /// Aggregate host event rate of the figure's jobs.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_secs.max(1e-9)
+    }
+
+    /// The fastest of `rows` that ran this row's figure with the
+    /// identical job set (the earliest of equals): the baseline the
+    /// gate, the trend tables and the HTML report compare against.
+    pub fn best_comparable<'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a FigureRun>,
+    ) -> Option<&'a FigureRun> {
+        rows.into_iter()
+            .filter(|r| r.figure == self.figure && r.config_set == self.config_set)
+            // `min_by` keeps the first of equals; the order is reversed.
+            .min_by(|a, b| b.events_per_sec().total_cmp(&a.events_per_sec()))
     }
 }
 
@@ -79,34 +90,30 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
                     events: 0,
                     allocs_per_event: 0.0,
                     host_allocs: 0,
-                    peak_heap_bytes: None,
+                    peak_heap_bytes: 0,
                     peak_rss_mb: None,
-                    binding: None,
-                    binding_utilization: None,
+                    binding: r.binding.clone(),
+                    binding_utilization: r.binding_utilization,
                     config_set: String::new(),
                 });
                 configs.push(Vec::new());
                 allocs.push(0.0);
                 rows.len() - 1
             });
-        rows[at].jobs += 1;
-        rows[at].wall_secs += r.wall_secs;
-        rows[at].events += r.events_processed;
-        rows[at].host_allocs += r.detail.as_ref().map_or(0, |d| d.host_allocs);
-        if let Some(bytes) = r.detail.as_ref().and_then(|d| d.peak_heap_bytes) {
-            rows[at].peak_heap_bytes = rows[at].peak_heap_bytes.max(Some(bytes));
-        }
+        let row = &mut rows[at];
+        row.jobs += 1;
+        row.wall_secs += r.wall_secs;
+        row.events += r.events_processed;
+        row.host_allocs += r.detail.host_allocs;
+        row.peak_heap_bytes = row.peak_heap_bytes.max(r.detail.peak_heap_bytes);
         if let Some(mb) = r.peak_rss_mb {
-            let merged = rows[at].peak_rss_mb.map_or(mb, |best| best.max(mb));
-            rows[at].peak_rss_mb = Some(merged);
+            row.peak_rss_mb = Some(row.peak_rss_mb.map_or(mb, |best| best.max(mb)));
         }
         // The aggregate names the *hottest* job's binding constraint
         // (strict >, so the earliest of equals wins — deterministic).
-        if let (Some(b), Some(u)) = (&r.binding, r.binding_utilization) {
-            if rows[at].binding_utilization.is_none_or(|best| u > best) {
-                rows[at].binding = Some(b.clone());
-                rows[at].binding_utilization = Some(u);
-            }
+        if r.binding_utilization > row.binding_utilization {
+            row.binding = r.binding.clone();
+            row.binding_utilization = r.binding_utilization;
         }
         allocs[at] += r.allocs_per_event * r.events_processed as f64;
         configs[at].push(&r.config_fingerprint);
@@ -122,37 +129,19 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Provenance;
+    use crate::record::tests::sample as record;
 
     fn rec(run: &str, figure: &str, nodes: u16, rev: &str, wall: f64, events: u64) -> Record {
-        Record {
+        let mut r = Record {
             run: run.into(),
             created_unix: 5,
-            provenance: Provenance {
-                git_revision: rev.into(),
-                rustc_version: "rustc".into(),
-                build_profile: "release".into(),
-            },
-            figure: figure.into(),
-            curve: "c".into(),
-            nodes,
-            seed: 1,
-            host_cpus: 4,
-            config_fingerprint: format!("cfg-{figure}-{nodes}"),
-            metric_fingerprint: format!("met-{figure}-{nodes}"),
             wall_secs: wall,
             events_processed: events,
-            allocs_per_event: 0.1,
-            mean_response_ms: 1.0,
-            throughput_tps: 1.0,
-            peak_rss_mb: None,
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
-        }
+            config_fingerprint: format!("cfg-{figure}-{nodes}"),
+            ..record(figure, nodes, 1)
+        };
+        r.provenance.git_revision = rev.into();
+        r
     }
 
     fn sample() -> Vec<Record> {
@@ -189,24 +178,12 @@ mod tests {
     fn figure_runs_sum_the_exact_host_allocs() {
         let mut records = sample();
         for (rec, allocs) in records.iter_mut().zip([7, 5]) {
-            rec.detail = Some(crate::JobDetail {
-                host_allocs: allocs,
-                host_alloc_bytes: 64 * allocs,
-                peak_heap_bytes: Some(1_000 * allocs),
-                sim_seconds: 1.0,
-                measured_txns: 10,
-                norm_response_ms: 1.0,
-                tps_per_node_at_80pct_cpu: 100.0,
-                cpu_utilization: 0.5,
-                gem_utilization: 0.1,
-                disk_utilizations: Vec::new(),
-            });
+            rec.detail.host_allocs = allocs;
+            rec.detail.peak_heap_bytes = 1_000 * allocs;
         }
         let rows = figure_runs(&records);
         assert_eq!((rows[0].run.as_str(), rows[0].host_allocs), ("r1", 12));
-        assert_eq!(rows[0].peak_heap_bytes, Some(7_000));
-        // Rows without the trailer add nothing.
-        assert_eq!((rows[2].host_allocs, rows[2].peak_heap_bytes), (0, None));
+        assert_eq!(rows[0].peak_heap_bytes, 7_000);
     }
 
     #[test]
@@ -232,22 +209,44 @@ mod tests {
     #[test]
     fn figure_runs_name_the_hottest_binding_constraint() {
         let mut records = sample();
-        records[0].binding = Some("cpu".into());
-        records[0].binding_utilization = Some(0.64);
-        records[1].binding = Some("network".into());
-        records[1].binding_utilization = Some(0.71);
+        records[0].binding = "cpu".into();
+        records[0].binding_utilization = 0.64;
+        records[1].binding = "network".into();
+        records[1].binding_utilization = 0.71;
+        records[3].binding = "cpu".into();
+        records[3].binding_utilization = 0.71;
         let rows = figure_runs(&records);
         let r1fig41 = rows
             .iter()
             .find(|r| r.run == "r1" && r.figure == "fig41")
             .expect("r1/fig41");
-        assert_eq!(r1fig41.binding.as_deref(), Some("network"));
-        assert_eq!(r1fig41.binding_utilization, Some(0.71));
-        // Rows without attribution stay None.
+        assert_eq!(r1fig41.binding, "network");
+        assert_eq!(r1fig41.binding_utilization, 0.71);
+        // Of equally hot jobs, the earliest names the constraint.
         let r2fig41 = rows
             .iter()
             .find(|r| r.run == "r2" && r.figure == "fig41")
             .expect("r2/fig41");
-        assert_eq!(r2fig41.binding, None);
+        assert_eq!(r2fig41.binding, "cpu");
+    }
+
+    #[test]
+    fn best_comparable_is_the_fastest_run_of_the_same_job_set() {
+        let mut records = sample();
+        // r3 repeats r2's fig41 rate exactly; r1 ran it at half.
+        records.extend([
+            rec("r3", "fig41", 1, "revC", 0.5, 1000),
+            rec("r3", "fig41", 2, "revC", 0.5, 3000),
+        ]);
+        let rows = figure_runs(&records);
+        let fig41 = rows.iter().find(|r| r.run == "r1").expect("r1/fig41");
+        let best = fig41.best_comparable(&rows).expect("comparable runs");
+        assert_eq!(best.run, "r2", "the earliest of equally fast runs");
+        let fig45 = rows.iter().find(|r| r.figure == "fig45").expect("fig45");
+        assert_eq!(
+            fig45.best_comparable(&rows).map(|r| r.run.as_str()),
+            Some("r1")
+        );
+        assert!(fig45.best_comparable(&rows[..1]).is_none());
     }
 }

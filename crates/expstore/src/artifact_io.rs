@@ -48,36 +48,12 @@ pub fn read_artifact_records(path: &std::path::Path) -> Result<Vec<Record>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Provenance;
+    use crate::record::tests::sample;
 
     fn record(nodes: u16) -> Record {
         Record {
-            run: "r1700000000-7-0".into(),
-            created_unix: 1_700_000_000,
-            provenance: Provenance {
-                git_revision: "deadbeef".into(),
-                rustc_version: "rustc 1.80".into(),
-                build_profile: "release".into(),
-            },
-            figure: "fig41".into(),
-            curve: "GEM".into(),
-            nodes,
-            seed: 42,
-            host_cpus: 16,
-            config_fingerprint: format!("cfg{nodes}"),
-            metric_fingerprint: format!("met{nodes}"),
-            wall_secs: 0.5,
-            events_processed: 70_000,
-            allocs_per_event: 0.06,
-            mean_response_ms: 71.0,
-            throughput_tps: 197.0,
             peak_rss_mb: Some(48.0),
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
+            ..sample("fig41", nodes, 42)
         }
     }
 

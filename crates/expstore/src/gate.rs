@@ -1,14 +1,21 @@
 //! The regression gate: compares a fresh run against recorded history.
 //!
-//! Two checks, in increasing order of tolerance:
+//! Three checks, in increasing order of tolerance:
 //!
 //! 1. **Metric drift (exact).** A job whose config fingerprint exists
 //!    in history must reproduce the recorded metric fingerprint
 //!    bit-for-bit — the simulator is deterministic, so *any* change in
 //!    results for an unchanged configuration is a correctness
-//!    regression, not noise. Records without a metric fingerprint
-//!    (pre-store artifacts) are skipped.
-//! 2. **Event-rate regression (thresholded).** Per figure, the fresh
+//!    regression, not noise. A run none of whose config fingerprints
+//!    is recorded fails: a gate with nothing to compare must not pass.
+//! 2. **Peak heap (bounded).** A job's `peak_heap_bytes` may be at
+//!    most [`MAX_HEAP_GROWTH`] times the latest count recorded for its
+//!    config fingerprint. The count is exact and the same on every host
+//!    for a build, so the bound only absorbs deliberate growth; a
+//!    change that needs more appends a fresh baseline run to the
+//!    history. A zero count means no counting allocator and is not
+//!    compared.
+//! 3. **Event-rate regression (thresholded).** Per figure, the fresh
 //!    run's aggregate events/s must stay within `max_regress_pct`
 //!    percent of the best recorded run of the *same config set*
 //!    ([`figure_runs`] pairs only identical job sets). Host wall-clock
@@ -18,6 +25,10 @@
 
 use crate::aggregate::figure_runs;
 use crate::record::Record;
+
+/// The largest peak heap a job may hold, as a multiple of the latest
+/// count recorded for its configuration.
+pub const MAX_HEAP_GROWTH: f64 = 1.25;
 
 /// Verdict of one gate evaluation.
 #[derive(Debug, Clone, Default)]
@@ -41,56 +52,67 @@ impl GateOutcome {
 pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> GateOutcome {
     let mut outcome = GateOutcome::default();
 
-    // 1. Metric fingerprints must match history exactly per config.
-    let mut drift_checked = 0usize;
+    // 1 and 2, per job, against the rows recorded for its config.
+    let (mut matched, mut heap_compared, mut largest_growth) = (0, 0, 0.0f64);
     for rec in current {
-        if rec.metric_fingerprint.is_empty() {
+        let same_config = || {
+            history
+                .iter()
+                .filter(|old| old.config_fingerprint == rec.config_fingerprint)
+        };
+        if same_config().next().is_none() {
             continue;
         }
-        let mut seen_any = false;
-        for old in history.iter().filter(|old| {
-            old.config_fingerprint == rec.config_fingerprint && !old.metric_fingerprint.is_empty()
-        }) {
-            seen_any = true;
-            if old.metric_fingerprint != rec.metric_fingerprint {
-                outcome.failures.push(format!(
-                    "metric drift: {} | {} | n={} (config {}): history run {} recorded \
-                     metrics {}, this run produced {} — same configuration, different results",
-                    rec.figure,
-                    rec.curve,
-                    rec.nodes,
-                    rec.config_fingerprint,
-                    old.run,
-                    old.metric_fingerprint,
-                    rec.metric_fingerprint,
-                ));
-                break;
-            }
+        matched += 1;
+        let job = format!(
+            "{} | {} | n={} (config {})",
+            rec.figure, rec.curve, rec.nodes, rec.config_fingerprint
+        );
+        if let Some(old) =
+            same_config().find(|old| old.metric_fingerprint != rec.metric_fingerprint)
+        {
+            outcome.failures.push(format!(
+                "metric drift: {job}: history run {} recorded metrics {}, this run \
+                 produced {} — same configuration, different results",
+                old.run, old.metric_fingerprint, rec.metric_fingerprint,
+            ));
         }
-        if seen_any {
-            drift_checked += 1;
+        let heap = rec.detail.peak_heap_bytes;
+        let latest = same_config()
+            .rev()
+            .find(|old| old.detail.peak_heap_bytes > 0);
+        if let Some(old) = latest.filter(|_| heap > 0) {
+            heap_compared += 1;
+            let growth = heap as f64 / old.detail.peak_heap_bytes as f64;
+            largest_growth = largest_growth.max(growth);
+            if growth > MAX_HEAP_GROWTH {
+                outcome.failures.push(format!(
+                    "peak heap: {job}: {heap} bytes is {growth:.3}x the {} that run {} \
+                     recorded, above the {MAX_HEAP_GROWTH}x bound",
+                    old.detail.peak_heap_bytes, old.run,
+                ));
+            }
         }
     }
     outcome.notes.push(format!(
-        "metric fingerprints: {} of {} current job(s) had recorded history to match against",
-        drift_checked,
+        "metric fingerprints: {matched} of {} current job(s) had recorded history to match against",
         current.len()
     ));
+    if matched == 0 {
+        outcome.failures.push(
+            "no current job's config fingerprint is recorded in history: nothing to gate against"
+                .to_string(),
+        );
+    }
+    outcome.notes.push(format!(
+        "peak heap: {heap_compared} job(s) compared, at most {largest_growth:.3}x the \
+         latest recorded count (bound {MAX_HEAP_GROWTH}x)"
+    ));
 
-    // 2. Aggregate events/s per figure vs the best comparable run.
+    // 3. Aggregate events/s per figure vs the best comparable run.
     let history_rows = figure_runs(history);
     for row in figure_runs(current) {
-        let best = history_rows
-            .iter()
-            .filter(|h| h.figure == row.figure && h.config_set == row.config_set)
-            .reduce(|best, h| {
-                if h.events_per_sec() > best.events_per_sec() {
-                    h
-                } else {
-                    best
-                }
-            });
-        let Some(best) = best else {
+        let Some(best) = row.best_comparable(&history_rows) else {
             outcome.notes.push(format!(
                 "events/s [{}]: no recorded run with this config set — skipped",
                 row.figure
@@ -131,33 +153,22 @@ pub fn short_rev(rev: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Provenance;
+    use crate::record::tests::sample;
 
     fn rec(run: &str, figure: &str, nodes: u16, wall: f64, metric: &str) -> Record {
         Record {
             run: run.into(),
-            created_unix: 1,
-            provenance: Provenance::default(),
-            figure: figure.into(),
-            curve: "c".into(),
-            nodes,
-            seed: 1,
-            host_cpus: 8,
             config_fingerprint: format!("cfg-{figure}-{nodes}"),
             metric_fingerprint: metric.into(),
             wall_secs: wall,
             events_processed: 1000,
-            allocs_per_event: 0.1,
-            mean_response_ms: 1.0,
-            throughput_tps: 1.0,
-            peak_rss_mb: None,
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
+            ..sample(figure, nodes, 1)
         }
+    }
+
+    fn with_heap(mut r: Record, bytes: u64) -> Record {
+        r.detail.peak_heap_bytes = bytes;
+        r
     }
 
     #[test]
@@ -197,9 +208,12 @@ mod tests {
 
     #[test]
     fn different_config_set_is_skipped_not_compared() {
-        let history = vec![rec("r1", "fig41", 1, 1.0, "m1")];
-        // Different node count => different config fingerprint and set.
-        let current = vec![rec("r2", "fig41", 4, 100.0, "m4")];
+        let history = vec![
+            rec("r1", "fig41", 1, 1.0, "m1"),
+            rec("r1", "fig41", 2, 1.0, "m2"),
+        ];
+        // One of the two jobs: a different config set.
+        let current = vec![rec("r2", "fig41", 1, 100.0, "m1")];
         let outcome = check(&history, &current, 50.0);
         assert!(outcome.passed(), "failures: {:?}", outcome.failures);
         assert!(outcome
@@ -209,10 +223,46 @@ mod tests {
     }
 
     #[test]
-    fn missing_metric_fingerprints_are_skipped() {
-        let history = vec![rec("r1", "fig41", 1, 1.0, "")];
-        let current = vec![rec("r2", "fig41", 1, 1.0, "m-new")];
-        assert!(check(&history, &current, 50.0).passed());
+    fn a_run_with_no_recorded_config_fails() {
+        let history = vec![rec("r1", "fig41", 1, 1.0, "m1")];
+        // Different node count => no config fingerprint in history.
+        let current = vec![rec("r2", "fig41", 4, 1.0, "m4")];
+        let outcome = check(&history, &current, 50.0);
+        assert_eq!(outcome.failures.len(), 1, "notes: {:?}", outcome.notes);
+        assert!(outcome.failures[0].contains("nothing to gate against"));
+    }
+
+    #[test]
+    fn heap_beyond_the_bound_of_the_latest_count_fails() {
+        let history = vec![
+            with_heap(rec("r1", "fig41", 1, 1.0, "m1"), 4_000),
+            with_heap(rec("r2", "fig41", 1, 1.0, "m1"), 1_000),
+        ];
+        let at = |bytes| {
+            check(
+                &history,
+                &[with_heap(rec("r3", "fig41", 1, 1.0, "m1"), bytes)],
+                50.0,
+            )
+        };
+        // The latest count (r2's 1,000 bytes) is the baseline.
+        assert!(at(1_250).passed());
+        let outcome = at(1_300);
+        assert_eq!(outcome.failures.len(), 1, "notes: {:?}", outcome.notes);
+        assert!(
+            outcome.failures[0].contains("peak heap") && outcome.failures[0].contains("r2"),
+            "{:?}",
+            outcome.failures
+        );
+    }
+
+    #[test]
+    fn zero_heap_counts_are_not_compared() {
+        let counted = vec![with_heap(rec("r1", "fig41", 1, 1.0, "m1"), 1_000)];
+        let uncounted = vec![with_heap(rec("r1", "fig41", 1, 1.0, "m1"), 0)];
+        let current = |bytes| vec![with_heap(rec("r2", "fig41", 1, 1.0, "m1"), bytes)];
+        assert!(check(&counted, &current(0), 50.0).passed());
+        assert!(check(&uncounted, &current(1_000_000), 50.0).passed());
     }
 
     #[test]

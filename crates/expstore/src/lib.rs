@@ -14,12 +14,14 @@
 //!   metric fingerprints, build provenance, host cost, and the
 //!   artifact's report-only figures;
 //! - [`log`] — the persistence layer: an append-only line-delimited
-//!   file ([`Store`]) with torn-tail recovery (truncate and warn);
+//!   file ([`Store`]) that recovers only a torn last line (truncate and
+//!   warn) and refuses every other line it cannot parse;
 //! - [`aggregate`] — per-(run, figure) aggregates stamped with a
 //!   config-set fingerprint, rebuilt from the rows on every read;
-//! - [`gate`] — the policy layer: exact metric-fingerprint matching
-//!   and thresholded events/s regression checks against the best
-//!   comparable recorded run;
+//! - [`gate`] — the policy layer: exact metric-fingerprint matching,
+//!   a bound on each job's peak heap against the latest recorded
+//!   count, and thresholded events/s regression checks against the
+//!   best comparable recorded run;
 //! - [`artifact_io`] — reads a single-run `BENCH_repro.json` back into
 //!   records, refusing documents of another schema.
 //!
@@ -35,7 +37,7 @@ pub mod record;
 
 pub use aggregate::{figure_runs, FigureRun};
 pub use artifact_io::{read_artifact_records, records_from_artifact, ARTIFACT_SCHEMA};
-pub use gate::{check as gate_check, short_rev, GateOutcome};
+pub use gate::{check as gate_check, short_rev, GateOutcome, MAX_HEAP_GROWTH};
 pub use json::{Json, ParseError};
 pub use log::{ReadResult, Recovery, Store};
 pub use record::{fnv1a_hex, JobDetail, Provenance, Record, ResourceUtils, SCHEMA_VERSION};

@@ -5,28 +5,29 @@
 //! the file doubles as the regression timeline. The reader tolerates
 //! the one corruption an append-only log realistically suffers — a
 //! torn trailing write (process killed mid-append, disk full) — by
-//! dropping the trailing garbage and reporting what it dropped;
-//! corruption *followed by* valid records means something other than a
-//! torn append damaged the file, and that is a hard error rather than
-//! silent data loss. [`Store::append`] truncates recovered garbage
-//! before writing so the log heals on the next run.
+//! dropping a final line that has no newline and does not parse, and
+//! reporting what it dropped. Every newline-terminated line is a
+//! complete write: one that does not parse (damage, or a row of
+//! another schema version) is an error naming the line, for reads and
+//! appends alike, and nothing is dropped. [`Store::append`] truncates
+//! a torn tail before writing, so the log heals on the next run.
 
 use crate::record::Record;
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-/// A trailing-corruption recovery the reader performed (or the
-/// appender is about to perform).
+/// A torn-tail recovery the reader performed (or the appender is
+/// about to perform).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovery {
-    /// 1-based line number of the first dropped line.
+    /// 1-based line number of the dropped line.
     pub line: usize,
     /// Byte offset the file is (to be) truncated to.
     pub keep_bytes: u64,
-    /// Bytes of trailing garbage dropped.
+    /// Bytes of the torn line dropped.
     pub dropped_bytes: u64,
-    /// Why the first dropped line failed to parse.
+    /// Why the dropped line failed to parse.
     pub reason: String,
 }
 
@@ -46,7 +47,7 @@ impl std::fmt::Display for Recovery {
 pub struct ReadResult {
     /// All records, in append order.
     pub records: Vec<Record>,
-    /// Present when trailing corruption was dropped.
+    /// Present when a torn last line was dropped.
     pub recovery: Option<Recovery>,
 }
 
@@ -68,33 +69,45 @@ impl Store {
     }
 
     /// Reads every record. A missing file is an empty store; a torn
-    /// trailing write is dropped and reported via
-    /// [`ReadResult::recovery`]; corruption anywhere else is an error.
+    /// last line is dropped and reported via [`ReadResult::recovery`];
+    /// any other line that does not parse is an error.
     pub fn read(&self) -> io::Result<ReadResult> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ReadResult::default()),
-            Err(e) => return Err(e),
-        };
-        parse_log(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        parse_log(&self.text()?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// The file's contents; empty when it does not exist.
+    fn text(&self) -> io::Result<String> {
+        match std::fs::read_to_string(&self.path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+            read => read,
+        }
     }
 
     /// Appends `records`, one line each, creating the file (and parent
-    /// directory) on first use. If the log ends in a torn write, the
-    /// garbage is truncated away first; the performed [`Recovery`] is
-    /// returned so callers can surface a warning.
+    /// directory) on first use. A log that does not read is left
+    /// untouched and the read error returned. A torn last line is
+    /// truncated away first, and the performed [`Recovery`] returned so
+    /// callers can surface a warning; a complete last line without its
+    /// newline gets one.
     pub fn append(&self, records: &[Record]) -> io::Result<Option<Recovery>> {
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let recovery = self.read()?.recovery;
-        if let Some(rec) = &recovery {
-            let file = OpenOptions::new().write(true).open(&self.path)?;
-            file.set_len(rec.keep_bytes)?;
-        }
+        let text = self.text()?;
+        let recovery = parse_log(&text)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .recovery;
         let mut out = String::new();
+        match &recovery {
+            Some(rec) => OpenOptions::new()
+                .write(true)
+                .open(&self.path)?
+                .set_len(rec.keep_bytes)?,
+            None if !text.is_empty() && !text.ends_with('\n') => out.push('\n'),
+            None => {}
+        }
         for record in records {
             out.push_str(&record.to_line());
             out.push('\n');
@@ -110,77 +123,42 @@ impl Store {
 
 /// Splits `text` into lines and parses each as a [`Record`].
 ///
-/// Returns `Err` only for mid-file corruption; trailing corruption
-/// (the torn-append case) is recovered.
+/// Returns `Err` for a newline-terminated line that does not parse; a
+/// final line without a newline that does not parse (the torn-append
+/// case) is recovered.
 fn parse_log(text: &str) -> Result<ReadResult, String> {
-    let mut records = Vec::new();
-    let mut failure: Option<Recovery> = None;
+    let mut read = ReadResult::default();
     let mut offset = 0usize;
     for (index, line) in text.split_inclusive('\n').enumerate() {
         let row = line.trim_end_matches(['\n', '\r']);
         if !row.trim().is_empty() {
             match Record::from_line(row) {
-                Ok(record) => {
-                    if let Some(f) = failure.take() {
-                        // A valid record after a bad line: this is not
-                        // a torn append, refuse to guess.
-                        return Err(format!(
-                            "corrupt record on line {} ({}) followed by valid records \
-                             — refusing to drop mid-log history",
-                            f.line, f.reason
-                        ));
-                    }
-                    records.push(record);
+                Ok(record) => read.records.push(record),
+                Err(reason) if !line.ends_with('\n') => {
+                    read.recovery = Some(Recovery {
+                        line: index + 1,
+                        keep_bytes: offset as u64,
+                        dropped_bytes: line.len() as u64,
+                        reason,
+                    });
                 }
-                Err(reason) => {
-                    if failure.is_none() {
-                        failure = Some(Recovery {
-                            line: index + 1,
-                            keep_bytes: offset as u64,
-                            dropped_bytes: (text.len() - offset) as u64,
-                            reason,
-                        });
-                    }
-                }
+                Err(reason) => return Err(format!("line {}: {reason}", index + 1)),
             }
         }
         offset += line.len();
     }
-    Ok(ReadResult {
-        records,
-        recovery: failure,
-    })
+    Ok(read)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Provenance;
+    use crate::record::tests::sample;
 
     fn rec(figure: &str, nodes: u16) -> Record {
         Record {
             run: "r1".into(),
-            created_unix: 1,
-            provenance: Provenance::default(),
-            figure: figure.into(),
-            curve: "c".into(),
-            nodes,
-            seed: 9,
-            host_cpus: 4,
-            config_fingerprint: "cfg".into(),
-            metric_fingerprint: "met".into(),
-            wall_secs: 1.0,
-            events_processed: 10,
-            allocs_per_event: 0.0,
-            mean_response_ms: 1.0,
-            throughput_tps: 1.0,
-            peak_rss_mb: None,
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
+            ..sample(figure, nodes, 9)
         }
     }
 
@@ -210,5 +188,16 @@ mod tests {
         assert_eq!(recovery.line, 2);
         assert_eq!(recovery.keep_bytes as usize, good.len() + 1);
         assert_eq!(recovery.dropped_bytes as usize, torn.len());
+    }
+
+    #[test]
+    fn a_complete_unreadable_last_line_is_an_error() {
+        let good = rec("fig41", 1).to_line();
+        let err = parse_log(&format!("{good}\nnot json at all\n"))
+            .expect_err("a newline-terminated line is a complete write");
+        assert!(err.contains("line 2"), "unhelpful error: {err}");
+        // The same line without its newline is a torn write.
+        let read = parse_log(&format!("{good}\nnot json at all")).expect("torn tail");
+        assert_eq!(read.recovery.map(|r| r.line), Some(2));
     }
 }

@@ -6,23 +6,23 @@
 //! run length), what it produced (the metric fingerprint pins every
 //! headline metric bit-exactly), which build produced it (git
 //! revision, rustc, profile), and what it cost on the host (wall
-//! seconds, events, allocations). Records serialize to one compact
-//! JSON line each ([`Record::to_line`]) and parse back losslessly
-//! ([`Record::from_line`]); the field order is fixed so re-rendering a
-//! record this version wrote is byte-identical. Keys of older layouts
-//! that no field holds any more (the engine thread count) are ignored
-//! on parse and dropped on re-render.
+//! seconds, events, allocations, peak heap). Records serialize to one
+//! compact JSON line each ([`Record::to_line`]) and parse back
+//! losslessly ([`Record::from_line`]); the field order is fixed so
+//! re-rendering a record is byte-identical. Every field is required
+//! except the peak-RSS sample, which only Linux hosts take: a row
+//! missing any other key is refused, naming the key.
 //!
 //! A record is also one row of the `BENCH_repro.json` artifact: the
-//! harness renders each job's record with [`Record::to_json`], and the
-//! optional [`JobDetail`] trailer carries the figures the artifact
-//! reports beyond what the gate and the trend tables read.
+//! harness renders each job's record with [`Record::to_json`].
 
 use crate::json::Json;
 
 /// Store schema version, embedded in every row as `"v"`. Bumped on
 /// incompatible layout changes; readers reject rows they don't know.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version 2 made the attribution, the host CPU count and the
+/// [`JobDetail`] trailer (peak heap included) required.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Build/run provenance shared by every record of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -53,9 +53,8 @@ pub struct Record {
     pub nodes: u16,
     /// The run's master seed.
     pub seed: u64,
-    /// Logical CPUs of the host that executed the job (0 when unknown
-    /// or on rows written before this field existed). Host provenance
-    /// for reading wall-clock numbers.
+    /// Logical CPUs of the host that executed the job (0 when
+    /// unknown). Host provenance for reading wall-clock numbers.
     pub host_cpus: u32,
     /// FNV-1a hash of the job's complete configuration.
     pub config_fingerprint: String,
@@ -74,43 +73,39 @@ pub struct Record {
     pub throughput_tps: f64,
     /// Process peak RSS in MiB sampled after the job (an upper-bound
     /// estimate — the high-water mark is process-wide). `None` on
-    /// platforms without the figure and on rows written before the
-    /// field existed; rendered only when present so legacy rows
-    /// re-serialize byte-identically.
+    /// platforms without the figure; rendered only when present.
     pub peak_rss_mb: Option<f64>,
     /// Binding constraint of the run — the most-utilized resource
     /// (`"cpu"`, `"network"`, `"disk:<group>"`, ...), as attributed by
-    /// `sim::explain`. `None` on rows written before attribution
-    /// existed; rendered only when present.
-    pub binding: Option<String>,
+    /// `sim::explain`.
+    pub binding: String,
     /// The binding constraint's utilization in `[0, 1]`.
-    pub binding_utilization: Option<f64>,
+    pub binding_utilization: f64,
     /// The runner-up resource (what would bind after fixing the
     /// first).
-    pub next_constraint: Option<String>,
+    pub next_constraint: String,
     /// The runner-up's utilization in `[0, 1]`.
-    pub next_utilization: Option<f64>,
+    pub next_utilization: f64,
     /// Compact utilization stack for report rendering.
-    pub utils: Option<ResourceUtils>,
-    /// The artifact's report-only figures. `None` on rows written
-    /// before artifact rows were store records; rendered only when
-    /// present.
-    pub detail: Option<JobDetail>,
+    pub utils: ResourceUtils,
+    /// Host allocation totals and peak heap, and the run's simulated
+    /// headline numbers.
+    pub detail: JobDetail,
 }
 
 /// Per-job figures a record carries for readers of the artifact:
 /// host allocation totals and peak heap, and the run's simulated
-/// headline numbers.
-/// Neither the gate nor the trend tables read them.
+/// headline numbers. The gate reads the peak heap; the trend tables
+/// read the allocation count and the peak heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDetail {
     /// Host heap allocations the job performed.
     pub host_allocs: u64,
     /// Bytes those allocations requested.
     pub host_alloc_bytes: u64,
-    /// Peak heap bytes the job held live. `None` on rows written before
-    /// the peak was counted; rendered only when present.
-    pub peak_heap_bytes: Option<u64>,
+    /// Peak heap bytes the job held live (0 when the binary installed
+    /// no counting allocator).
+    pub peak_heap_bytes: u64,
     /// Length of the measurement window in simulated seconds.
     pub sim_seconds: f64,
     /// Committed transactions in the measurement window.
@@ -155,97 +150,67 @@ impl Record {
     /// The record as a [`Json`] object with the store's fixed key
     /// order.
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj(vec![
-            ("v", Json::Num(SCHEMA_VERSION as f64)),
-            ("run", Json::Str(self.run.clone())),
-            ("created_unix", Json::Num(self.created_unix as f64)),
-            (
-                "git_revision",
-                Json::Str(self.provenance.git_revision.clone()),
-            ),
-            (
-                "rustc_version",
-                Json::Str(self.provenance.rustc_version.clone()),
-            ),
-            (
-                "build_profile",
-                Json::Str(self.provenance.build_profile.clone()),
-            ),
-            ("figure", Json::Str(self.figure.clone())),
-            ("curve", Json::Str(self.curve.clone())),
-            ("nodes", Json::Num(f64::from(self.nodes))),
-            ("seed", Json::Num(self.seed as f64)),
-            ("host_cpus", Json::Num(f64::from(self.host_cpus))),
-            (
-                "config_fingerprint",
-                Json::Str(self.config_fingerprint.clone()),
-            ),
-            (
-                "metric_fingerprint",
-                Json::Str(self.metric_fingerprint.clone()),
-            ),
-            ("wall_secs", Json::Num(self.wall_secs)),
-            ("events_processed", Json::Num(self.events_processed as f64)),
-            ("allocs_per_event", Json::Num(self.allocs_per_event)),
-            ("mean_response_ms", Json::Num(self.mean_response_ms)),
-            ("throughput_tps", Json::Num(self.throughput_tps)),
-        ]);
-        // Optional trailer: present only when sampled, so rows without
-        // it (legacy rows, non-Linux hosts) re-render byte-identically.
+        let text = |s: &str| Json::Str(s.to_string());
+        let num = Json::Num;
+        let mut fields = vec![
+            ("v", num(SCHEMA_VERSION as f64)),
+            ("run", text(&self.run)),
+            ("created_unix", num(self.created_unix as f64)),
+            ("git_revision", text(&self.provenance.git_revision)),
+            ("rustc_version", text(&self.provenance.rustc_version)),
+            ("build_profile", text(&self.provenance.build_profile)),
+            ("figure", text(&self.figure)),
+            ("curve", text(&self.curve)),
+            ("nodes", num(f64::from(self.nodes))),
+            ("seed", num(self.seed as f64)),
+            ("host_cpus", num(f64::from(self.host_cpus))),
+            ("config_fingerprint", text(&self.config_fingerprint)),
+            ("metric_fingerprint", text(&self.metric_fingerprint)),
+            ("wall_secs", num(self.wall_secs)),
+            ("events_processed", num(self.events_processed as f64)),
+            ("allocs_per_event", num(self.allocs_per_event)),
+            ("mean_response_ms", num(self.mean_response_ms)),
+            ("throughput_tps", num(self.throughput_tps)),
+        ];
         if let Some(mb) = self.peak_rss_mb {
-            doc.set("peak_rss_mb", Json::Num(mb));
+            fields.push(("peak_rss_mb", num(mb)));
         }
-        if let Some(b) = &self.binding {
-            doc.set("binding", Json::Str(b.clone()));
-        }
-        if let Some(u) = self.binding_utilization {
-            doc.set("binding_utilization", Json::Num(u));
-        }
-        if let Some(n) = &self.next_constraint {
-            doc.set("next_constraint", Json::Str(n.clone()));
-        }
-        if let Some(u) = self.next_utilization {
-            doc.set("next_utilization", Json::Num(u));
-        }
-        if let Some(us) = &self.utils {
-            doc.set(
-                "utilizations",
-                Json::obj(vec![
-                    ("cpu", Json::Num(us.cpu)),
-                    ("coupling", Json::Num(us.coupling)),
-                    ("network", Json::Num(us.network)),
-                    ("disk", Json::Num(us.disk)),
-                    ("log", Json::Num(us.log)),
-                ]),
-            );
-        }
-        if let Some(d) = &self.detail {
-            doc.set("events_per_sec", Json::Num(self.events_per_sec()));
-            doc.set("host_allocs", Json::Num(d.host_allocs as f64));
-            doc.set("host_alloc_bytes", Json::Num(d.host_alloc_bytes as f64));
-            if let Some(bytes) = d.peak_heap_bytes {
-                doc.set("peak_heap_bytes", Json::Num(bytes as f64));
-            }
-            doc.set("sim_seconds", Json::Num(d.sim_seconds));
-            doc.set("measured_txns", Json::Num(d.measured_txns as f64));
-            doc.set("norm_response_ms", Json::Num(d.norm_response_ms));
-            doc.set(
+        let (us, d) = (&self.utils, &self.detail);
+        let utilizations = Json::obj(vec![
+            ("cpu", num(us.cpu)),
+            ("coupling", num(us.coupling)),
+            ("network", num(us.network)),
+            ("disk", num(us.disk)),
+            ("log", num(us.log)),
+        ]);
+        let disks = d
+            .disk_utilizations
+            .iter()
+            .map(|(name, util)| (name.clone(), num(*util)))
+            .collect();
+        fields.extend([
+            ("binding", text(&self.binding)),
+            ("binding_utilization", num(self.binding_utilization)),
+            ("next_constraint", text(&self.next_constraint)),
+            ("next_utilization", num(self.next_utilization)),
+            ("utilizations", utilizations),
+            // Derived, so rendered for readers but never read back.
+            ("events_per_sec", num(self.events_per_sec())),
+            ("host_allocs", num(d.host_allocs as f64)),
+            ("host_alloc_bytes", num(d.host_alloc_bytes as f64)),
+            ("peak_heap_bytes", num(d.peak_heap_bytes as f64)),
+            ("sim_seconds", num(d.sim_seconds)),
+            ("measured_txns", num(d.measured_txns as f64)),
+            ("norm_response_ms", num(d.norm_response_ms)),
+            (
                 "tps_per_node_at_80pct_cpu",
-                Json::Num(d.tps_per_node_at_80pct_cpu),
-            );
-            doc.set("cpu_utilization", Json::Num(d.cpu_utilization));
-            doc.set("gem_utilization", Json::Num(d.gem_utilization));
-            doc.set(
-                "disk_utilizations",
-                Json::Obj(
-                    d.disk_utilizations
-                        .iter()
-                        .map(|(name, util)| (name.clone(), Json::Num(*util)))
-                        .collect(),
-                ),
-            );
-        }
-        doc
+                num(d.tps_per_node_at_80pct_cpu),
+            ),
+            ("cpu_utilization", num(d.cpu_utilization)),
+            ("gem_utilization", num(d.gem_utilization)),
+            ("disk_utilizations", Json::Obj(disks)),
+        ]);
+        Json::obj(fields)
     }
 
     /// Renders the record as one store line (no trailing newline).
@@ -255,40 +220,71 @@ impl Record {
 
     /// Reads a record back from a parsed store row.
     pub fn from_json(doc: &Json) -> Result<Record, String> {
-        let str_field = |key: &str| -> Result<String, String> {
+        let num_in = |obj: &Json, key: &str| -> Result<f64, String> {
+            obj.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("missing numeric field {key:?}"))
+        };
+        let num = |key: &str| num_in(doc, key);
+        let text = |key: &str| -> Result<String, String> {
             doc.get(key)
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field {key:?}"))
         };
-        let num_field = |key: &str| -> Result<f64, String> {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let version = num_field("v")? as u64;
+        let version = num("v")? as u64;
         if version != SCHEMA_VERSION {
             return Err(format!(
                 "unsupported record version {version} (this reader knows {SCHEMA_VERSION})"
             ));
         }
-        // `host_allocs` marks the report-only group; `events_per_sec`
-        // is derived, so it is re-rendered rather than read.
-        let detail = match doc.get("host_allocs") {
-            None => None,
-            Some(_) => Some(JobDetail {
-                host_allocs: num_field("host_allocs")? as u64,
-                host_alloc_bytes: num_field("host_alloc_bytes")? as u64,
-                peak_heap_bytes: match doc.get("peak_heap_bytes") {
-                    None => None,
-                    Some(_) => Some(num_field("peak_heap_bytes")? as u64),
-                },
-                sim_seconds: num_field("sim_seconds")?,
-                measured_txns: num_field("measured_txns")? as u64,
-                norm_response_ms: num_field("norm_response_ms")?,
-                tps_per_node_at_80pct_cpu: num_field("tps_per_node_at_80pct_cpu")?,
-                cpu_utilization: num_field("cpu_utilization")?,
-                gem_utilization: num_field("gem_utilization")?,
+        Ok(Record {
+            run: text("run")?,
+            created_unix: num("created_unix")? as u64,
+            provenance: Provenance {
+                git_revision: text("git_revision")?,
+                rustc_version: text("rustc_version")?,
+                build_profile: text("build_profile")?,
+            },
+            figure: text("figure")?,
+            curve: text("curve")?,
+            nodes: num("nodes")? as u16,
+            seed: num("seed")? as u64,
+            host_cpus: num("host_cpus")? as u32,
+            config_fingerprint: text("config_fingerprint")?,
+            metric_fingerprint: text("metric_fingerprint")?,
+            wall_secs: num("wall_secs")?,
+            events_processed: num("events_processed")? as u64,
+            allocs_per_event: num("allocs_per_event")?,
+            mean_response_ms: num("mean_response_ms")?,
+            throughput_tps: num("throughput_tps")?,
+            peak_rss_mb: doc.get("peak_rss_mb").and_then(Json::as_f64),
+            binding: text("binding")?,
+            binding_utilization: num("binding_utilization")?,
+            next_constraint: text("next_constraint")?,
+            next_utilization: num("next_utilization")?,
+            utils: {
+                let us = doc
+                    .get("utilizations")
+                    .ok_or("missing object field \"utilizations\"")?;
+                ResourceUtils {
+                    cpu: num_in(us, "cpu")?,
+                    coupling: num_in(us, "coupling")?,
+                    network: num_in(us, "network")?,
+                    disk: num_in(us, "disk")?,
+                    log: num_in(us, "log")?,
+                }
+            },
+            detail: JobDetail {
+                host_allocs: num("host_allocs")? as u64,
+                host_alloc_bytes: num("host_alloc_bytes")? as u64,
+                peak_heap_bytes: num("peak_heap_bytes")? as u64,
+                sim_seconds: num("sim_seconds")?,
+                measured_txns: num("measured_txns")? as u64,
+                norm_response_ms: num("norm_response_ms")?,
+                tps_per_node_at_80pct_cpu: num("tps_per_node_at_80pct_cpu")?,
+                cpu_utilization: num("cpu_utilization")?,
+                gem_utilization: num("gem_utilization")?,
                 disk_utilizations: match doc.get("disk_utilizations") {
                     Some(Json::Obj(fields)) => fields
                         .iter()
@@ -300,54 +296,7 @@ impl Record {
                         .collect::<Result<_, _>>()?,
                     _ => return Err("missing object field \"disk_utilizations\"".into()),
                 },
-            }),
-        };
-        Ok(Record {
-            run: str_field("run")?,
-            created_unix: num_field("created_unix")? as u64,
-            provenance: Provenance {
-                git_revision: str_field("git_revision")?,
-                rustc_version: str_field("rustc_version")?,
-                build_profile: str_field("build_profile")?,
             },
-            figure: str_field("figure")?,
-            curve: str_field("curve")?,
-            nodes: num_field("nodes")? as u16,
-            seed: num_field("seed")? as u64,
-            // Optional with a default: older rows carry no host CPU
-            // count and stay readable (still schema v1). Keys this
-            // reader does not know, such as the engine thread count
-            // legacy rows recorded, are ignored.
-            host_cpus: doc.get("host_cpus").and_then(Json::as_f64).unwrap_or(0.0) as u32,
-            config_fingerprint: str_field("config_fingerprint")?,
-            metric_fingerprint: str_field("metric_fingerprint")?,
-            wall_secs: num_field("wall_secs")?,
-            events_processed: num_field("events_processed")? as u64,
-            allocs_per_event: num_field("allocs_per_event")?,
-            mean_response_ms: num_field("mean_response_ms")?,
-            throughput_tps: num_field("throughput_tps")?,
-            peak_rss_mb: doc.get("peak_rss_mb").and_then(Json::as_f64),
-            binding: doc
-                .get("binding")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            binding_utilization: doc.get("binding_utilization").and_then(Json::as_f64),
-            next_constraint: doc
-                .get("next_constraint")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            next_utilization: doc.get("next_utilization").and_then(Json::as_f64),
-            utils: doc.get("utilizations").map(|us| {
-                let f = |key: &str| us.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-                ResourceUtils {
-                    cpu: f("cpu"),
-                    coupling: f("coupling"),
-                    network: f("network"),
-                    disk: f("disk"),
-                    log: f("log"),
-                }
-            }),
-            detail,
         })
     }
 
@@ -372,9 +321,11 @@ pub fn fnv1a_hex(text: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// A complete record as the harness writes it; other modules'
+    /// tests override the fields they exercise.
     pub(crate) fn sample(figure: &str, nodes: u16, seed: u64) -> Record {
         Record {
             run: "r100-1-0".into(),
@@ -397,12 +348,29 @@ mod tests {
             mean_response_ms: 71.7,
             throughput_tps: 197.0,
             peak_rss_mb: None,
-            binding: None,
-            binding_utilization: None,
-            next_constraint: None,
-            next_utilization: None,
-            utils: None,
-            detail: None,
+            binding: "network".into(),
+            binding_utilization: 0.71,
+            next_constraint: "cpu".into(),
+            next_utilization: 0.644,
+            utils: ResourceUtils {
+                cpu: 0.644,
+                coupling: 0.31,
+                network: 0.71,
+                disk: 0.39,
+                log: 0.1,
+            },
+            detail: JobDetail {
+                host_allocs: 4_375,
+                host_alloc_bytes: 1_048_576,
+                peak_heap_bytes: 524_288,
+                sim_seconds: 12.5,
+                measured_txns: 2_500,
+                norm_response_ms: 71.7,
+                tps_per_node_at_80pct_cpu: 128.25,
+                cpu_utilization: 0.644,
+                gem_utilization: 0.31,
+                disk_utilizations: vec![("ACCOUNT".into(), 0.39), ("HISTORY".into(), 0.05)],
+            },
         }
     }
 
@@ -418,10 +386,34 @@ mod tests {
     }
 
     #[test]
+    fn explain_trailer_round_trips() {
+        let mut rec = sample("fig41", 2, 9);
+        rec.binding = "disk:ACCOUNT".into();
+        rec.binding_utilization = 0.93;
+        rec.next_constraint = "coupling".into();
+        rec.next_utilization = 0.48;
+        rec.utils = ResourceUtils {
+            cpu: 0.41,
+            coupling: 0.48,
+            network: 0.12,
+            disk: 0.93,
+            log: 0.07,
+        };
+        let line = rec.to_line();
+        assert!(line.contains("\"binding\":\"disk:ACCOUNT\""), "{line}");
+        assert!(line.contains("\"next_constraint\":\"coupling\""), "{line}");
+        let back = Record::from_line(&line).expect("parses back");
+        assert_eq!(back, rec);
+        assert_eq!(back.to_line(), line);
+        assert_eq!(back.binding, "disk:ACCOUNT");
+        assert_eq!(back.utils.disk, 0.93);
+    }
+
+    #[test]
     fn peak_rss_round_trips_and_stays_optional() {
         let mut rec = sample("fig41", 2, 9);
-        // Absent: the rendered line must not mention the key at all,
-        // so rows written before the field existed stay byte-stable.
+        // Absent: the rendered line must not mention the key at all
+        // (hosts without the figure write no placeholder).
         assert!(!rec.to_line().contains("peak_rss_mb"));
         rec.peak_rss_mb = Some(512.25);
         let line = rec.to_line();
@@ -432,72 +424,42 @@ mod tests {
     }
 
     #[test]
-    fn explain_trailer_round_trips_and_stays_optional() {
-        let mut rec = sample("fig41", 2, 9);
-        // Absent: no attribution keys in the rendered line, so rows
-        // written before the fields existed stay byte-stable.
-        let bare = rec.to_line();
-        assert!(!bare.contains("binding"));
-        assert!(!bare.contains("utilizations"));
-        rec.binding = Some("network".into());
-        rec.binding_utilization = Some(0.71);
-        rec.next_constraint = Some("cpu".into());
-        rec.next_utilization = Some(0.644);
-        rec.utils = Some(ResourceUtils {
-            cpu: 0.644,
-            coupling: 0.31,
-            network: 0.71,
-            disk: 0.39,
-            log: 0.1,
-        });
-        let line = rec.to_line();
-        let back = Record::from_line(&line).expect("parses back");
-        assert_eq!(back, rec);
-        assert_eq!(back.to_line(), line);
-        assert_eq!(back.binding.as_deref(), Some("network"));
-        assert_eq!(back.utils.unwrap().network, 0.71);
-    }
-
-    #[test]
-    fn detail_trailer_round_trips_and_stays_optional() {
-        let mut rec = sample("fig41", 2, 9);
-        let bare = rec.to_line();
-        assert!(!bare.contains("host_allocs") && !bare.contains("events_per_sec"));
-        rec.detail = Some(JobDetail {
-            host_allocs: 4_375,
-            host_alloc_bytes: 1_048_576,
-            peak_heap_bytes: Some(524_288),
-            sim_seconds: 12.5,
-            measured_txns: 2_500,
-            norm_response_ms: 71.7,
-            tps_per_node_at_80pct_cpu: 128.25,
-            cpu_utilization: 0.644,
-            gem_utilization: 0.31,
-            disk_utilizations: vec![("ACCOUNT".into(), 0.39), ("HISTORY".into(), 0.05)],
-        });
-        let doc = rec.to_json();
-        // The derived event rate is rendered beside the stored fields.
+    fn detail_trailer_renders_the_event_rate() {
+        let doc = sample("fig41", 2, 9).to_json();
+        // The derived event rate is rendered beside the stored fields
+        // and ignored on read.
         assert_eq!(
             doc.get("events_per_sec").and_then(Json::as_f64),
             Some(140_000.0)
         );
-        let line = rec.to_line();
-        let back = Record::from_line(&line).expect("parses back");
-        assert_eq!(back, rec);
-        assert_eq!(back.to_line(), line);
+        let mut doctored = doc.clone();
+        doctored.set("events_per_sec", Json::Num(1.0));
+        let back = Record::from_json(&doctored).expect("parses");
+        assert_eq!(back.to_json(), doc);
+    }
 
-        // A trailer written before the peak heap was counted parses
-        // without it and re-renders unchanged.
-        let mut older = doc.clone();
-        older.remove("peak_heap_bytes");
-        let back = Record::from_json(&older).expect("older trailer parses");
-        assert_eq!(back.detail.as_ref().unwrap().peak_heap_bytes, None);
-        assert_eq!(back.to_json(), older);
-
+    #[test]
+    fn every_field_but_peak_rss_is_required() {
+        let doc = sample("fig41", 2, 9).to_json();
+        let Json::Obj(fields) = &doc else {
+            unreachable!("a record renders as an object")
+        };
+        for (key, _) in fields {
+            if key == "events_per_sec" {
+                continue; // derived, never read
+            }
+            let mut partial = doc.clone();
+            partial.remove(key);
+            let err = Record::from_json(&partial)
+                .expect_err(&format!("a row without {key:?} must be refused"));
+            assert!(err.contains(key.as_str()), "unhelpful error: {err}");
+        }
         let mut partial = doc;
-        partial.remove("sim_seconds");
-        let err = Record::from_json(&partial).expect_err("incomplete trailer");
-        assert!(err.contains("sim_seconds"), "unhelpful error: {err}");
+        let mut us = partial.remove("utilizations").expect("rendered");
+        us.remove("network");
+        partial.set("utilizations", us);
+        let err = Record::from_json(&partial).expect_err("incomplete utilizations");
+        assert!(err.contains("network"), "unhelpful error: {err}");
     }
 
     #[test]
@@ -506,32 +468,17 @@ mod tests {
         doc.set("v", Json::Num(99.0));
         let err = Record::from_json(&doc).expect_err("version 99 must be rejected");
         assert!(err.contains("version 99"), "unhelpful error: {err}");
+        // Rows of the previous layout are refused the same way.
+        doc.set("v", Json::Num(1.0));
+        let err = Record::from_json(&doc).expect_err("version 1 must be rejected");
+        assert!(err.contains("version 1 "), "unhelpful error: {err}");
     }
 
     #[test]
     fn missing_fields_name_the_field() {
-        let err = Record::from_line("{\"v\":1.0,\"run\":\"r\"}").expect_err("incomplete row");
+        let line = format!("{{\"v\":{SCHEMA_VERSION},\"run\":\"r\"}}");
+        let err = Record::from_line(&line).expect_err("incomplete row");
         assert!(err.contains("created_unix"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn legacy_rows_with_and_without_cores_parse() {
-        // The committed baseline history holds rows that recorded an
-        // engine thread count (`cores`) and older rows that carry
-        // neither it nor `host_cpus`. Both must stay readable; the
-        // `cores` key is ignored and dropped on re-render.
-        let rec = sample("fig41", 2, 7);
-        let mut with_cores = rec.to_json();
-        with_cores.set("cores", Json::Num(2.0));
-        let back = Record::from_json(&with_cores).expect("row with cores parses");
-        assert_eq!(back, rec);
-        assert_eq!(back.host_cpus, 8);
-        assert_eq!(back.to_line(), rec.to_line());
-
-        let mut without = rec.to_json();
-        without.remove("host_cpus");
-        let back = Record::from_json(&without).expect("row without cores parses");
-        assert_eq!(back.host_cpus, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! round-trips, the committed baseline history, torn-write recovery,
 //! and byte-identical re-serialization of the store's JSON values.
 
-use dbshare_expstore::{Json, Provenance, Record, Store};
+use dbshare_expstore::{JobDetail, Json, Provenance, Record, ResourceUtils, Store};
 use std::fs;
 use std::path::PathBuf;
 
@@ -46,18 +46,35 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         mean_response_ms: 71.25,
         throughput_tps: 196.5,
         peak_rss_mb: None,
-        binding: None,
-        binding_utilization: None,
-        next_constraint: None,
-        next_utilization: None,
-        utils: None,
-        detail: None,
+        binding: "cpu".into(),
+        binding_utilization: 0.644,
+        next_constraint: "disk:ACCOUNT".into(),
+        next_utilization: 0.39,
+        utils: ResourceUtils {
+            cpu: 0.644,
+            coupling: 0.31,
+            network: 0.0,
+            disk: 0.39,
+            log: 0.1,
+        },
+        detail: JobDetail {
+            host_allocs: 4_375,
+            host_alloc_bytes: 1_048_576,
+            peak_heap_bytes: 524_288 * u64::from(nodes),
+            sim_seconds: 12.5,
+            measured_txns: 2_500,
+            norm_response_ms: 71.7,
+            tps_per_node_at_80pct_cpu: 128.25,
+            cpu_utilization: 0.644,
+            gem_utilization: 0.31,
+            disk_utilizations: vec![("ACCOUNT".into(), 0.39)],
+        },
     }
 }
 
-/// The committed baseline history holds rows from every layout this
-/// schema version has written, legacy `cores` keys included: every
-/// line must load as a record, with nothing dropped as a torn write.
+/// The committed baseline history holds rows of this schema version
+/// only: every line must load as a record, with nothing dropped as a
+/// torn write.
 #[test]
 fn committed_history_reads_every_line_without_recovery() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/history.jsonl");
@@ -129,6 +146,62 @@ fn mid_file_corruption_refuses_to_read() {
     fs::write(&tmp.0, format!("{good}\nnot json at all\n{good}\n")).expect("write");
     let err = store.read().expect_err("mid-file corruption is fatal");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+/// A store whose complete lines are of another schema version (an
+/// old working store after a schema bump) is refused by reads and
+/// appends alike, and an append leaves it byte-identical.
+#[test]
+fn a_store_of_another_schema_is_refused_and_left_untouched() {
+    for version in [1.0, 99.0] {
+        let tmp = TempFile::new("other-schema.jsonl");
+        let store = Store::new(&tmp.0);
+        let lines: Vec<String> = [1, 2]
+            .map(|nodes| {
+                let mut row = record("r0", "fig41", nodes, 1.0).to_json();
+                row.set("v", Json::Num(version));
+                row.render_line() + "\n"
+            })
+            .into();
+        let before = lines.concat();
+        fs::write(&tmp.0, &before).expect("write");
+
+        let err = store.read().expect_err("rows of another version");
+        assert!(err.to_string().contains("line 1"), "unhelpful error: {err}");
+        let err = store
+            .append(&[record("r1", "fig41", 1, 1.0)])
+            .expect_err("an append must not drop complete rows");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(fs::read_to_string(&tmp.0).expect("read"), before);
+    }
+}
+
+#[test]
+fn a_complete_garbage_last_line_is_an_error() {
+    let tmp = TempFile::new("garbage-last.jsonl");
+    let store = Store::new(&tmp.0);
+    let good = record("r1", "fig41", 1, 1.0).to_line();
+    let before = format!("{good}\nnot json at all\n");
+    fs::write(&tmp.0, &before).expect("write");
+    let err = store.read().expect_err("a complete garbage line is damage");
+    assert!(err.to_string().contains("line 2"), "unhelpful error: {err}");
+    assert!(store.append(&[record("r2", "fig41", 1, 1.0)]).is_err());
+    assert_eq!(fs::read_to_string(&tmp.0).expect("read"), before);
+}
+
+#[test]
+fn append_starts_a_fresh_line_after_a_complete_unterminated_row() {
+    let tmp = TempFile::new("unterminated.jsonl");
+    let store = Store::new(&tmp.0);
+    fs::write(&tmp.0, record("r1", "fig41", 1, 1.0).to_line()).expect("write");
+    let recovery = store
+        .append(&[record("r2", "fig41", 2, 1.0)])
+        .expect("append");
+    assert!(recovery.is_none());
+    let read = store.read().expect("read back");
+    assert!(read.recovery.is_none());
+    let runs: Vec<&str> = read.records.iter().map(|r| r.run.as_str()).collect();
+    assert_eq!(runs, ["r1", "r2"]);
 }
 
 #[test]

@@ -90,27 +90,15 @@ pub fn run_knee(
             saturated
         });
 
-        // Fold the probes into the same verdict shape --explain uses:
-        // sort by node count and scan for the first crossing.
+        // Fold the probes into the verdict --explain prints, over the
+        // preset's whole axis even where only its top was probed.
         points.sort_by_key(|&(n, _)| n);
         let refs: Vec<(u16, &RunReport)> = points.iter().map(|(n, r)| (*n, r)).collect();
-        let mut peak: Option<(String, f64, u16)> = None;
-        for (n, r) in &refs {
-            let b_util = {
-                let a = explain::attribute(r);
-                (a.binding().name.clone(), a.binding().utilization)
-            };
-            if peak.as_ref().is_none_or(|(_, u, _)| b_util.1 > *u) {
-                peak = Some((b_util.0, b_util.1, *n));
-            }
-        }
         curves.push(KneeCurve {
             verdict: CurveKnee {
-                curve: label.to_string(),
                 lo: lo0,
                 hi: hi0,
-                knee: explain::find_knee(&refs, threshold),
-                peak: peak.expect("at least one probe per curve"),
+                ..CurveKnee::scan(label, &refs, threshold)
             },
             probed,
         });

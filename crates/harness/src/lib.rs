@@ -146,21 +146,21 @@ impl Outcome {
                     mean_response_ms: res.report.mean_response_ms,
                     throughput_tps: res.report.throughput_tps,
                     peak_rss_mb: res.peak_rss_mb,
-                    binding: Some(a.binding().name.clone()),
-                    binding_utilization: Some(a.binding().utilization),
-                    next_constraint: a.next().map(|n| n.name.clone()),
-                    next_utilization: a.next().map(|n| n.utilization),
-                    utils: Some(dbshare_expstore::ResourceUtils {
+                    binding: a.binding().name.clone(),
+                    binding_utilization: a.binding().utilization,
+                    next_constraint: a.next().name.clone(),
+                    next_utilization: a.next().utilization,
+                    utils: dbshare_expstore::ResourceUtils {
                         cpu: find("cpu"),
                         coupling: find("gem").max(find("lock-engine")),
                         network: find("network"),
                         disk: disk_max,
                         log: find("log"),
-                    }),
-                    detail: Some(dbshare_expstore::JobDetail {
+                    },
+                    detail: dbshare_expstore::JobDetail {
                         host_allocs: res.report.profile.host_allocs,
                         host_alloc_bytes: res.report.profile.host_alloc_bytes,
-                        peak_heap_bytes: Some(res.report.profile.peak_heap_bytes),
+                        peak_heap_bytes: res.report.profile.peak_heap_bytes,
                         sim_seconds: res.report.sim_seconds,
                         measured_txns: res.report.measured_txns,
                         norm_response_ms: res.report.norm_response_ms,
@@ -168,7 +168,7 @@ impl Outcome {
                         cpu_utilization: res.report.cpu_utilization,
                         gem_utilization: res.report.gem_utilization,
                         disk_utilizations: res.report.disk_utilizations.clone(),
-                    }),
+                    },
                 }
             })
             .collect()
@@ -286,7 +286,7 @@ impl Harness {
             .map(|d| d.as_secs());
         let started = Instant::now();
         let ticker = self.ticker.map(|every| Ticker::spawn(every, jobs.len()));
-        let results = pool::run_jobs_ticked(
+        let results = run_jobs(
             jobs,
             self.workers,
             self.progress,

@@ -59,18 +59,14 @@ pub struct JobResult {
 ///
 /// `workers` is clamped to `1..=jobs.len()`. With `progress` set, one
 /// line per finished job goes to stderr (stdout is untouched, so
-/// captured figure output stays byte-identical to a serial run).
-pub fn run_jobs(jobs: Vec<Job>, workers: usize, progress: bool) -> Vec<JobResult> {
-    run_jobs_ticked(jobs, workers, progress, None)
-}
-
-/// [`run_jobs`] with an optional live-progress registry: when `ticker`
-/// is set, each worker registers a [`ProgressGauge`] per job for the
-/// sampling thread to read and retires it when the job finishes. The
-/// gauge is observer-only, so results stay bit-identical either way.
+/// captured figure output stays byte-identical to a serial run). With
+/// a `ticker`, each worker registers a [`ProgressGauge`] per job for
+/// the sampling thread to read and retires it when the job finishes;
+/// the gauge is observer-only, so results are bit-identical either
+/// way.
 ///
 /// [`ProgressGauge`]: dbshare_sim::ProgressGauge
-pub fn run_jobs_ticked(
+pub fn run_jobs(
     jobs: Vec<Job>,
     workers: usize,
     progress: bool,
@@ -105,7 +101,7 @@ pub fn run_jobs_ticked(
                 let live0 = alloc_track::thread_live_bytes();
                 let start = Instant::now();
                 let (mut report, observations) =
-                    job.spec.execute_instrumented(job.observe, gauge.clone());
+                    job.spec.execute_observed(job.observe, gauge.clone());
                 let wall_secs = start.elapsed().as_secs_f64();
                 report.profile.peak_heap_bytes = (alloc_track::thread_peak_bytes() - live0) as u64;
                 if let (Some(t), Some(gauge)) = (ticker, &gauge) {
@@ -176,7 +172,7 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let jobs = tiny_jobs(7);
-        let results = run_jobs(jobs.clone(), 4, false);
+        let results = run_jobs(jobs.clone(), 4, false, None);
         assert_eq!(results.len(), jobs.len());
         for (job, result) in jobs.iter().zip(&results) {
             assert_eq!(result.job.curve, job.curve);
@@ -188,12 +184,12 @@ mod tests {
 
     #[test]
     fn empty_job_list_returns_immediately() {
-        assert!(run_jobs(Vec::new(), 8, false).is_empty());
+        assert!(run_jobs(Vec::new(), 8, false, None).is_empty());
     }
 
     #[test]
     fn oversized_worker_count_is_clamped() {
-        let results = run_jobs(tiny_jobs(2), 64, false);
+        let results = run_jobs(tiny_jobs(2), 64, false, None);
         assert_eq!(results.len(), 2);
     }
 }

@@ -72,7 +72,7 @@ fn converging(coupling: CouplingMode, measured: u64) -> Job {
 fn peak_heap_does_not_grow_with_run_length() {
     for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
         let jobs = RUN_LENGTHS.iter().map(|&m| converging(coupling, m));
-        let results = run_jobs(jobs.collect(), 1, false);
+        let results = run_jobs(jobs.collect(), 1, false, None);
         for r in &results {
             assert!(!r.report.truncated, "{coupling:?} must converge");
         }
@@ -143,7 +143,7 @@ fn peak_heap_does_not_grow_with_the_pages_touched() {
     ];
     for (coupling, bound) in bounds {
         let jobs = lengths.iter().map(|&m| fresh_pages(coupling, m));
-        let results = run_jobs(jobs.collect(), 1, false);
+        let results = run_jobs(jobs.collect(), 1, false, None);
         for r in &results {
             assert!(!r.report.truncated, "{coupling:?} must converge");
         }
@@ -207,7 +207,7 @@ fn trace_job_peak_heap_is_bounded() {
         }),
         observe: Observe::default(),
     };
-    let result = run_jobs(vec![job], 1, false).remove(0);
+    let result = run_jobs(vec![job], 1, false, None).remove(0);
     assert!(!result.report.truncated, "the trace job must converge");
     let peak = result.report.profile.peak_heap_bytes;
     assert!(peak > 0, "counting allocator not active");

@@ -22,8 +22,8 @@ fn spec() -> RunSpec {
 
 #[test]
 fn observed_runs_are_bit_reproducible() {
-    let (report_a, obs_a) = spec().execute_observed(Observe::full());
-    let (report_b, obs_b) = spec().execute_observed(Observe::full());
+    let (report_a, obs_a) = spec().execute_observed(Observe::full(), None);
+    let (report_b, obs_b) = spec().execute_observed(Observe::full(), None);
     assert!(!obs_a.trace.is_empty(), "trace was requested");
     assert!(!obs_a.timeline.is_empty(), "timeline was requested");
     assert_eq!(obs_a, obs_b, "same spec must observe identically");
@@ -35,10 +35,13 @@ fn observation_does_not_perturb_the_simulation() {
     let bare = spec().execute();
     // Tracing alone adds no calendar events: the whole report must be
     // identical, field for field.
-    let (traced, _) = spec().execute_observed(Observe {
-        timeline_every: None,
-        trace: true,
-    });
+    let (traced, _) = spec().execute_observed(
+        Observe {
+            timeline_every: None,
+            trace: true,
+        },
+        None,
+    );
     assert_eq!(
         format!("{bare:?}"),
         format!("{traced:?}"),
@@ -46,7 +49,7 @@ fn observation_does_not_perturb_the_simulation() {
     );
     // The timeline sampler schedules (read-only) calendar ticks, so
     // only the event count may move — every simulated result is pinned.
-    let (sampled, _) = spec().execute_observed(Observe::full());
+    let (sampled, _) = spec().execute_observed(Observe::full(), None);
     assert_eq!(sampled.measured_txns, bare.measured_txns);
     assert_eq!(sampled.deadlock_aborts, bare.deadlock_aborts);
     assert_eq!(sampled.timeout_aborts, bare.timeout_aborts);
@@ -147,8 +150,8 @@ fn timeline_windows_conserve_run_totals() {
         buffer: 50,
         ..DebitCreditRun::baseline(2, TINY)
     });
-    let (report, fine) = spec.execute_observed(fine_cfg);
-    let (_, coarse) = spec.execute_observed(coarse_cfg);
+    let (report, fine) = spec.execute_observed(fine_cfg, None);
+    let (_, coarse) = spec.execute_observed(coarse_cfg, None);
     assert!(fine.timeline.len() > 2, "expected several fine windows");
     assert_eq!(coarse.timeline.len(), 1, "expected one coarse window");
     assert_eq!(totals(&fine.timeline), totals(&coarse.timeline));
@@ -181,10 +184,13 @@ fn timeline_windows_conserve_run_totals() {
 
 #[test]
 fn trace_commits_match_the_reported_measurement() {
-    let (report, obs) = spec().execute_observed(Observe {
-        timeline_every: None,
-        trace: true,
-    });
+    let (report, obs) = spec().execute_observed(
+        Observe {
+            timeline_every: None,
+            trace: true,
+        },
+        None,
+    );
     // The trace covers warm-up too, so it sees at least the measured
     // commits; every commit carries its response time.
     let commits: Vec<_> = obs

@@ -114,19 +114,14 @@ impl RunSpec {
     }
 
     /// Executes the run with the given observation settings, returning
-    /// the report together with the collected timeline and trace. The
-    /// report is identical to [`execute`](RunSpec::execute) — and so
-    /// are the observations across repeated invocations, which is what
-    /// makes trace files diffable.
-    pub fn execute_observed(&self, observe: Observe) -> (RunReport, Observations) {
-        self.execute_instrumented(observe, None)
-    }
-
-    /// [`execute_observed`](RunSpec::execute_observed), optionally
-    /// publishing coarse progress into `progress` for a sampling thread
-    /// to read. The gauge is observer-only: the report and observations
-    /// are bit-identical with and without it.
-    pub fn execute_instrumented(
+    /// the report together with the collected timeline and trace, and
+    /// publishing coarse progress into `progress`, when given, for a
+    /// sampling thread to read. The report is identical to
+    /// [`execute`](RunSpec::execute), and the gauge is observer-only:
+    /// report and observations are bit-identical with and without it,
+    /// and across repeated invocations, which is what makes trace
+    /// files diffable.
+    pub fn execute_observed(
         &self,
         observe: Observe,
         progress: Option<std::sync::Arc<ProgressGauge>>,

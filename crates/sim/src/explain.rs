@@ -83,9 +83,8 @@ pub struct Attribution {
     pub resources: Vec<ResourceUtil>,
     /// Index of the binding constraint in `resources`.
     pub binding: usize,
-    /// Index of the next constraint (the runner-up), if a second
-    /// resource exists.
-    pub next: Option<usize>,
+    /// Index of the next constraint (the runner-up).
+    pub next: usize,
     /// Response-time decomposition of the same run.
     pub waits: WaitBreakdown,
 }
@@ -97,8 +96,8 @@ impl Attribution {
     }
 
     /// The next constraint (what would bind after fixing the first).
-    pub fn next(&self) -> Option<&ResourceUtil> {
-        self.next.map(|i| &self.resources[i])
+    pub fn next(&self) -> &ResourceUtil {
+        &self.resources[self.next]
     }
 }
 
@@ -151,7 +150,7 @@ pub fn attribute(r: &RunReport) -> Attribution {
         best
     };
     let binding = argmax(None).expect("resource list is never empty");
-    let next = argmax(Some(binding));
+    let next = argmax(Some(binding)).expect("resource list holds at least five resources");
 
     Attribution {
         resources,
@@ -244,6 +243,29 @@ pub struct CurveKnee {
 }
 
 impl CurveKnee {
+    /// Scans one curve's points, ordered by node count, for its knee at
+    /// `threshold` and its peak binding constraint. The span is the
+    /// first and last point. Panics on a curve without points.
+    pub fn scan(curve: &str, points: &[(u16, &RunReport)], threshold: f64) -> CurveKnee {
+        let peak = points
+            .iter()
+            .map(|(n, r)| {
+                let a = attribute(r);
+                let b = a.binding();
+                (b.name.clone(), b.utilization, *n)
+            })
+            // Strict >, so the earliest of equal peaks wins.
+            .reduce(|best, p| if p.1 > best.1 { p } else { best })
+            .expect("a curve has at least one point");
+        CurveKnee {
+            curve: curve.to_string(),
+            lo: points[0].0,
+            hi: points[points.len() - 1].0,
+            knee: find_knee(points, threshold),
+            peak,
+        }
+    }
+
     /// The one-line human verdict for this curve, shared by
     /// `--explain` ([`FigureExplain::render`]) and the `--knee`
     /// bisection driver so both speak the same language.
@@ -309,26 +331,14 @@ pub fn explain_figure(figure: &str, series: &[Series], threshold: f64) -> Figure
             continue;
         }
         let refs: Vec<(u16, &RunReport)> = s.points.iter().map(|(n, r)| (*n, r)).collect();
-        let mut peak: Option<(String, f64, u16)> = None;
         for (n, r) in &refs {
-            let attribution = attribute(r);
-            let b = attribution.binding();
-            if peak.as_ref().is_none_or(|(_, u, _)| b.utilization > *u) {
-                peak = Some((b.name.clone(), b.utilization, *n));
-            }
             points.push(PointExplain {
                 curve: s.label.clone(),
                 nodes: *n,
-                attribution,
+                attribution: attribute(r),
             });
         }
-        knees.push(CurveKnee {
-            curve: s.label.clone(),
-            lo: refs[0].0,
-            hi: refs[refs.len() - 1].0,
-            knee: find_knee(&refs, threshold),
-            peak: peak.expect("curve has at least one point"),
-        });
+        knees.push(CurveKnee::scan(&s.label, &refs, threshold));
     }
     FigureExplain {
         figure: figure.to_string(),
@@ -367,10 +377,7 @@ impl FigureExplain {
         for p in &self.points {
             let a = &p.attribution;
             let b = a.binding();
-            let (next_name, next_util) = match a.next() {
-                Some(n) => (n.name.as_str(), n.utilization),
-                None => ("-", 0.0),
-            };
+            let n = a.next();
             let w = &a.waits;
             out.push_str(&format!(
                 "{:<26}{:>6}  {:<14}{:>6.1}  {:<14}{:>6.1}{:>10.1}{:>7.1}{:>7.1}{:>7.1}{:>7.1}{:>7.1}\n",
@@ -378,8 +385,8 @@ impl FigureExplain {
                 p.nodes,
                 b.name,
                 b.utilization * 100.0,
-                next_name,
-                next_util * 100.0,
+                n.name,
+                n.utilization * 100.0,
                 w.mean_response_ms,
                 w.share(w.input_ms) * 100.0,
                 w.share(w.lock_ms) * 100.0,
@@ -424,14 +431,12 @@ pub fn sidecar_json(figures: &[FigureExplain]) -> String {
                 json_str(&b.name),
                 json_num(b.utilization)
             ));
-            match a.next() {
-                Some(n) => out.push_str(&format!(
-                    ",\"next\":{},\"next_utilization\":{}",
-                    json_str(&n.name),
-                    json_num(n.utilization)
-                )),
-                None => out.push_str(",\"next\":null,\"next_utilization\":null"),
-            }
+            let n = a.next();
+            out.push_str(&format!(
+                ",\"next\":{},\"next_utilization\":{}",
+                json_str(&n.name),
+                json_num(n.utilization)
+            ));
             let w = &a.waits;
             out.push_str(&format!(
                 ",\"mean_response_ms\":{},\"waits_ms\":{{\"input\":{},\"lock\":{},\"io\":{},\"cpu_wait\":{},\"cpu_service\":{}}}",
@@ -543,7 +548,7 @@ mod tests {
     fn binding_is_argmax_next_is_runner_up() {
         let a = attribute(&report(0.64, 0.71, 800.0));
         assert_eq!(a.binding().name, "network");
-        assert_eq!(a.next().unwrap().name, "cpu");
+        assert_eq!(a.next().name, "cpu");
         // Fixed resource order: cpu, gem, lock-engine, network,
         // disk:<group>..., log.
         let names: Vec<&str> = a.resources.iter().map(|r| r.name.as_str()).collect();
@@ -564,7 +569,7 @@ mod tests {
     fn ties_go_to_the_earlier_resource() {
         let a = attribute(&report(0.8, 0.8, 100.0));
         assert_eq!(a.binding().name, "cpu");
-        assert_eq!(a.next().unwrap().name, "network");
+        assert_eq!(a.next().name, "network");
     }
 
     #[test]

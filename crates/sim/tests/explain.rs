@@ -21,7 +21,7 @@ fn progress_gauge_does_not_perturb_results() {
     });
     let baseline = s.execute();
     let gauge = Arc::new(ProgressGauge::default());
-    let (report, _) = s.execute_instrumented(Observe::default(), Some(Arc::clone(&gauge)));
+    let (report, _) = s.execute_observed(Observe::default(), Some(Arc::clone(&gauge)));
     assert_eq!(
         format!("{report:?}"),
         format!("{baseline:?}"),

@@ -136,7 +136,7 @@ fn golden_scale_runs_under_full_observation() {
             },
             seed: 0xDB5_4A6E,
         });
-        let (report, obs) = spec.execute_observed(Observe::full());
+        let (report, obs) = spec.execute_observed(Observe::full(), None);
         assert_eq!(
             (
                 report.metric_fingerprint().as_str(),
@@ -398,10 +398,13 @@ fn golden_io_paths() {
                 TxnCommit=2900",
         ),
     ] {
-        let (report, obs) = RunSpec::DebitCredit(params).execute_observed(Observe {
-            trace: true,
-            timeline_every: None,
-        });
+        let (report, obs) = RunSpec::DebitCredit(params).execute_observed(
+            Observe {
+                trace: true,
+                timeline_every: None,
+            },
+            None,
+        );
         // Trace events of `kind` on a BRANCH/TELLER page (`Some(true)`),
         // on another page (`Some(false)`) or on none (`None`).
         let on = |kind: TraceEventKind, bt: Option<bool>| {

@@ -441,7 +441,7 @@ fn page_replies_without_a_copy_read_gem_resident_pages_from_gem() {
         trace: true,
         timeline_every: None,
     };
-    let (_, obs) = experiments::RunSpec::DebitCredit(p).execute_observed(observe);
+    let (_, obs) = experiments::RunSpec::DebitCredit(p).execute_observed(observe, None);
     // The instant of each transaction's BRANCH/TELLER read in progress.
     let mut reading = HashMap::new();
     let mut after_request = 0;
