@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--quick] [--jobs N] [--json PATH] [--nodes 1,2,5,10]
 //!       [--csv DIR] [--svg DIR] [--trace DIR] [--timeline DIR]
-//!       [--profile] [--alloc-stats]
-//!       [--history [DIR]] [--report [PATH]] [--no-history] [-v]
+//!       [--profile] [--history [DIR]] [--report [PATH]] [--no-history] [-v]
 //!       [--scale smoke|full] [--explain [PATH]] [--knee smoke|full]
 //!       [--ticker [SECS]]
 //!       [table41|fig41|fig42|fig43|fig44|fig45|fig46|fig47|lockengine|all]
@@ -23,17 +22,17 @@
 //! to relocate). `--verbose`
 //! additionally prints the full per-run reports; `--csv DIR` writes
 //! every report field per figure; `--svg DIR` draws each figure.
-//! `--profile` prints the engine's always-on event-loop counters
-//! (per-event-type and per-subsystem, aggregated per figure and for
-//! the whole suite, with events/s of host wall-clock) to stderr —
-//! stdout stays byte-identical with or without the flag.
+//! `--profile` prints the run's host cost to stderr — stdout stays
+//! byte-identical with or without the flag: the engine's always-on
+//! event-loop counters (per-event-type and per-subsystem, aggregated
+//! per figure and for the whole suite, with events/s of host
+//! wall-clock), then the per-figure and suite allocs/event and the
+//! largest per-job peak heap.
 //!
 //! The binary installs a counting global allocator (thread-local
 //! counters updated on every allocation and free), so every artifact
 //! records per-job `host_allocs` / `allocs_per_event` and the job's
 //! `peak_heap_bytes`.
-//! `--alloc-stats` additionally prints the per-figure and suite
-//! allocs/event and the largest per-job peak heap to stderr.
 //!
 //! Every run is also appended to the experiment store — one JSON line
 //! per job under `exphistory/history.jsonl` (`--history DIR` to
@@ -72,8 +71,9 @@
 //! resource), the runner-up, and the queue-wait shares of mean
 //! response time, plus a knee verdict per curve — printed to stderr
 //! and written as a JSON sidecar (`BENCH_explain.json`, or the given
-//! path). Everything derives from deterministic report fields, so the
-//! table and sidecar are byte-identical across `--jobs`.
+//! path). Both render from the run's store records, whose fields are
+//! deterministic, so the table and sidecar are byte-identical across
+//! `--jobs`.
 //! `--knee smoke|full` answers the knee question directly: instead of
 //! the fixed `--scale` grid it bisects the node axis per curve —
 //! hi endpoint first (one job if the curve never saturates), then lo,
@@ -89,18 +89,17 @@
 use dbshare_bench::chart::Chart;
 use dbshare_bench::html_report;
 use dbshare_bench::trace_export::{self, TimelineRows};
-use dbshare_expstore::{figure_runs, short_rev, FigureRun};
+use dbshare_expstore::{explain, figure_runs, short_rev, FigureRun};
 use dbshare_harness::{
-    rss, run_knee, write_artifact, CountingAlloc, Harness, History, Json, Observe, Outcome,
-    Provenance, Store, Sweep,
+    rss, run_knee, write_artifact, CountingAlloc, Harness, Json, Observe, Outcome, Provenance,
+    Store, Sweep,
 };
 use dbshare_sim::experiments::{self, CurveGrid, RunLength, ScalePreset, Series};
-use dbshare_sim::explain;
 use dbshare_sim::{RunProfile, RunReport};
 use std::path::{Path, PathBuf};
 
 /// Count every heap allocation the reproduction performs, so
-/// `--alloc-stats` can report per-job allocator traffic and peak heap,
+/// `--profile` can report per-job allocator traffic and peak heap,
 /// and the artifact can pin allocs/event. Counting is a few
 /// thread-local updates per allocation and free — cheap enough to
 /// leave always on.
@@ -145,10 +144,10 @@ struct Figure {
 // Adapters so the scale presets (which carry their own node axes and
 // run lengths) fit the common `Figure::grid` signature.
 fn scale_smoke_adapter(_nodes: &[u16], _run: RunLength) -> Vec<CurveGrid> {
-    experiments::scale_smoke_grid()
+    ScalePreset::SMOKE.grid()
 }
 fn scale_full_adapter(_nodes: &[u16], _run: RunLength) -> Vec<CurveGrid> {
-    experiments::scale_full_grid()
+    ScalePreset::FULL.grid()
 }
 
 /// The `--scale` scenario family: selected by flag, never by `all`
@@ -527,7 +526,6 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut verbose = false;
     let mut profile = false;
-    let mut alloc_stats = false;
     let mut csv: Option<String> = None;
     let mut svg: Option<String> = None;
     let mut trace_dir: Option<String> = None;
@@ -560,7 +558,6 @@ fn main() {
             "--quick" => run = RunLength::quick(),
             "--verbose" | "-v" => verbose = true,
             "--profile" => profile = true,
-            "--alloc-stats" => alloc_stats = true,
             "--nodes" => {
                 i += 1;
                 nodes = Some(parse_nodes(arg_value(&args, i, "--nodes")));
@@ -649,8 +646,8 @@ fn main() {
             }
             other if other.starts_with('-') => fail(&format!(
                 "unknown flag {other:?} (try --quick, --jobs, --json, --nodes, --csv, --svg, \
-                 --trace, --timeline, --profile, --alloc-stats, --history, --report, \
-                 --no-history, --scale, --explain, --knee, --ticker, -v)"
+                 --trace, --timeline, --profile, --history, --report, --no-history, \
+                 --scale, --explain, --knee, --ticker, -v)"
             )),
             other => which.push(other.to_string()),
         }
@@ -731,15 +728,15 @@ fn main() {
         timeline_every: timeline_dir.as_ref().map(|_| Observe::DEFAULT_WINDOW),
         trace: trace_dir.is_some(),
     };
-    let mut harness = Harness::new().progress(true).observe(observe);
+    let mut harness = Harness::new()
+        .progress(true)
+        .observe(observe)
+        .provenance(provenance.clone());
     if let Some(n) = jobs {
         harness = harness.workers(n);
     }
     if !no_history {
-        harness = harness.history(History {
-            path: store_path.clone(),
-            provenance: provenance.clone(),
-        });
+        harness = harness.history(store_path.clone());
     }
     if let Some(every) = ticker {
         harness = harness.ticker(every);
@@ -779,17 +776,14 @@ fn main() {
         print!("{}", knee_outcome.render());
     }
 
-    // Attribution: a pure function of the (deterministic) reports, so
+    // Attribution: rendered from the run's (deterministic) records, so
     // the stderr table and the sidecar are byte-identical across
     // --jobs.
     if let Some(sidecar_path) = &explain_to {
         let explains: Vec<explain::FigureExplain> = wanted
             .iter()
             .map(|fig| {
-                let series = outcome
-                    .series_for(fig.name)
-                    .expect("harness returns every submitted figure");
-                explain::explain_figure(fig.name, series, explain::SATURATION_THRESHOLD)
+                explain::explain_figure(fig.name, &outcome.records, explain::SATURATION_THRESHOLD)
             })
             .collect();
         for fe in &explains {
@@ -836,13 +830,9 @@ fn main() {
             outcome.results.len()
         );
         eprintln!("{suite}");
-    }
 
-    if alloc_stats && !outcome.results.is_empty() {
-        // Stderr for the same reason as --profile: stdout stays
-        // byte-identical with or without the flag. The rows are the
-        // store's per-figure aggregates of this run's records, the
-        // same fold --history prints.
+        // The allocation lines: the store's per-figure aggregates of
+        // this run's records, the same fold --history prints.
         let line = |name: &str, allocs: u64, events: u64, wall_secs: f64, peak: u64| {
             eprintln!(
                 "alloc [{name}]: {:.4} allocs/event ({allocs} allocs, {events} events, \
@@ -851,7 +841,7 @@ fn main() {
             );
         };
         let (mut allocs, mut events, mut wall_secs, mut peak) = (0, 0, 0.0, 0);
-        for row in figure_runs(&outcome.store_records(&provenance)) {
+        for row in figure_runs(&outcome.records) {
             line(
                 &row.figure,
                 row.host_allocs,
@@ -871,7 +861,7 @@ fn main() {
         // Stamp the artifact with build/run provenance (captured by the
         // crate's build script) so a saved BENCH_repro.json records
         // exactly which build and command produced it.
-        let mut doc = outcome.artifact(&provenance);
+        let mut doc = outcome.artifact();
         doc.set(
             "provenance",
             Json::obj(vec![

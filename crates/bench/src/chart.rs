@@ -52,11 +52,6 @@ impl Chart {
         self
     }
 
-    /// Number of series added.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Renders to an SVG document string.
     ///
     /// # Panics
@@ -263,7 +258,7 @@ mod tests {
         assert_eq!(svg.matches("<polyline").count(), 2);
         assert!(svg.contains(">a</text>") && svg.contains(">b</text>"));
         assert_eq!(svg.matches("<circle").count(), 4);
-        assert_eq!(c.series_count(), 2);
+        assert_eq!(c.series.len(), 2);
     }
 
     #[test]

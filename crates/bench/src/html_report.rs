@@ -114,7 +114,8 @@ pub fn render(records: &[Record]) -> String {
 
 /// The figure's utilization stack: per-resource fill bars for every
 /// job of the figure's latest run, with the binding constraint's cell
-/// bolded.
+/// bolded. The coupling facility (GEM or lock engine) and the disk
+/// groups each show their hottest member.
 fn util_stack(records: &[Record], figure: &str) -> String {
     let run = &records
         .iter()
@@ -129,28 +130,36 @@ fn util_stack(records: &[Record], figure: &str) -> String {
          <th>network</th><th>disk</th><th>log</th></tr>\n",
         escape(run)
     ));
+    let column = |name: &str| match name {
+        "cpu" => 0,
+        "gem" | "lock-engine" => 1,
+        "network" => 2,
+        "log" => 4,
+        _ => 3, // disk:<group>
+    };
     for r in records
         .iter()
         .filter(|r| r.figure == figure && &r.run == run)
     {
-        let (us, binding) = (&r.utils, r.binding.as_str());
-        let cell = |v: f64, is_binding: bool| {
+        let mut utils = [0.0f64; 5];
+        for (name, util) in &r.resources {
+            let u = &mut utils[column(name)];
+            *u = u.max(*util);
+        }
+        let binding = column(r.constraints()[0].0);
+        let cell = |(i, v): (usize, &f64)| {
             let pct = (v * 100.0).clamp(0.0, 100.0);
             format!(
                 "<td class=\"{}\" style=\"background:linear-gradient(90deg,#bfdbfe {pct:.0}%,\
                  transparent {pct:.0}%)\">{pct:.0}%</td>",
-                if is_binding { "bind" } else { "util" }
+                if i == binding { "bind" } else { "util" }
             )
         };
         out.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td>{}{}{}{}{}</tr>\n",
+            "<tr><td>{}</td><td>{}</td>{}</tr>\n",
             escape(&r.curve),
             r.nodes,
-            cell(us.cpu, binding == "cpu"),
-            cell(us.coupling, binding == "gem" || binding == "lock-engine"),
-            cell(us.network, binding == "network"),
-            cell(us.disk, binding.starts_with("disk:")),
-            cell(us.log, binding == "log"),
+            utils.iter().enumerate().map(cell).collect::<String>(),
         ));
     }
     out.push_str("</table>\n");
@@ -295,7 +304,7 @@ const FOOTER: &str = "</body>\n</html>\n";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbshare_expstore::{JobDetail, Provenance, ResourceUtils};
+    use dbshare_expstore::{JobDetail, Provenance, Waits};
 
     fn rec(run: &str, unix: u64, figure: &str, nodes: u16, wall: f64, metric: &str) -> Record {
         Record {
@@ -319,16 +328,22 @@ mod tests {
             mean_response_ms: 50.0,
             throughput_tps: 100.0,
             peak_rss_mb: Some(64.0),
-            binding: "network".into(),
-            binding_utilization: 0.71,
-            next_constraint: "cpu".into(),
-            next_utilization: 0.644,
-            utils: ResourceUtils {
-                cpu: 0.644,
-                coupling: 0.31,
-                network: 0.71,
-                disk: 0.39,
-                log: 0.1,
+            resources: [
+                ("cpu", 0.644),
+                ("gem", 0.31),
+                ("lock-engine", 0.0),
+                ("network", 0.71),
+                ("disk:ACCOUNT", 0.39),
+                ("log", 0.1),
+            ]
+            .map(|(name, util)| (name.to_string(), util))
+            .to_vec(),
+            waits: Waits {
+                input_ms: 0.0,
+                lock_ms: 20.0,
+                io_ms: 15.0,
+                cpu_wait_ms: 1.0,
+                cpu_service_ms: 14.0,
             },
             detail: JobDetail {
                 host_allocs: 6_000,
@@ -339,8 +354,6 @@ mod tests {
                 norm_response_ms: 50.0,
                 tps_per_node_at_80pct_cpu: 128.0,
                 cpu_utilization: 0.644,
-                gem_utilization: 0.31,
-                disk_utilizations: vec![("ACCOUNT".into(), 0.39)],
             },
         }
     }

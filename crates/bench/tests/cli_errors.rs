@@ -60,15 +60,22 @@ fn unwritable_export_dir_exits_2_before_running() {
     }
 }
 
-/// Removed flags — `--cores` (the engine thread count) and `--compare`
-/// (the artifact delta table) — are unknown flags like any other: exit
-/// 2 before a single figure runs, the flag named in the error, and no
-/// longer offered in the list of valid flags.
+/// Removed flags — `--cores` (the engine thread count), `--compare`
+/// (the artifact delta table) and `--alloc-stats` (folded into
+/// `--profile`) — are unknown flags like any other: exit 2 before a
+/// single figure runs, the flag named in the error, and no longer
+/// offered in the list of valid flags.
 #[test]
 fn unknown_flag_exits_2_before_running() {
-    for (flag, value) in [("--cores", "2"), ("--compare", "x")] {
+    for args in [
+        &["--cores", "2"][..],
+        &["--compare", "x"],
+        &["--alloc-stats"],
+    ] {
+        let flag = args[0];
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args([flag, value, "fig41"])
+            .args(args)
+            .arg("fig41")
             .output()
             .expect("spawn repro");
         assert_eq!(

@@ -114,11 +114,6 @@ pub fn map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
 }
 
-/// Creates an [`FxHashSet`] pre-sized for `capacity` entries.
-pub fn set_with_capacity<T>(capacity: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
 /// Hashes one value with [`FxHasher`] (used by index structures that
 /// manage their own buckets, e.g. the LRU cache).
 #[inline]
@@ -148,7 +143,7 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert_eq!(m.get(&40), Some(&80));
-        let mut s = set_with_capacity::<(u16, u64)>(4);
+        let mut s = FxHashSet::<(u16, u64)>::default();
         assert!(s.insert((3, 9)));
         assert!(!s.insert((3, 9)));
         assert!(s.contains(&(3, 9)));

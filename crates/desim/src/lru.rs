@@ -242,12 +242,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.slots[idx as usize].value.as_ref()
     }
 
-    /// Looks up `key` mutably *without* touching recency.
-    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = self.index[self.find_bucket(key)?];
-        self.slots[idx as usize].value.as_mut()
-    }
-
     /// Inserts or updates `key`, marking it most recently used. If the
     /// cache was full and a *different* key had to make room, the
     /// evicted `(key, value)` pair is returned.
@@ -389,9 +383,8 @@ mod tests {
         c.insert(1, 'a');
         c.insert(2, 'b');
         c.peek(&1);
-        c.peek_mut(&1);
         let ev = c.insert(3, 'c');
-        assert_eq!(ev, Some((1, 'a'))); // 1 stayed LRU despite peeks
+        assert_eq!(ev, Some((1, 'a'))); // 1 stayed LRU despite the peek
     }
 
     #[test]

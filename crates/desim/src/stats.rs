@@ -324,7 +324,8 @@ impl DurationHistogram {
 /// let mut bm = BatchMeans::new(100);
 /// for i in 0..1_000 { bm.record((i % 10) as f64); }
 /// assert_eq!(bm.batches(), 10);
-/// assert!((bm.grand_mean() - 4.5).abs() < 1e-9);
+/// // Every batch averages exactly 4.5, so the interval has no width.
+/// assert_eq!(bm.ci95_half_width(), Some(0.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchMeans {
@@ -385,14 +386,8 @@ impl BatchMeans {
         self.means.len()
     }
 
-    /// Observations per batch (doubles as the run grows past
-    /// [`Self::MAX_BATCHES`] stored batches).
-    pub fn batch_size(&self) -> u64 {
-        self.batch_size
-    }
-
     /// Mean of completed batch means.
-    pub fn grand_mean(&self) -> f64 {
+    fn grand_mean(&self) -> f64 {
         if self.means.is_empty() {
             0.0
         } else {
@@ -542,7 +537,7 @@ mod tests {
             bm.record((i % 8) as f64);
         }
         assert!(bm.batches() < BatchMeans::MAX_BATCHES, "{}", bm.batches());
-        assert!(bm.batch_size() > 4, "batch size never doubled");
+        assert!(bm.batch_size > 4, "batch size never doubled");
         // The pairwise collapse is exact for equal-sized batches, so
         // the grand mean over a periodic signal stays exact.
         assert!((bm.grand_mean() - 3.5).abs() < 1e-9, "{}", bm.grand_mean());

@@ -40,7 +40,7 @@ pub struct FigureRun {
     pub peak_rss_mb: Option<f64>,
     /// Binding constraint of the figure's hottest job — the resource
     /// with the highest binding utilization across the aggregated
-    /// rows.
+    /// rows ([`Record::constraints`]).
     pub binding: String,
     /// That hottest job's binding utilization in `[0, 1]`.
     pub binding_utilization: f64,
@@ -76,6 +76,7 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
     let mut configs: Vec<Vec<&str>> = Vec::new();
     let mut allocs: Vec<f64> = Vec::new();
     for r in records {
+        let [(binding, binding_utilization), _] = r.constraints();
         let at = rows
             .iter()
             .position(|row| row.run == r.run && row.figure == r.figure)
@@ -92,8 +93,8 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
                     host_allocs: 0,
                     peak_heap_bytes: 0,
                     peak_rss_mb: None,
-                    binding: r.binding.clone(),
-                    binding_utilization: r.binding_utilization,
+                    binding: binding.to_string(),
+                    binding_utilization,
                     config_set: String::new(),
                 });
                 configs.push(Vec::new());
@@ -111,9 +112,9 @@ pub fn figure_runs(records: &[Record]) -> Vec<FigureRun> {
         }
         // The aggregate names the *hottest* job's binding constraint
         // (strict >, so the earliest of equals wins — deterministic).
-        if r.binding_utilization > row.binding_utilization {
-            row.binding = r.binding.clone();
-            row.binding_utilization = r.binding_utilization;
+        if binding_utilization > row.binding_utilization {
+            row.binding = binding.to_string();
+            row.binding_utilization = binding_utilization;
         }
         allocs[at] += r.allocs_per_event * r.events_processed as f64;
         configs[at].push(&r.config_fingerprint);
@@ -209,12 +210,13 @@ mod tests {
     #[test]
     fn figure_runs_name_the_hottest_binding_constraint() {
         let mut records = sample();
-        records[0].binding = "cpu".into();
-        records[0].binding_utilization = 0.64;
-        records[1].binding = "network".into();
-        records[1].binding_utilization = 0.71;
-        records[3].binding = "cpu".into();
-        records[3].binding_utilization = 0.71;
+        // Resources 0 and 3 are the cpu and the network.
+        records[0].resources[0].1 = 0.64;
+        records[0].resources[3].1 = 0.5;
+        records[1].resources[0].1 = 0.5;
+        records[1].resources[3].1 = 0.71;
+        records[3].resources[0].1 = 0.71;
+        records[3].resources[3].1 = 0.71;
         let rows = figure_runs(&records);
         let r1fig41 = rows
             .iter()

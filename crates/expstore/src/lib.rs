@@ -11,13 +11,15 @@
 //!   re-exports it), extended with the compact [`Json::render_line`]
 //!   form the log uses;
 //! - [`record`] — the row schema: one executed job with config and
-//!   metric fingerprints, build provenance, host cost, and the
-//!   artifact's report-only figures;
+//!   metric fingerprints, build provenance, host cost, its bottleneck
+//!   attribution, and the artifact's report-only figures;
 //! - [`log`] — the persistence layer: an append-only line-delimited
 //!   file ([`Store`]) that recovers only a torn last line (truncate and
 //!   warn) and refuses every other line it cannot parse;
 //! - [`aggregate`] — per-(run, figure) aggregates stamped with a
 //!   config-set fingerprint, rebuilt from the rows on every read;
+//! - [`explain`] — the attribution views rendered from rows: the
+//!   `--explain` table and JSON sidecar and the knee verdicts;
 //! - [`gate`] — the policy layer: exact metric-fingerprint matching,
 //!   a bound on each job's peak heap against the latest recorded
 //!   count, and thresholded events/s regression checks against the
@@ -30,6 +32,7 @@
 
 pub mod aggregate;
 pub mod artifact_io;
+pub mod explain;
 pub mod gate;
 pub mod json;
 pub mod log;
@@ -40,4 +43,4 @@ pub use artifact_io::{read_artifact_records, records_from_artifact, ARTIFACT_SCH
 pub use gate::{check as gate_check, short_rev, GateOutcome, MAX_HEAP_GROWTH};
 pub use json::{Json, ParseError};
 pub use log::{ReadResult, Recovery, Store};
-pub use record::{fnv1a_hex, JobDetail, Provenance, Record, ResourceUtils, SCHEMA_VERSION};
+pub use record::{fnv1a_hex, JobDetail, Provenance, Record, Waits, SCHEMA_VERSION};

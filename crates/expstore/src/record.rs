@@ -13,6 +13,13 @@
 //! except the peak-RSS sample, which only Linux hosts take: a row
 //! missing any other key is refused, naming the key.
 //!
+//! Each record is the one home of its job's bottleneck attribution:
+//! the per-resource utilizations in a fixed order and the
+//! response-time waits, from which [`Record::constraints`] ranks the
+//! binding and the next constraint. The `--explain` table and sidecar,
+//! the `--knee` verdicts, the trend tables and the HTML report all
+//! render from these fields ([`explain`](crate::explain)).
+//!
 //! A record is also one row of the `BENCH_repro.json` artifact: the
 //! harness renders each job's record with [`Record::to_json`].
 
@@ -20,9 +27,10 @@ use crate::json::Json;
 
 /// Store schema version, embedded in every row as `"v"`. Bumped on
 /// incompatible layout changes; readers reject rows they don't know.
-/// Version 2 made the attribution, the host CPU count and the
-/// [`JobDetail`] trailer (peak heap included) required.
-pub const SCHEMA_VERSION: u64 = 2;
+/// Version 3 stores the whole attribution (every resource's
+/// utilization and the response-time waits) in place of version 2's
+/// folded utilizations and stored binding.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Build/run provenance shared by every record of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -75,23 +83,37 @@ pub struct Record {
     /// estimate — the high-water mark is process-wide). `None` on
     /// platforms without the figure; rendered only when present.
     pub peak_rss_mb: Option<f64>,
-    /// Binding constraint of the run — the most-utilized resource
-    /// (`"cpu"`, `"network"`, `"disk:<group>"`, ...), as attributed by
-    /// `sim::explain`.
-    pub binding: String,
-    /// The binding constraint's utilization in `[0, 1]`.
-    pub binding_utilization: f64,
-    /// The runner-up resource (what would bind after fixing the
-    /// first).
-    pub next_constraint: String,
-    /// The runner-up's utilization in `[0, 1]`.
-    pub next_utilization: f64,
-    /// Compact utilization stack for report rendering.
-    pub utils: ResourceUtils,
+    /// Every resource's utilization in `[0, 1]`, in the fixed order
+    /// `cpu` (the hottest node's), `gem`, `lock-engine`, `network`, one
+    /// `disk:<group>` per disk group, and `log` (the hottest log
+    /// disk's). [`Record::constraints`] ranks them.
+    pub resources: Vec<(String, f64)>,
+    /// The mean response time decomposed into its waits.
+    pub waits: Waits,
     /// Host allocation totals and peak heap, and the run's simulated
     /// headline numbers.
     pub detail: JobDetail,
 }
+
+/// A run's mean response time decomposed, in ms per committed
+/// transaction. The components sum to (approximately) the record's
+/// `mean_response_ms`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Waits {
+    /// Input-queue (MPL) wait.
+    pub input_ms: f64,
+    /// Lock wait.
+    pub lock_ms: f64,
+    /// I/O wait.
+    pub io_ms: f64,
+    /// CPU queueing wait.
+    pub cpu_wait_ms: f64,
+    /// CPU service.
+    pub cpu_service_ms: f64,
+}
+
+/// The resources every record names, in order, before its disk groups.
+const FIXED_RESOURCES: [&str; 4] = ["cpu", "gem", "lock-engine", "network"];
 
 /// Per-job figures a record carries for readers of the artifact:
 /// host allocation totals and peak heap, and the run's simulated
@@ -117,34 +139,34 @@ pub struct JobDetail {
     pub tps_per_node_at_80pct_cpu: f64,
     /// Average CPU utilization across nodes.
     pub cpu_utilization: f64,
-    /// GEM server utilization.
-    pub gem_utilization: f64,
-    /// Per-partition disk-array utilization `(name, utilization)`.
-    pub disk_utilizations: Vec<(String, f64)>,
-}
-
-/// A row's compact per-resource utilization stack: the handful of
-/// numbers the HTML report draws. Coarser than the full
-/// `sim::explain` attribution — coupled resources (GEM, lock engine)
-/// and disk groups each fold to their maximum.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResourceUtils {
-    /// Hottest node's CPU utilization.
-    pub cpu: f64,
-    /// Coupling facility: max of GEM and lock-engine utilization.
-    pub coupling: f64,
-    /// Network utilization.
-    pub network: f64,
-    /// Hottest disk group's utilization.
-    pub disk: f64,
-    /// Hottest log disk's utilization.
-    pub log: f64,
 }
 
 impl Record {
     /// Host event rate of the job — the store's perf trend metric.
     pub fn events_per_sec(&self) -> f64 {
         self.events_processed as f64 / self.wall_secs.max(1e-9)
+    }
+
+    /// The binding constraint (the most-utilized resource) and the next
+    /// constraint (the runner-up: what would bind after fixing the
+    /// first), as `(name, utilization)`. Of equal utilizations the
+    /// earlier resource ranks higher. Panics on fewer than two
+    /// resources, which no readable row has.
+    pub fn constraints(&self) -> [(&str, f64); 2] {
+        let rank = |skip: Option<usize>| {
+            let mut best: Option<usize> = None;
+            for (i, (_, util)) in self.resources.iter().enumerate() {
+                match best {
+                    _ if Some(i) == skip => {}
+                    Some(b) if self.resources[b].1 >= *util => {}
+                    _ => best = Some(i),
+                }
+            }
+            best.expect("a record holds at least two resources")
+        };
+        let binding = rank(None);
+        let next = rank(Some(binding));
+        [binding, next].map(|i| (self.resources[i].0.as_str(), self.resources[i].1))
     }
 
     /// The record as a [`Json`] object with the store's fixed key
@@ -175,26 +197,26 @@ impl Record {
         if let Some(mb) = self.peak_rss_mb {
             fields.push(("peak_rss_mb", num(mb)));
         }
-        let (us, d) = (&self.utils, &self.detail);
-        let utilizations = Json::obj(vec![
-            ("cpu", num(us.cpu)),
-            ("coupling", num(us.coupling)),
-            ("network", num(us.network)),
-            ("disk", num(us.disk)),
-            ("log", num(us.log)),
-        ]);
-        let disks = d
-            .disk_utilizations
+        let (w, d) = (&self.waits, &self.detail);
+        let utilizations = self
+            .resources
             .iter()
             .map(|(name, util)| (name.clone(), num(*util)))
             .collect();
+        let waits = Json::obj(vec![
+            ("input", num(w.input_ms)),
+            ("lock", num(w.lock_ms)),
+            ("io", num(w.io_ms)),
+            ("cpu_wait", num(w.cpu_wait_ms)),
+            ("cpu_service", num(w.cpu_service_ms)),
+        ]);
+        let [binding, next] = self.constraints();
         fields.extend([
-            ("binding", text(&self.binding)),
-            ("binding_utilization", num(self.binding_utilization)),
-            ("next_constraint", text(&self.next_constraint)),
-            ("next_utilization", num(self.next_utilization)),
-            ("utilizations", utilizations),
+            ("utilizations", Json::Obj(utilizations)),
+            ("waits_ms", waits),
             // Derived, so rendered for readers but never read back.
+            ("binding", text(binding.0)),
+            ("next_constraint", text(next.0)),
             ("events_per_sec", num(self.events_per_sec())),
             ("host_allocs", num(d.host_allocs as f64)),
             ("host_alloc_bytes", num(d.host_alloc_bytes as f64)),
@@ -207,8 +229,6 @@ impl Record {
                 num(d.tps_per_node_at_80pct_cpu),
             ),
             ("cpu_utilization", num(d.cpu_utilization)),
-            ("gem_utilization", num(d.gem_utilization)),
-            ("disk_utilizations", Json::Obj(disks)),
         ]);
         Json::obj(fields)
     }
@@ -259,20 +279,17 @@ impl Record {
             mean_response_ms: num("mean_response_ms")?,
             throughput_tps: num("throughput_tps")?,
             peak_rss_mb: doc.get("peak_rss_mb").and_then(Json::as_f64),
-            binding: text("binding")?,
-            binding_utilization: num("binding_utilization")?,
-            next_constraint: text("next_constraint")?,
-            next_utilization: num("next_utilization")?,
-            utils: {
-                let us = doc
-                    .get("utilizations")
-                    .ok_or("missing object field \"utilizations\"")?;
-                ResourceUtils {
-                    cpu: num_in(us, "cpu")?,
-                    coupling: num_in(us, "coupling")?,
-                    network: num_in(us, "network")?,
-                    disk: num_in(us, "disk")?,
-                    log: num_in(us, "log")?,
+            resources: resources(doc.get("utilizations"))?,
+            waits: {
+                let w = doc
+                    .get("waits_ms")
+                    .ok_or("missing object field \"waits_ms\"")?;
+                Waits {
+                    input_ms: num_in(w, "input")?,
+                    lock_ms: num_in(w, "lock")?,
+                    io_ms: num_in(w, "io")?,
+                    cpu_wait_ms: num_in(w, "cpu_wait")?,
+                    cpu_service_ms: num_in(w, "cpu_service")?,
                 }
             },
             detail: JobDetail {
@@ -284,18 +301,6 @@ impl Record {
                 norm_response_ms: num("norm_response_ms")?,
                 tps_per_node_at_80pct_cpu: num("tps_per_node_at_80pct_cpu")?,
                 cpu_utilization: num("cpu_utilization")?,
-                gem_utilization: num("gem_utilization")?,
-                disk_utilizations: match doc.get("disk_utilizations") {
-                    Some(Json::Obj(fields)) => fields
-                        .iter()
-                        .map(|(name, util)| {
-                            util.as_f64()
-                                .map(|u| (name.clone(), u))
-                                .ok_or_else(|| format!("disk utilization {name:?} is not a number"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    _ => return Err("missing object field \"disk_utilizations\"".into()),
-                },
             },
         })
     }
@@ -304,6 +309,39 @@ impl Record {
     pub fn from_line(line: &str) -> Result<Record, String> {
         let doc = Json::parse(line).map_err(|e| e.to_string())?;
         Record::from_json(&doc)
+    }
+}
+
+/// Reads a row's `utilizations` object back into the resource list,
+/// refusing one that breaks the fixed order: the four fixed resources,
+/// then `disk:<group>` entries, then `log`.
+fn resources(utilizations: Option<&Json>) -> Result<Vec<(String, f64)>, String> {
+    let Some(Json::Obj(fields)) = utilizations else {
+        return Err("missing object field \"utilizations\"".into());
+    };
+    let list = fields
+        .iter()
+        .map(|(name, util)| {
+            util.as_f64()
+                .map(|u| (name.clone(), u))
+                .ok_or_else(|| format!("utilization {name:?} is not a number"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let names: Vec<&str> = list.iter().map(|(name, _)| name.as_str()).collect();
+    for (i, want) in FIXED_RESOURCES.iter().enumerate() {
+        if names.get(i) != Some(want) {
+            return Err(format!("utilizations lack {want:?} at position {i}"));
+        }
+    }
+    if names.last() != Some(&"log") {
+        return Err("utilizations do not end with \"log\"".into());
+    }
+    match names[4..names.len() - 1]
+        .iter()
+        .find(|name| !name.starts_with("disk:"))
+    {
+        Some(name) => Err(format!("utilization {name:?} is out of order")),
+        None => Ok(list),
     }
 }
 
@@ -348,16 +386,23 @@ pub(crate) mod tests {
             mean_response_ms: 71.7,
             throughput_tps: 197.0,
             peak_rss_mb: None,
-            binding: "network".into(),
-            binding_utilization: 0.71,
-            next_constraint: "cpu".into(),
-            next_utilization: 0.644,
-            utils: ResourceUtils {
-                cpu: 0.644,
-                coupling: 0.31,
-                network: 0.71,
-                disk: 0.39,
-                log: 0.1,
+            resources: [
+                ("cpu", 0.644),
+                ("gem", 0.31),
+                ("lock-engine", 0.0),
+                ("network", 0.71),
+                ("disk:ACCOUNT", 0.39),
+                ("disk:HISTORY", 0.05),
+                ("log", 0.1),
+            ]
+            .map(|(name, util)| (name.to_string(), util))
+            .to_vec(),
+            waits: Waits {
+                input_ms: 0.5,
+                lock_ms: 40.2,
+                io_ms: 18.0,
+                cpu_wait_ms: 1.5,
+                cpu_service_ms: 11.5,
             },
             detail: JobDetail {
                 host_allocs: 4_375,
@@ -368,8 +413,6 @@ pub(crate) mod tests {
                 norm_response_ms: 71.7,
                 tps_per_node_at_80pct_cpu: 128.25,
                 cpu_utilization: 0.644,
-                gem_utilization: 0.31,
-                disk_utilizations: vec![("ACCOUNT".into(), 0.39), ("HISTORY".into(), 0.05)],
             },
         }
     }
@@ -388,25 +431,19 @@ pub(crate) mod tests {
     #[test]
     fn explain_trailer_round_trips() {
         let mut rec = sample("fig41", 2, 9);
-        rec.binding = "disk:ACCOUNT".into();
-        rec.binding_utilization = 0.93;
-        rec.next_constraint = "coupling".into();
-        rec.next_utilization = 0.48;
-        rec.utils = ResourceUtils {
-            cpu: 0.41,
-            coupling: 0.48,
-            network: 0.12,
-            disk: 0.93,
-            log: 0.07,
-        };
+        rec.resources[1].1 = 0.48;
+        rec.resources[4].1 = 0.93;
         let line = rec.to_line();
         assert!(line.contains("\"binding\":\"disk:ACCOUNT\""), "{line}");
-        assert!(line.contains("\"next_constraint\":\"coupling\""), "{line}");
+        assert!(line.contains("\"next_constraint\":\"network\""), "{line}");
+        assert!(line.contains("\"waits_ms\":{\"input\":0.5,"), "{line}");
         let back = Record::from_line(&line).expect("parses back");
         assert_eq!(back, rec);
         assert_eq!(back.to_line(), line);
-        assert_eq!(back.binding, "disk:ACCOUNT");
-        assert_eq!(back.utils.disk, 0.93);
+        assert_eq!(
+            back.constraints(),
+            [("disk:ACCOUNT", 0.93), ("network", 0.71)]
+        );
     }
 
     #[test]
@@ -426,14 +463,16 @@ pub(crate) mod tests {
     #[test]
     fn detail_trailer_renders_the_event_rate() {
         let doc = sample("fig41", 2, 9).to_json();
-        // The derived event rate is rendered beside the stored fields
-        // and ignored on read.
+        // The derived event rate and constraints are rendered beside
+        // the stored fields and ignored on read.
         assert_eq!(
             doc.get("events_per_sec").and_then(Json::as_f64),
             Some(140_000.0)
         );
         let mut doctored = doc.clone();
         doctored.set("events_per_sec", Json::Num(1.0));
+        doctored.set("binding", Json::Str("log".into()));
+        doctored.set("next_constraint", Json::Str("gem".into()));
         let back = Record::from_json(&doctored).expect("parses");
         assert_eq!(back.to_json(), doc);
     }
@@ -445,7 +484,10 @@ pub(crate) mod tests {
             unreachable!("a record renders as an object")
         };
         for (key, _) in fields {
-            if key == "events_per_sec" {
+            if matches!(
+                key.as_str(),
+                "events_per_sec" | "binding" | "next_constraint"
+            ) {
                 continue; // derived, never read
             }
             let mut partial = doc.clone();
@@ -454,12 +496,39 @@ pub(crate) mod tests {
                 .expect_err(&format!("a row without {key:?} must be refused"));
             assert!(err.contains(key.as_str()), "unhelpful error: {err}");
         }
-        let mut partial = doc;
-        let mut us = partial.remove("utilizations").expect("rendered");
-        us.remove("network");
-        partial.set("utilizations", us);
-        let err = Record::from_json(&partial).expect_err("incomplete utilizations");
-        assert!(err.contains("network"), "unhelpful error: {err}");
+        // Inside the two nested objects, every wait and every resource
+        // but the disk groups is required too.
+        let nested = [
+            (
+                "utilizations",
+                &["cpu", "gem", "lock-engine", "network", "log"][..],
+            ),
+            (
+                "waits_ms",
+                &["input", "lock", "io", "cpu_wait", "cpu_service"][..],
+            ),
+        ];
+        for (object, keys) in nested {
+            for key in keys {
+                let mut partial = doc.clone();
+                let mut inner = partial.remove(object).expect("rendered");
+                inner.remove(key);
+                partial.set(object, inner);
+                let err = Record::from_json(&partial)
+                    .expect_err(&format!("{object} without {key:?} must be refused"));
+                assert!(err.contains(&format!("{key:?}")), "unhelpful error: {err}");
+            }
+        }
+        // A resource out of the fixed order is refused by name.
+        let mut doctored = doc;
+        let mut us = doctored.remove("utilizations").expect("rendered");
+        us.remove("disk:ACCOUNT");
+        us.remove("log");
+        us.set("ACCOUNT", Json::Num(0.39));
+        us.set("log", Json::Num(0.1));
+        doctored.set("utilizations", us);
+        let err = Record::from_json(&doctored).expect_err("unordered utilizations");
+        assert!(err.contains("\"ACCOUNT\""), "unhelpful error: {err}");
     }
 
     #[test]
@@ -469,9 +538,9 @@ pub(crate) mod tests {
         let err = Record::from_json(&doc).expect_err("version 99 must be rejected");
         assert!(err.contains("version 99"), "unhelpful error: {err}");
         // Rows of the previous layout are refused the same way.
-        doc.set("v", Json::Num(1.0));
-        let err = Record::from_json(&doc).expect_err("version 1 must be rejected");
-        assert!(err.contains("version 1 "), "unhelpful error: {err}");
+        doc.set("v", Json::Num(2.0));
+        let err = Record::from_json(&doc).expect_err("version 2 must be rejected");
+        assert!(err.contains("version 2 "), "unhelpful error: {err}");
     }
 
     #[test]

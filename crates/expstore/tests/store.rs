@@ -2,7 +2,7 @@
 //! round-trips, the committed baseline history, torn-write recovery,
 //! and byte-identical re-serialization of the store's JSON values.
 
-use dbshare_expstore::{JobDetail, Json, Provenance, Record, ResourceUtils, Store};
+use dbshare_expstore::{JobDetail, Json, Provenance, Record, Store, Waits};
 use std::fs;
 use std::path::PathBuf;
 
@@ -46,16 +46,22 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         mean_response_ms: 71.25,
         throughput_tps: 196.5,
         peak_rss_mb: None,
-        binding: "cpu".into(),
-        binding_utilization: 0.644,
-        next_constraint: "disk:ACCOUNT".into(),
-        next_utilization: 0.39,
-        utils: ResourceUtils {
-            cpu: 0.644,
-            coupling: 0.31,
-            network: 0.0,
-            disk: 0.39,
-            log: 0.1,
+        resources: [
+            ("cpu", 0.644),
+            ("gem", 0.31),
+            ("lock-engine", 0.0),
+            ("network", 0.0),
+            ("disk:ACCOUNT", 0.39),
+            ("log", 0.1),
+        ]
+        .map(|(name, util)| (name.to_string(), util))
+        .to_vec(),
+        waits: Waits {
+            input_ms: 0.25,
+            lock_ms: 30.0,
+            io_ms: 25.5,
+            cpu_wait_ms: 2.0,
+            cpu_service_ms: 13.5,
         },
         detail: JobDetail {
             host_allocs: 4_375,
@@ -66,8 +72,6 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
             norm_response_ms: 71.7,
             tps_per_node_at_80pct_cpu: 128.25,
             cpu_utilization: 0.644,
-            gem_utilization: 0.31,
-            disk_utilizations: vec![("ACCOUNT".into(), 0.39)],
         },
     }
 }
@@ -153,7 +157,7 @@ fn mid_file_corruption_refuses_to_read() {
 /// appends alike, and an append leaves it byte-identical.
 #[test]
 fn a_store_of_another_schema_is_refused_and_left_untouched() {
-    for version in [1.0, 99.0] {
+    for version in [2.0, 99.0] {
         let tmp = TempFile::new("other-schema.jsonl");
         let store = Store::new(&tmp.0);
         let lines: Vec<String> = [1, 2]

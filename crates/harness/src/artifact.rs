@@ -1,8 +1,7 @@
 //! Run artifacts: the `BENCH_repro.json` document.
 //!
-//! One row per executed job: the job's experiment-store [`Record`], as
-//! [`Outcome::store_records`] builds it, rendered with
-//! [`Record::to_json`]. A row says which figure/curve/point ran, with
+//! One row per executed job: the job's experiment-store [`Record`]
+//! ([`Outcome::records`]), rendered with [`Record::to_json`]. A row says which figure/curve/point ran, with
 //! the seed and a fingerprint of the full configuration, which build
 //! ran it, the host wall-clock and allocations it cost, and the
 //! simulated headline metrics. Run-wide totals sit beside the rows.
@@ -14,7 +13,7 @@
 
 use crate::json::Json;
 use crate::Outcome;
-use dbshare_expstore::{fnv1a_hex, Provenance, Record, ARTIFACT_SCHEMA};
+use dbshare_expstore::{fnv1a_hex, Record, ARTIFACT_SCHEMA};
 use dbshare_sim::experiments::RunSpec;
 use std::io::Write as _;
 use std::path::Path;
@@ -28,9 +27,8 @@ pub fn fingerprint(spec: &RunSpec) -> String {
 }
 
 impl Outcome {
-    /// Builds the `BENCH_repro.json` document for this run, with every
-    /// row stamped with `provenance`.
-    pub fn artifact(&self, provenance: &Provenance) -> Json {
+    /// Builds the `BENCH_repro.json` document for this run.
+    pub fn artifact(&self) -> Json {
         let results = &self.results;
         let total_events: u64 = results.iter().map(|r| r.report.events_processed).sum();
         let total_allocs: u64 = results.iter().map(|r| r.report.profile.host_allocs).sum();
@@ -70,12 +68,7 @@ impl Outcome {
             ),
             (
                 "records",
-                Json::Arr(
-                    self.store_records(provenance)
-                        .iter()
-                        .map(Record::to_json)
-                        .collect(),
-                ),
+                Json::Arr(self.records.iter().map(Record::to_json).collect()),
             ),
         ])
     }
@@ -128,16 +121,29 @@ mod tests {
                 peak_rss_mb: Some(128.0),
             })
             .collect();
+        let records = results
+            .iter()
+            .map(|res| {
+                crate::record(
+                    res,
+                    "r1700000000-1-0",
+                    1_700_000_000,
+                    8,
+                    &Default::default(),
+                )
+            })
+            .collect();
         let outcome = Outcome {
             figures: Vec::new(),
             results,
+            records,
             workers: 2,
             host_cpus: 8,
             total_wall_secs: 1.5,
             created_unix: Some(1_700_000_000),
             run_id: "r1700000000-1-0".into(),
         };
-        let doc = outcome.artifact(&Provenance::default());
+        let doc = outcome.artifact();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(ARTIFACT_SCHEMA)
@@ -153,7 +159,7 @@ mod tests {
                 Some(&*format!("fig{i}"))
             );
             assert_eq!(rec.get("wall_secs").and_then(Json::as_f64), Some(0.25));
-            // Every key a row carried before rows were store records.
+            // Every key a reader of the artifact looks a row up by.
             for key in [
                 "curve",
                 "nodes",
@@ -173,8 +179,10 @@ mod tests {
                 "throughput_tps",
                 "tps_per_node_at_80pct_cpu",
                 "cpu_utilization",
-                "gem_utilization",
-                "disk_utilizations",
+                "utilizations",
+                "waits_ms",
+                "binding",
+                "next_constraint",
             ] {
                 assert!(rec.get(key).is_some(), "missing {key}");
             }

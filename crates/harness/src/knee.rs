@@ -11,12 +11,12 @@
 //! through the ordinary [`Harness`] job pool (so `--jobs`,
 //! the ticker, and history persistence all apply), and lands in the
 //! experiment store as a row whose config fingerprint matches the
-//! grid's point at that node count.
+//! grid's point at that node count. The probe lines and the verdicts
+//! render from those rows.
 
-use crate::{Harness, Sweep};
-use dbshare_sim::experiments::{CurveGrid, ScalePreset};
-use dbshare_sim::explain::{self, CurveKnee};
-use dbshare_sim::RunReport;
+use crate::{Harness, Record, Sweep};
+use dbshare_expstore::explain::CurveKnee;
+use dbshare_sim::experiments::{CurveGrid, RunSpec, ScalePreset};
 
 /// The result of one curve's bisection.
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ impl KneeOutcome {
     }
 
     /// The closing verdict block (one line per curve plus the probe
-    /// tally). Deterministic: a pure function of the probed reports.
+    /// tally). Deterministic: a pure function of the probed rows.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for c in &self.curves {
@@ -74,31 +74,28 @@ pub fn run_knee(
     let hi0 = *preset.nodes.last().expect("preset has a node axis");
     let mut curves = Vec::new();
     for &(label, coupling) in ScalePreset::CURVES.iter() {
-        let mut points: Vec<(u16, RunReport)> = Vec::new();
+        let mut points: Vec<Record> = Vec::new();
         let probed = probe_order(lo0, hi0, |n| {
-            let report = run_probe(harness, figure, label, preset.spec(coupling, n), n);
-            let a = explain::attribute(&report);
-            let b = a.binding();
+            let row = run_probe(harness, figure, label, preset.spec(coupling, n), n);
+            let [(binding, util), _] = row.constraints();
             println!(
-                "probe {label} n={n}: binding {} {:.1}%, resp {:.1}ms",
-                b.name,
-                b.utilization * 100.0,
-                report.mean_response_ms
+                "probe {label} n={n}: binding {binding} {:.1}%, resp {:.1}ms",
+                util * 100.0,
+                row.mean_response_ms
             );
-            let saturated = b.utilization >= threshold;
-            points.push((n, report));
-            saturated
+            points.push(row);
+            util >= threshold
         });
 
         // Fold the probes into the verdict --explain prints, over the
         // preset's whole axis even where only its top was probed.
-        points.sort_by_key(|&(n, _)| n);
-        let refs: Vec<(u16, &RunReport)> = points.iter().map(|(n, r)| (*n, r)).collect();
+        points.sort_by_key(|r| r.nodes);
+        let refs: Vec<&Record> = points.iter().collect();
         curves.push(KneeCurve {
             verdict: CurveKnee {
                 lo: lo0,
                 hi: hi0,
-                ..CurveKnee::scan(label, &refs, threshold)
+                ..CurveKnee::scan(&refs, threshold)
             },
             probed,
         });
@@ -110,14 +107,9 @@ pub fn run_knee(
     }
 }
 
-/// Executes one probe as a one-job sweep through the harness pool.
-fn run_probe(
-    harness: &Harness,
-    figure: &str,
-    curve: &str,
-    spec: dbshare_sim::experiments::RunSpec,
-    n: u16,
-) -> RunReport {
+/// Executes one probe as a one-job sweep through the harness pool and
+/// returns its store row.
+fn run_probe(harness: &Harness, figure: &str, curve: &str, spec: RunSpec, n: u16) -> Record {
     let sweep = Sweep {
         figure: figure.to_string(),
         grid: vec![CurveGrid {
@@ -125,13 +117,11 @@ fn run_probe(
             points: vec![(n, spec)],
         }],
     };
-    let outcome = harness.run(vec![sweep]);
-    outcome
-        .results
-        .into_iter()
-        .next()
-        .expect("a one-job sweep yields one result")
-        .report
+    harness
+        .run(vec![sweep])
+        .records
+        .pop()
+        .expect("a one-job sweep yields one row")
 }
 
 /// The adaptive probe sequence for one curve: hi endpoint first (the

@@ -10,13 +10,14 @@
 //!    shared `Mutex<VecDeque<_>>` queue,
 //! 3. reassembles the results into ordered [`Series`] that are
 //!    **byte-identical to a serial run** for any worker count, and
-//! 4. maps each job result to one experiment-store [`Record`]
-//!    ([`Outcome::store_records`]): the row the store appends and the
-//!    `BENCH_repro.json` artifact ([`artifact`]) renders, written with
-//!    the in-repo dependency-free JSON value ([`json`]).
+//! 4. maps each job result, once, to one experiment-store [`Record`]
+//!    ([`Outcome::records`]): the row the store appends, the row the
+//!    `BENCH_repro.json` artifact ([`artifact`]) renders with the
+//!    in-repo dependency-free JSON value ([`json`]), and the row the
+//!    attribution views (`--explain`, `--knee`) read.
 //!
 //! ```no_run
-//! use dbshare_harness::{Harness, Provenance, Sweep};
+//! use dbshare_harness::{Harness, Sweep};
 //! use dbshare_sim::experiments::{fig41_grid, RunLength};
 //!
 //! let sweeps = vec![Sweep {
@@ -24,7 +25,7 @@
 //!     grid: fig41_grid(&[1, 2, 4], RunLength::quick()),
 //! }];
 //! let outcome = Harness::new().run(sweeps);
-//! let artifact = outcome.artifact(&Provenance::default());
+//! let artifact = outcome.artifact();
 //! ```
 
 pub mod alloc_track;
@@ -42,12 +43,14 @@ pub use ticker::Ticker;
 // the lowest persistence layer now); re-exported here so harness users
 // keep their `dbshare_harness::{json, Json}` paths.
 pub use dbshare_expstore::json::{self, Json};
+use dbshare_expstore::{JobDetail, Waits};
 pub use dbshare_expstore::{Provenance, Record, Store};
 pub use pool::{run_jobs, Job, JobResult};
 
 pub use dbshare_sim::{Observations, Observe, TimelineWindow};
 
 use dbshare_sim::experiments::{CurveGrid, Series};
+use dbshare_sim::RunReport;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -62,8 +65,9 @@ pub struct Sweep {
     pub grid: Vec<CurveGrid>,
 }
 
-/// A figure's reassembled result: the same `Vec<Series>` the serial
-/// preset (`figNN(...)`) returns.
+/// A figure's reassembled result: the same `Vec<Series>` that
+/// [`run_grid_serial`](dbshare_sim::experiments::run_grid_serial)
+/// returns for the figure's grid.
 #[derive(Debug, Clone)]
 pub struct FigureSeries {
     /// Figure key, copied from the input [`Sweep`].
@@ -75,13 +79,17 @@ pub struct FigureSeries {
 }
 
 /// Everything a harness run produced: per-figure series in input
-/// order, the flat per-job results, and run-wide bookkeeping.
+/// order, the flat per-job results and their store rows, and run-wide
+/// bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// One entry per input sweep, in input order.
     pub figures: Vec<FigureSeries>,
     /// Per-job results in flattened input order.
     pub results: Vec<JobResult>,
+    /// One experiment-store row per job, in the order of `results`,
+    /// stamped with this run's id and the harness's provenance.
+    pub records: Vec<Record>,
     /// Worker threads actually used.
     pub workers: usize,
     /// Logical CPUs of the host that executed the run (0 when the
@@ -104,95 +112,91 @@ impl Outcome {
             .find(|f| f.figure == figure)
             .map(|f| f.series.as_slice())
     }
+}
 
-    /// The run's results as experiment-store rows: one [`Record`] per
-    /// job, stamped with this run's id and the caller's build
-    /// provenance. This is what [`Harness`] appends to the store after
-    /// each grid run and what [`Outcome::artifact`] renders; it is the
-    /// only place a job result is mapped to row fields.
-    pub fn store_records(&self, provenance: &Provenance) -> Vec<Record> {
-        self.results
-            .iter()
-            .map(|res| {
-                // Attribution is a pure function of the (deterministic)
-                // report, so persisting it adds no run-order noise.
-                let a = dbshare_sim::explain::attribute(&res.report);
-                let find = |name: &str| {
-                    a.resources
-                        .iter()
-                        .find(|r| r.name == name)
-                        .map_or(0.0, |r| r.utilization)
-                };
-                let disk_max = a
-                    .resources
-                    .iter()
-                    .filter(|r| r.name.starts_with("disk:"))
-                    .map(|r| r.utilization)
-                    .fold(0.0, f64::max);
-                Record {
-                    run: self.run_id.clone(),
-                    created_unix: self.created_unix.unwrap_or(0),
-                    provenance: provenance.clone(),
-                    figure: res.job.figure.clone(),
-                    curve: res.job.curve.clone(),
-                    nodes: res.job.nodes,
-                    seed: res.job.spec.seed(),
-                    host_cpus: self.host_cpus,
-                    config_fingerprint: fingerprint(&res.job.spec),
-                    metric_fingerprint: res.report.metric_fingerprint(),
-                    wall_secs: res.wall_secs,
-                    events_processed: res.report.events_processed,
-                    allocs_per_event: res.report.profile.allocs_per_event(),
-                    mean_response_ms: res.report.mean_response_ms,
-                    throughput_tps: res.report.throughput_tps,
-                    peak_rss_mb: res.peak_rss_mb,
-                    binding: a.binding().name.clone(),
-                    binding_utilization: a.binding().utilization,
-                    next_constraint: a.next().name.clone(),
-                    next_utilization: a.next().utilization,
-                    utils: dbshare_expstore::ResourceUtils {
-                        cpu: find("cpu"),
-                        coupling: find("gem").max(find("lock-engine")),
-                        network: find("network"),
-                        disk: disk_max,
-                        log: find("log"),
-                    },
-                    detail: dbshare_expstore::JobDetail {
-                        host_allocs: res.report.profile.host_allocs,
-                        host_alloc_bytes: res.report.profile.host_alloc_bytes,
-                        peak_heap_bytes: res.report.profile.peak_heap_bytes,
-                        sim_seconds: res.report.sim_seconds,
-                        measured_txns: res.report.measured_txns,
-                        norm_response_ms: res.report.norm_response_ms,
-                        tps_per_node_at_80pct_cpu: res.report.tps_per_node_at_80pct_cpu,
-                        cpu_utilization: res.report.cpu_utilization,
-                        gem_utilization: res.report.gem_utilization,
-                        disk_utilizations: res.report.disk_utilizations.clone(),
-                    },
-                }
-            })
-            .collect()
+/// A job's experiment-store row, stamped with its run's id, start time,
+/// host CPU count and build provenance. This is the only place a job
+/// result is mapped to row fields; [`Harness::run`] calls it once per
+/// job.
+fn record(
+    res: &JobResult,
+    run: &str,
+    created_unix: u64,
+    host_cpus: u32,
+    provenance: &Provenance,
+) -> Record {
+    let r = &res.report;
+    Record {
+        run: run.to_string(),
+        created_unix,
+        provenance: provenance.clone(),
+        figure: res.job.figure.clone(),
+        curve: res.job.curve.clone(),
+        nodes: res.job.nodes,
+        seed: res.job.spec.seed(),
+        host_cpus,
+        config_fingerprint: fingerprint(&res.job.spec),
+        metric_fingerprint: r.metric_fingerprint(),
+        wall_secs: res.wall_secs,
+        events_processed: r.events_processed,
+        allocs_per_event: r.profile.allocs_per_event(),
+        mean_response_ms: r.mean_response_ms,
+        throughput_tps: r.throughput_tps,
+        peak_rss_mb: res.peak_rss_mb,
+        resources: resources(r),
+        waits: Waits {
+            input_ms: r.input_wait_ms,
+            lock_ms: r.lock_wait_ms,
+            io_ms: r.io_wait_ms,
+            cpu_wait_ms: r.cpu_wait_ms,
+            cpu_service_ms: r.cpu_service_ms,
+        },
+        detail: JobDetail {
+            host_allocs: r.profile.host_allocs,
+            host_alloc_bytes: r.profile.host_alloc_bytes,
+            peak_heap_bytes: r.profile.peak_heap_bytes,
+            sim_seconds: r.sim_seconds,
+            measured_txns: r.measured_txns,
+            norm_response_ms: r.norm_response_ms,
+            tps_per_node_at_80pct_cpu: r.tps_per_node_at_80pct_cpu,
+            cpu_utilization: r.cpu_utilization,
+        },
     }
 }
 
-/// Where (and as whom) a harness persists its runs: the store file to
-/// append to and the build provenance to stamp every row with.
-#[derive(Debug, Clone)]
-pub struct History {
-    /// The store file (conventionally `exphistory/history.jsonl`).
-    pub path: PathBuf,
-    /// Build provenance recorded on every row.
-    pub provenance: Provenance,
+/// The run's resources in the record's fixed order — cpu, gem,
+/// lock-engine, network, `disk:<group>`..., log — with their
+/// utilizations. Every protocol reports these, so the attribution
+/// applies unchanged to any coupling mode.
+fn resources(r: &RunReport) -> Vec<(String, f64)> {
+    // The *hottest* node's CPU, not the mean: the first node to
+    // saturate gates the system even while the average looks safe.
+    let mut out: Vec<(String, f64)> = [
+        ("cpu", r.cpu_utilization_max),
+        ("gem", r.gem_utilization),
+        ("lock-engine", r.lock_engine_utilization),
+        ("network", r.network_utilization),
+    ]
+    .map(|(name, util)| (name.to_string(), util))
+    .into();
+    out.extend(
+        r.disk_utilizations
+            .iter()
+            .map(|(name, util)| (format!("disk:{name}"), *util)),
+    );
+    out.push(("log".to_string(), r.log_utilization_max));
+    out
 }
 
-/// The orchestrator: worker count, progress reporting, and
-/// persistence policy.
+/// The orchestrator: worker count, progress reporting, the provenance
+/// stamped on every row, and persistence policy.
 #[derive(Debug, Clone)]
 pub struct Harness {
     workers: usize,
     progress: bool,
     observe: Observe,
-    history: Option<History>,
+    provenance: Provenance,
+    history: Option<PathBuf>,
     ticker: Option<std::time::Duration>,
 }
 
@@ -203,13 +207,14 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// A harness using every available core, no progress output, and
-    /// no persistence.
+    /// A harness using every available core, no progress output, the
+    /// default (unknown) provenance, and no persistence.
     pub fn new() -> Self {
         Harness {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             progress: false,
             observe: Observe::default(),
+            provenance: Provenance::default(),
             history: None,
             ticker: None,
         }
@@ -244,12 +249,20 @@ impl Harness {
         self
     }
 
+    /// Sets the build provenance every row of [`Outcome::records`] is
+    /// stamped with.
+    pub fn provenance(mut self, provenance: Provenance) -> Self {
+        self.provenance = provenance;
+        self
+    }
+
     /// Persists every run to the experiment store: after each grid
-    /// run, one [`Record`] per job is appended to `history.path`. A
+    /// run, the run's [`Outcome::records`] are appended to the store
+    /// file at `path` (conventionally `exphistory/history.jsonl`). A
     /// failed append warns on stderr rather than discarding a
     /// completed run's results.
-    pub fn history(mut self, history: History) -> Self {
-        self.history = Some(history);
+    pub fn history(mut self, path: PathBuf) -> Self {
+        self.history = Some(path);
         self
     }
 
@@ -327,29 +340,37 @@ impl Harness {
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         );
 
+        let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get()) as u32;
+        let records = results
+            .iter()
+            .map(|res| {
+                let created = created_unix.unwrap_or(0);
+                record(res, &run_id, created, host_cpus, &self.provenance)
+            })
+            .collect();
         let outcome = Outcome {
             figures,
             results,
+            records,
             workers: self.workers,
-            host_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()) as u32,
+            host_cpus,
             total_wall_secs,
             created_unix,
             run_id,
         };
 
-        if let Some(history) = &self.history {
+        if let Some(path) = &self.history {
             // Append after every grid run. Warnings go to stderr so
             // stdout stays byte-identical for any harness settings.
-            let store = Store::new(&history.path);
-            match store.append(&outcome.store_records(&history.provenance)) {
+            match Store::new(path).append(&outcome.records) {
                 Ok(None) => {}
                 Ok(Some(recovery)) => {
-                    eprintln!("history {}: {recovery}", history.path.display());
+                    eprintln!("history {}: {recovery}", path.display());
                 }
                 Err(e) => {
                     eprintln!(
                         "history {}: cannot append run ({e}); results not persisted",
-                        history.path.display()
+                        path.display()
                     );
                 }
             }

@@ -52,13 +52,16 @@ fn one_worker_and_many_workers_match_the_serial_run_exactly() {
 
 #[test]
 fn artifact_round_trips_through_the_crates_own_parser() {
-    let outcome = Harness::new().workers(3).run(sweeps());
     let provenance = Provenance {
         git_revision: "test-rev".into(),
         rustc_version: "test-rustc".into(),
         build_profile: "test".into(),
     };
-    let doc = outcome.artifact(&provenance);
+    let outcome = Harness::new()
+        .workers(3)
+        .provenance(provenance)
+        .run(sweeps());
+    let doc = outcome.artifact();
     let text = doc.render();
     let parsed = Json::parse(&text).expect("artifact parses back");
     assert_eq!(parsed, doc, "render → parse is not the identity");
@@ -69,8 +72,7 @@ fn artifact_round_trips_through_the_crates_own_parser() {
         .and_then(Json::as_arr)
         .expect("records array");
     assert_eq!(records.len(), outcome.results.len());
-    let store_rows = outcome.store_records(&provenance);
-    for ((record, result), row) in records.iter().zip(&outcome.results).zip(&store_rows) {
+    for ((record, result), row) in records.iter().zip(&outcome.results).zip(&outcome.records) {
         assert_eq!(
             record.get("figure").and_then(Json::as_str),
             Some(result.job.figure.as_str())
@@ -86,6 +88,7 @@ fn artifact_round_trips_through_the_crates_own_parser() {
         );
         // Each artifact row is the job's store record, losslessly.
         assert_eq!(&Record::from_json(record).expect("row is a record"), row);
+        assert_eq!(row.provenance.git_revision, "test-rev");
     }
 }
 
@@ -118,14 +121,7 @@ fn artifacts_from_different_worker_counts_agree_on_everything_but_timing() {
         }
         walk(doc)
     };
-    let provenance = Provenance::default();
-    let a = Harness::new()
-        .workers(1)
-        .run(sweeps())
-        .artifact(&provenance);
-    let b = Harness::new()
-        .workers(8)
-        .run(sweeps())
-        .artifact(&provenance);
+    let a = Harness::new().workers(1).run(sweeps()).artifact();
+    let b = Harness::new().workers(8).run(sweeps()).artifact();
     assert_eq!(strip_timing(&a), strip_timing(&b));
 }

@@ -1,9 +1,11 @@
 //! The persistence hook: each grid run appends one store row per job,
-//! and the simulated content of those rows (fingerprints, events,
+//! the simulated content of those rows (fingerprints, events,
 //! metrics — everything except host timing) is identical for any
-//! worker count.
+//! worker count, and the attribution views render the same from rows
+//! read back as from the rows the run built.
 
-use dbshare_harness::{Harness, History, Provenance, Store, Sweep};
+use dbshare_expstore::explain::{explain_figure, sidecar_json, SATURATION_THRESHOLD};
+use dbshare_harness::{Harness, Provenance, Store, Sweep};
 use dbshare_sim::experiments::{fig41_grid, RunLength};
 use std::path::PathBuf;
 
@@ -37,16 +39,9 @@ fn each_run_appends_rows_that_agree_across_worker_counts() {
         rustc_version: "test-rustc".into(),
         build_profile: "test".into(),
     };
-    let history = History {
-        path: path.clone(),
-        provenance,
-    };
-
-    let first = Harness::new()
-        .workers(1)
-        .history(history.clone())
-        .run(sweeps());
-    let second = Harness::new().workers(4).history(history).run(sweeps());
+    let harness = Harness::new().provenance(provenance).history(path.clone());
+    let first = harness.clone().workers(1).run(sweeps());
+    let second = harness.workers(4).run(sweeps());
     assert_ne!(first.run_id, second.run_id, "run ids must not collide");
 
     let read = Store::new(&path).read().expect("store reads back");
@@ -68,4 +63,40 @@ fn each_run_appends_rows_that_agree_across_worker_counts() {
         assert_eq!(x.throughput_tps, y.throughput_tps);
         assert!(x.metric_fingerprint.len() == 16);
     }
+}
+
+/// The attribution views render from rows, so a row read back from
+/// the store renders the same `--explain` table, JSON sidecar and knee
+/// verdicts as the row its run built.
+#[test]
+fn rows_read_back_render_the_same_explain_table_sidecar_and_knees() {
+    let path = temp_store("explain.jsonl");
+    let outcome = Harness::new()
+        .workers(2)
+        .history(path.clone())
+        .run(sweeps());
+    let read = Store::new(&path).read().expect("store reads back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(read.records.len(), outcome.records.len());
+
+    // Halfway between the binding utilizations of a curve whose
+    // binding utilization grows from n=1 to n=2, that curve's knee lies
+    // between the two.
+    let binding = |i: usize| outcome.records[i].constraints()[0].1;
+    let curve = (0..outcome.records.len() / 2)
+        .find(|&c| binding(2 * c) < binding(2 * c + 1))
+        .expect("some curve's binding utilization grows with the nodes");
+    let mid = (binding(2 * curve) + binding(2 * curve + 1)) / 2.0;
+    for threshold in [SATURATION_THRESHOLD, mid, 0.0] {
+        let live = explain_figure("fig41", &outcome.records, threshold);
+        let stored = explain_figure("fig41", &read.records, threshold);
+        assert_eq!(live.render(), stored.render());
+        assert_eq!(sidecar_json(&[live]), sidecar_json(&[stored]));
+    }
+    let knees = explain_figure("fig41", &read.records, mid).knees;
+    let verdict = knees[curve].verdict();
+    assert!(
+        verdict.contains(": knee between n=1 and n=2: "),
+        "{verdict}"
+    );
 }

@@ -127,11 +127,6 @@ impl TxnSpec {
         self.refs.iter().any(|r| r.mode.is_write())
     }
 
-    /// Number of write references.
-    pub fn write_count(&self) -> usize {
-        self.refs.iter().filter(|r| r.mode.is_write()).count()
-    }
-
     /// Consumes the spec, returning its reference buffer for reuse
     /// (cleared). Lets workload generators recycle the per-transaction
     /// `Vec` instead of allocating a fresh one per draw.
@@ -184,7 +179,6 @@ mod tests {
             vec![PageRef::read(page(0, 1)), PageRef::read(page(0, 2))],
         );
         assert!(!read_only.is_update());
-        assert_eq!(read_only.write_count(), 0);
 
         let update = TxnSpec::new(
             TxnTypeId::new(1),
@@ -192,7 +186,6 @@ mod tests {
             vec![PageRef::read(page(0, 1)), PageRef::write(page(1, 9))],
         );
         assert!(update.is_update());
-        assert_eq!(update.write_count(), 1);
         assert_eq!(update.affinity_key(), 3);
         assert_eq!(update.txn_type(), TxnTypeId::new(1));
     }

@@ -1,9 +1,12 @@
 //! Experiment presets reproducing §4 of the paper.
 //!
-//! Each `figNN` function regenerates the corresponding figure's data:
-//! the same parameter sweep, the same curves, as series of
-//! [`RunReport`]s. The `repro` binary in `dbshare-bench` prints them;
-//! integration tests assert the qualitative shapes the paper reports.
+//! Each `figNN_grid` function lays out the corresponding figure's
+//! sweep: the same parameters, the same curves, as a grid of pending
+//! runs. The `dbshare-harness` worker pool executes the grids for the
+//! `repro` binary in `dbshare-bench`, and [`run_grid_serial`] executes
+//! them one point at a time into series of [`RunReport`]s, for the
+//! integration tests that assert the qualitative shapes the paper
+//! reports.
 
 use crate::progress::ProgressGauge;
 use crate::{Engine, Observations, Observe, RunReport};
@@ -462,16 +465,6 @@ impl ScalePreset {
     }
 }
 
-/// The `--scale full` grid ([`ScalePreset::FULL`]).
-pub fn scale_full_grid() -> Vec<CurveGrid> {
-    ScalePreset::FULL.grid()
-}
-
-/// The `--scale smoke` grid ([`ScalePreset::SMOKE`]).
-pub fn scale_smoke_grid() -> Vec<CurveGrid> {
-    ScalePreset::SMOKE.grid()
-}
-
 fn disks_of(s: &StorageAllocation) -> u32 {
     match *s {
         StorageAllocation::Disk { disks } => disks,
@@ -518,12 +511,6 @@ pub fn fig41_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     out
 }
 
-/// Fig. 4.1: GEM locking, response time vs. nodes for random/affinity
-/// routing × FORCE/NOFORCE (buffer 200, all files on disk).
-pub fn fig41(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig41_grid(nodes, run))
-}
-
 /// Fig. 4.2 as a grid of pending runs: buffer size 200 vs. 1000 for
 /// random routing, FORCE and NOFORCE, GEM locking.
 pub fn fig42_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
@@ -545,12 +532,6 @@ pub fn fig42_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
         }
     }
     out
-}
-
-/// Fig. 4.2: influence of buffer size (200 vs. 1000) for random
-/// routing, FORCE and NOFORCE, GEM locking.
-pub fn fig42(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig42_grid(nodes, run))
 }
 
 /// Fig. 4.3 as a grid of pending runs: BRANCH/TELLER on disk vs. in
@@ -582,12 +563,6 @@ pub fn fig43_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     out
 }
 
-/// Fig. 4.3: BRANCH/TELLER on disk vs. in GEM, for NOFORCE (a) and
-/// FORCE (b), both routings, buffer 1000.
-pub fn fig43(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig43_grid(nodes, run))
-}
-
 /// Fig. 4.4 as a grid of pending runs: disk caches for the
 /// BRANCH/TELLER partition (FORCE, buffer 1000).
 pub fn fig44_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
@@ -615,12 +590,6 @@ pub fn fig44_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
         }
     }
     out
-}
-
-/// Fig. 4.4: disk caches for the BRANCH/TELLER partition (FORCE,
-/// buffer 1000): disk vs. volatile cache vs. non-volatile cache vs. GEM.
-pub fn fig44(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig44_grid(nodes, run))
 }
 
 /// Fig. 4.5 as a grid of pending runs: PCL vs. GEM locking across
@@ -661,15 +630,10 @@ pub fn fig45_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     out
 }
 
-/// Fig. 4.5: PCL vs. GEM locking across buffer sizes, update
-/// strategies, and routings (all files on plain disks).
-pub fn fig45(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig45_grid(nodes, run))
-}
-
 /// Fig. 4.6 as a grid of pending runs: throughput per node at 80% CPU
 /// utilization for PCL and GEM locking × routing × update strategy
-/// (buffer 1000).
+/// (buffer 1000). The value is in each report's
+/// `tps_per_node_at_80pct_cpu`.
 pub fn fig46_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     let mut out = Vec::new();
     for (coupling, cl) in [
@@ -698,13 +662,6 @@ pub fn fig46_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
         }
     }
     out
-}
-
-/// Fig. 4.6: throughput per node at 80% CPU utilization for PCL and
-/// GEM locking × routing × update strategy (buffer 1000). The value is
-/// in each report's `tps_per_node_at_80pct_cpu`.
-pub fn fig46(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig46_grid(nodes, run))
 }
 
 /// Parameters of one trace-driven run (§4.6).
@@ -785,12 +742,6 @@ pub fn fig47_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     out
 }
 
-/// Fig. 4.7: PCL vs. GEM locking for the real-life (synthetic-trace)
-/// workload, random and affinity routing, 1–8 nodes.
-pub fn fig47(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(fig47_grid(nodes, run))
-}
-
 /// Searches (by bisection over the arrival rate) for the per-node
 /// transaction rate at which average CPU utilization reaches `target`
 /// (Fig. 4.6 measures 80%). Each probe is a full short simulation, so
@@ -857,7 +808,9 @@ pub fn replicate(p: DebitCreditRun, seeds: &[u64]) -> Replication {
 }
 
 /// §5 comparison as a grid of pending runs: GEM locking vs. a central
-/// lock engine at several per-operation service times.
+/// lock engine (\[Yu87\]) at several per-operation service times. The
+/// lock engine saturates within the paper's 1–10-node range; GEM
+/// locking does not.
 pub fn lock_engine_comparison_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGrid> {
     let mut out = Vec::new();
     out.push(grid_curve("GEM locking (2us entries)", nodes, |n| {
@@ -881,13 +834,6 @@ pub fn lock_engine_comparison_grid(nodes: &[u16], run: RunLength) -> Vec<CurveGr
         ));
     }
     out
-}
-
-/// §5 comparison: GEM locking vs. a central lock engine (\[Yu87\]) with
-/// 100 µs and 500 µs lock-operation service times. The lock engine
-/// saturates within the paper's 1–10-node range; GEM locking does not.
-pub fn lock_engine_comparison(nodes: &[u16], run: RunLength) -> Vec<Series> {
-    run_grid_serial(lock_engine_comparison_grid(nodes, run))
 }
 
 /// Renders Table 4.1 (the parameter settings actually in force).

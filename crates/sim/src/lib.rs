@@ -34,7 +34,6 @@ mod engine;
 mod metrics;
 
 pub mod experiments;
-pub mod explain;
 pub mod observe;
 pub mod progress;
 

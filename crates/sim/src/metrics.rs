@@ -315,8 +315,7 @@ impl fmt::Display for RunProfile {
 
 /// Everything a simulation run reports. Field units are embedded in the
 /// names; "per_txn" denominators are measured commits.
-/// (`Default` exists for tests that synthesize partial reports, e.g.
-/// the attribution unit tests in [`crate::explain`].)
+/// (`Default` exists for tests that synthesize partial reports.)
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Number of processing nodes.

@@ -7,7 +7,7 @@
 //! relaxed atomic stores once every few thousand events behind a
 //! single `Option` branch, never reads it back, and never changes an
 //! event or a metric because a gauge is attached (`sim/tests/`
-//! `explain.rs` pins report equality with and without one). Observer
+//! `progress.rs` pins report equality with and without one). Observer
 //! threads only load; they cannot block the engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};

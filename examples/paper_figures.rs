@@ -19,8 +19,8 @@ fn main() {
     let run = RunLength::quick();
 
     // One pool run covers both figures; per-job progress goes to
-    // stderr, and the reassembled series are identical to calling
-    // experiments::fig41 / fig46 directly.
+    // stderr, and the reassembled series are identical to running
+    // each grid with experiments::run_grid_serial.
     let outcome = Harness::new().progress(true).run(vec![
         Sweep {
             figure: "fig41".into(),

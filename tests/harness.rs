@@ -2,7 +2,9 @@
 //! configurations, the throughput-at-utilization search agrees with
 //! the extrapolated Fig. 4.6 metric, and replication intervals behave.
 
-use dbshare::prelude::experiments::{find_tps_at_cpu, replicate, Series};
+use dbshare::prelude::experiments::{
+    find_tps_at_cpu, replicate, run_grid_serial, CurveGrid, Series,
+};
 use dbshare::prelude::*;
 
 fn quick() -> RunLength {
@@ -19,7 +21,8 @@ fn fig_presets_produce_the_right_curves() {
         warmup: 50,
         measured: 300,
     };
-    let check = |series: Vec<Series>, expect_curves: usize| {
+    let check = |grid: fn(&[u16], RunLength) -> Vec<CurveGrid>, expect_curves: usize| {
+        let series: Vec<Series> = run_grid_serial(grid(&nodes, run));
         assert_eq!(series.len(), expect_curves);
         for s in &series {
             assert_eq!(s.points.len(), nodes.len(), "{}", s.label);
@@ -30,13 +33,13 @@ fn fig_presets_produce_the_right_curves() {
             }
         }
     };
-    check(experiments::fig41(&nodes, run), 4);
-    check(experiments::fig42(&nodes, run), 4);
-    check(experiments::fig43(&nodes, run), 8);
-    check(experiments::fig44(&nodes, run), 8);
-    check(experiments::fig45(&nodes, run), 16);
-    check(experiments::fig46(&nodes, run), 8);
-    check(experiments::lock_engine_comparison(&nodes, run), 4);
+    check(experiments::fig41_grid, 4);
+    check(experiments::fig42_grid, 4);
+    check(experiments::fig43_grid, 8);
+    check(experiments::fig44_grid, 8);
+    check(experiments::fig45_grid, 16);
+    check(experiments::fig46_grid, 8);
+    check(experiments::lock_engine_comparison_grid, 4);
 }
 
 #[test]
