@@ -16,7 +16,7 @@
 //!   threshold, corroborated by the response-time slope (a real knee
 //!   at least doubles response time across the crossing interval).
 //! * [`CurveKnee`] is one curve's verdict, shared by `--explain` and
-//!   the `--knee` bisection driver.
+//!   the `--knee` bisection.
 //! * [`explain_figure`] applies both to a whole figure and renders a
 //!   deterministic table ([`FigureExplain::render`]) plus a JSON
 //!   sidecar ([`sidecar_json`]) for `repro --explain`.
@@ -118,7 +118,7 @@ impl CurveKnee {
 
     /// The one-line human verdict for this curve, shared by
     /// `--explain` ([`FigureExplain::render`]) and the `--knee`
-    /// bisection driver so both speak the same language.
+    /// bisection so both speak the same language.
     pub fn verdict(&self) -> String {
         match &self.knee {
             None => format!(
