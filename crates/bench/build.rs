@@ -1,8 +1,8 @@
 //! Build script embedding run provenance into the `repro` binary.
 //!
 //! Captures the git revision, the compiler version, and the build
-//! profile at compile time so `BENCH_repro.json` can record exactly
-//! which build produced a run. Everything degrades to `"unknown"` when
+//! profile at compile time so every store row `repro` writes records
+//! exactly which build produced it. Everything degrades to `"unknown"` when
 //! the information is unavailable (e.g. a source tarball without
 //! `.git`), so the build never fails on provenance.
 

@@ -1,11 +1,12 @@
 //! The CI perf-regression gate, backed by the experiment store.
 //!
 //! ```text
-//! perfgate [--max-regress-pct N] HISTORY.jsonl ARTIFACT.json
+//! perfgate [--max-regress-pct N] HISTORY.jsonl RUN.jsonl
 //! ```
 //!
 //! Reads recorded history from the store file and the run under test
-//! from its `BENCH_repro.json` artifact, then applies the store's gate
+//! from its run file (`repro --json`, `BENCH_repro.jsonl` by default),
+//! both with [`Store::read`], then applies the store's gate
 //! ([`dbshare_expstore::gate`]):
 //!
 //! - **exit 1** when any job with an unchanged config fingerprint
@@ -16,22 +17,40 @@
 //!   fingerprint is recorded at all, or when a figure's aggregate
 //!   events/s fell more than `--max-regress-pct` percent (default 50)
 //!   below the best recorded run of the identical job set;
-//! - **exit 2** on unusable input: missing or malformed history or
-//!   artifact, an artifact of another schema or with rows of another
-//!   record version (older builds wrote `dbshare-bench/1`, or rows
-//!   without the peak heap and attribution), or an empty history. A
-//!   gate that cannot see its baseline must fail loudly, not pass
-//!   vacuously.
+//! - **exit 2** on unusable input: a missing or empty file, or a line
+//!   that is not a store row of this record version (a pretty-printed
+//!   document of an older build, or rows without the peak heap and
+//!   attribution). A gate that cannot see its baseline or its run must
+//!   fail loudly, not pass vacuously.
 //!
 //! Figures whose config set has no recorded counterpart are reported
 //! and skipped — changing a sweep's shape is not a regression.
 
-use dbshare_expstore::{gate_check, read_artifact_records, Store, MAX_HEAP_GROWTH};
-use std::path::Path;
+use dbshare_expstore::{gate_check, Record, Store, MAX_HEAP_GROWTH};
 
 fn fail(msg: &str) -> ! {
     eprintln!("perfgate: error: {msg}");
     std::process::exit(2);
+}
+
+/// Every row of the store-format file at `path`; exits 2 when the
+/// file is missing, unreadable or empty. `what` names the file in
+/// messages.
+fn read_rows(what: &str, path: &str) -> Vec<Record> {
+    let store = Store::new(path);
+    if !store.path().exists() {
+        fail(&format!("{what} {path} does not exist"));
+    }
+    let read = store
+        .read()
+        .unwrap_or_else(|e| fail(&format!("cannot read {what} {path}: {e}")));
+    if let Some(recovery) = &read.recovery {
+        eprintln!("perfgate: warning: {what} {path}: {recovery}");
+    }
+    if read.records.is_empty() {
+        fail(&format!("{what} {path} holds no records"));
+    }
+    read.records
 }
 
 fn main() {
@@ -60,35 +79,20 @@ fn main() {
         }
         i += 1;
     }
-    let [history_path, artifact_path] = paths.as_slice() else {
-        fail("usage: perfgate [--max-regress-pct N] HISTORY.jsonl ARTIFACT.json");
+    let [history_path, run_path] = paths.as_slice() else {
+        fail("usage: perfgate [--max-regress-pct N] HISTORY.jsonl RUN.jsonl");
     };
 
-    let store = Store::new(history_path);
-    if !store.path().exists() {
-        fail(&format!("history store {history_path} does not exist"));
-    }
-    let read = store
-        .read()
-        .unwrap_or_else(|e| fail(&format!("cannot read history {history_path}: {e}")));
-    if let Some(recovery) = &read.recovery {
-        eprintln!("perfgate: warning: history {history_path}: {recovery}");
-    }
-    if read.records.is_empty() {
-        fail(&format!("history store {history_path} holds no records"));
-    }
-    let current = read_artifact_records(Path::new(artifact_path)).unwrap_or_else(|e| fail(&e));
-    if current.is_empty() {
-        fail(&format!("artifact {artifact_path} holds no job records"));
-    }
+    let history = read_rows("history store", history_path);
+    let current = read_rows("run file", run_path);
 
     println!(
         "perfgate: {} history record(s) vs {} current job(s), \
          peak heap bound at {MAX_HEAP_GROWTH}x, events/s floor at -{max_regress_pct:.0}%",
-        read.records.len(),
+        history.len(),
         current.len()
     );
-    let outcome = gate_check(&read.records, &current, max_regress_pct);
+    let outcome = gate_check(&history, &current, max_regress_pct);
     for note in &outcome.notes {
         println!("  ok: {note}");
     }

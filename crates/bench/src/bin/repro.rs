@@ -16,12 +16,14 @@
 //! `dbshare-harness` worker pool (`--jobs N`, default: all cores);
 //! every run is deterministic, so the printed tables are byte-identical
 //! for any worker count. Each job is one serial event loop on one
-//! thread. Progress goes to stderr; a per-job artifact, one
-//! experiment-store record per job with wall-clocks, seeds, and
-//! headline metrics, is written to `BENCH_repro.json` (`--json PATH`
-//! to relocate). `--verbose`
-//! additionally prints the full per-run reports; `--csv DIR` writes
-//! every report field per figure; `--svg DIR` draws each figure.
+//! thread. Progress goes to stderr. The figure tables and `--svg`
+//! charts render from the run's experiment-store rows, one per job
+//! with wall-clocks, seeds, and headline metrics; the invocation's
+//! rows, `--knee` probes included, are written to the run file
+//! `BENCH_repro.jsonl` (`--json PATH` to relocate; truncated first)
+//! in the store's line format. `--verbose` additionally prints the
+//! full per-run reports; `--csv DIR` writes every report field per
+//! figure; `--svg DIR` draws each figure.
 //! `--profile` prints the run's host cost to stderr — stdout stays
 //! byte-identical with or without the flag: the engine's always-on
 //! event-loop counters (per-event-type and per-subsystem, aggregated
@@ -30,8 +32,8 @@
 //! largest per-job peak heap.
 //!
 //! The binary installs a counting global allocator (thread-local
-//! counters updated on every allocation and free), so every artifact
-//! records per-job `host_allocs` / `allocs_per_event` and the job's
+//! counters updated on every allocation and free), so every row
+//! records its job's `host_allocs` / `allocs_per_event` and
 //! `peak_heap_bytes`.
 //!
 //! Every run is also appended to the experiment store — one JSON line
@@ -42,7 +44,7 @@
 //! including the delta against the best prior run of the identical
 //! job set; `--report [PATH]` renders the same store as an HTML page
 //! (default `<store dir>/report.html`). The separate `perfgate`
-//! binary turns the store into a CI regression gate.
+//! binary gates a run file against the store in CI.
 //!
 //! `--timeline DIR` turns on the simulator's timeline sampler and
 //! writes one CSV per figure (`<fig>_timeline.csv`: windowed
@@ -64,7 +66,7 @@
 //! lengths, so `--nodes` and `--quick` do not affect them. Without a
 //! figure selector, `--scale` runs only the scale sweep (figures can
 //! still be requested alongside). Every scale job records its peak-RSS
-//! estimate in the artifact and the experiment store.
+//! estimate in its row.
 //!
 //! `--explain` attributes every selected figure after the run: a
 //! per-point table naming the *binding constraint* (the most-utilized
@@ -91,16 +93,16 @@ use dbshare_bench::html_report;
 use dbshare_bench::trace_export::{self, TimelineRows};
 use dbshare_expstore::{explain, figure_runs, short_rev, FigureRun};
 use dbshare_harness::{
-    rss, run_knee, write_artifact, CountingAlloc, Harness, Json, Observe, Outcome, Provenance,
-    Store, Sweep,
+    rss, run_knee, CountingAlloc, Harness, JobResult, Observe, Outcome, Provenance, Record, Store,
+    Sweep,
 };
-use dbshare_sim::experiments::{self, CurveGrid, RunLength, ScalePreset, Series};
-use dbshare_sim::{RunProfile, RunReport};
+use dbshare_sim::experiments::{self, CurveGrid, RunLength, ScalePreset};
+use dbshare_sim::RunProfile;
 use std::path::{Path, PathBuf};
 
 /// Count every heap allocation the reproduction performs, so
 /// `--profile` can report per-job allocator traffic and peak heap,
-/// and the artifact can pin allocs/event. Counting is a few
+/// and each row can pin allocs/event. Counting is a few
 /// thread-local updates per allocation and free — cheap enough to
 /// leave always on.
 #[global_allocator]
@@ -122,11 +124,11 @@ impl Metric {
             Metric::NormResponse => "normalized response time [ms]",
         }
     }
-    fn of(self, r: &RunReport) -> f64 {
+    fn of(self, r: &Record) -> f64 {
         match self {
             Metric::MeanResponse => r.mean_response_ms,
-            Metric::TpsAt80 => r.tps_per_node_at_80pct_cpu,
-            Metric::NormResponse => r.norm_response_ms,
+            Metric::TpsAt80 => r.detail.tps_per_node_at_80pct_cpu,
+            Metric::NormResponse => r.detail.norm_response_ms,
         }
     }
 }
@@ -246,6 +248,14 @@ fn ensure_writable_dir(flag: &str, dir: &str) {
     let _ = std::fs::remove_file(&probe);
 }
 
+/// Creates (or truncates) an output file *before* the run, so a bad
+/// `--json`/`--explain` destination exits 2 immediately as well.
+fn ensure_writable_file(flag: &str, path: &str) {
+    if let Err(e) = std::fs::File::create(path) {
+        fail(&format!("{flag}: cannot write {path:?}: {e}"));
+    }
+}
+
 fn parse_nodes(s: &str) -> Vec<u16> {
     let nodes: Vec<u16> = s
         .split(',')
@@ -268,28 +278,22 @@ fn arg_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
         .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
 }
 
-fn print_series(fig: &Figure, series: &[Series]) {
+fn print_table(fig: &Figure, rows: &[&Record]) {
     println!("\n=== {} ===  (metric: {})", fig.title, fig.metric.label());
     // Column axis: the union of node counts across all curves, so no
     // curve's points are silently misaligned if the sweeps differ.
-    let mut nodes: Vec<u16> = Vec::new();
-    for s in series {
-        for n in s.node_counts() {
-            if !nodes.contains(&n) {
-                nodes.push(n);
-            }
-        }
-    }
+    let mut nodes: Vec<u16> = rows.iter().map(|r| r.nodes).collect();
     nodes.sort_unstable();
+    nodes.dedup();
     print!("{:<38}", "curve \\ nodes");
     for n in &nodes {
         print!("{n:>9}");
     }
     println!();
-    for s in series {
-        print!("{:<38}", s.label);
+    for curve in explain::curves(rows) {
+        print!("{:<38}", curve[0].curve);
         for n in &nodes {
-            match s.at(*n) {
+            match curve.iter().find(|r| r.nodes == *n) {
                 Some(r) => print!("{:>9.1}", fig.metric.of(r)),
                 None => print!("{:>9}", "n/a"),
             }
@@ -298,14 +302,14 @@ fn print_series(fig: &Figure, series: &[Series]) {
     }
 }
 
-fn write_svg(dir: &str, fig: &Figure, series: &[Series]) {
+fn write_svg(dir: &str, fig: &Figure, rows: &[&Record]) {
     let mut chart = Chart::new(fig.title, "nodes", fig.metric.label());
-    for s in series {
+    for curve in explain::curves(rows) {
         chart.add_series(
-            &s.label,
-            s.points
+            &curve[0].curve,
+            curve
                 .iter()
-                .map(|(n, r)| (*n as f64, fig.metric.of(r)))
+                .map(|r| (f64::from(r.nodes), fig.metric.of(r)))
                 .collect(),
         );
     }
@@ -318,7 +322,15 @@ fn write_svg(dir: &str, fig: &Figure, series: &[Series]) {
     println!("wrote {path}");
 }
 
-fn write_csv(dir: &str, name: &str, series: &[Series]) {
+/// The figure's job results, in the order of its rows.
+fn results_of<'a>(outcome: &'a Outcome, figure: &'a str) -> impl Iterator<Item = &'a JobResult> {
+    outcome
+        .results
+        .iter()
+        .filter(move |r| r.job.figure == figure)
+}
+
+fn write_csv(dir: &str, figure: &str, outcome: &Outcome) {
     let mut out = String::from(
         "curve,nodes,mean_response_ms,ci95_ms,p50_ms,p95_ms,norm_response_ms,\
          throughput_tps,tps_per_node_at_80pct_cpu,cpu_utilization,cpu_utilization_max,\
@@ -328,41 +340,40 @@ fn write_csv(dir: &str, name: &str, series: &[Series]) {
          invalidations_per_txn,reads_per_txn,writes_per_txn,evict_writes_per_txn,\
          deadlock_aborts,timeout_aborts\n",
     );
-    for s in series {
-        for (n, r) in &s.points {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                s.label.replace(',', ";"),
-                n,
-                r.mean_response_ms,
-                r.response_ci95_ms.unwrap_or(f64::NAN),
-                r.p50_response_ms,
-                r.p95_response_ms,
-                r.norm_response_ms,
-                r.throughput_tps,
-                r.tps_per_node_at_80pct_cpu,
-                r.cpu_utilization,
-                r.cpu_utilization_max,
-                r.gem_utilization,
-                r.lock_engine_utilization,
-                r.network_utilization,
-                r.messages_per_txn,
-                r.page_requests_per_txn,
-                r.page_req_delay_ms,
-                r.lock_requests_per_txn,
-                r.local_lock_fraction.unwrap_or(f64::NAN),
-                r.lock_wait_ms,
-                r.io_wait_ms,
-                r.invalidations_per_txn,
-                r.reads_per_txn,
-                r.writes_per_txn,
-                r.evict_writes_per_txn,
-                r.deadlock_aborts,
-                r.timeout_aborts,
-            ));
-        }
+    for res in results_of(outcome, figure) {
+        let r = &res.report;
+        out.push_str(&format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            res.job.curve.replace(',', ";"),
+            res.job.nodes,
+            r.mean_response_ms,
+            r.response_ci95_ms.unwrap_or(f64::NAN),
+            r.p50_response_ms,
+            r.p95_response_ms,
+            r.norm_response_ms,
+            r.throughput_tps,
+            r.tps_per_node_at_80pct_cpu,
+            r.cpu_utilization,
+            r.cpu_utilization_max,
+            r.gem_utilization,
+            r.lock_engine_utilization,
+            r.network_utilization,
+            r.messages_per_txn,
+            r.page_requests_per_txn,
+            r.page_req_delay_ms,
+            r.lock_requests_per_txn,
+            r.local_lock_fraction.unwrap_or(f64::NAN),
+            r.lock_wait_ms,
+            r.io_wait_ms,
+            r.invalidations_per_txn,
+            r.reads_per_txn,
+            r.writes_per_txn,
+            r.evict_writes_per_txn,
+            r.deadlock_aborts,
+            r.timeout_aborts,
+        ));
     }
-    let path = format!("{dir}/{name}.csv");
+    let path = format!("{dir}/{figure}.csv");
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, out)) {
         fail(&format!("cannot write {path}: {e}"));
     }
@@ -386,10 +397,7 @@ fn slug(label: &str) -> String {
 
 /// Writes one figure's timeline windows (every curve point) as a CSV.
 fn write_timeline(dir: &str, figure: &str, outcome: &Outcome) {
-    let rows: Vec<TimelineRows<'_>> = outcome
-        .results
-        .iter()
-        .filter(|r| r.job.figure == figure)
+    let rows: Vec<TimelineRows<'_>> = results_of(outcome, figure)
         .map(|r| TimelineRows {
             curve: &r.job.curve,
             nodes: r.job.nodes,
@@ -406,7 +414,7 @@ fn write_timeline(dir: &str, figure: &str, outcome: &Outcome) {
 
 /// Writes one Chrome trace-event JSON per curve point of a figure.
 fn write_traces(dir: &str, figure: &str, outcome: &Outcome) {
-    for r in outcome.results.iter().filter(|r| r.job.figure == figure) {
+    for r in results_of(outcome, figure) {
         let out = trace_export::chrome_trace(&r.observations.trace, r.job.nodes);
         let path = format!(
             "{dir}/{figure}_{}_n{}.trace.json",
@@ -511,11 +519,9 @@ fn write_report(store_path: &Path, out_path: &Path) {
     eprintln!("wrote {}", out_path.display());
 }
 
-fn print_details(series: &[Series]) {
-    for s in series {
-        for (n, r) in &s.points {
-            println!("[{} N={}]\n{}", s.label, n, r);
-        }
+fn print_details(figure: &str, outcome: &Outcome) {
+    for r in results_of(outcome, figure) {
+        println!("[{} N={}]\n{}", r.job.curve, r.job.nodes, r.report);
     }
 }
 
@@ -531,7 +537,7 @@ fn main() {
     let mut trace_dir: Option<String> = None;
     let mut timeline_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut json_path = String::from("BENCH_repro.json");
+    let mut json_path = String::from("BENCH_repro.jsonl");
     let mut history_dir = String::from("exphistory");
     let mut show_history = false;
     let mut no_history = false;
@@ -671,8 +677,10 @@ fn main() {
     let want = |name: &str| all || which.iter().any(|w| w == name);
 
     // Probe every export destination before the (possibly long) run:
-    // an unwritable --trace/--timeline/--csv/--svg directory exits 2
-    // now, not after the run.
+    // an unwritable --trace/--timeline/--csv/--svg directory or
+    // --explain/--json file exits 2 now, not after the run. The run
+    // file is truncated here, so it never holds another invocation's
+    // rows.
     for (flag, dir) in [
         ("--csv", &csv),
         ("--svg", &svg),
@@ -683,6 +691,10 @@ fn main() {
             ensure_writable_dir(flag, dir);
         }
     }
+    if let Some(path) = &explain_to {
+        ensure_writable_file("--explain", path);
+    }
+    ensure_writable_file("--json", &json_path);
 
     let provenance = Provenance {
         git_revision: env!("REPRO_GIT_REVISION").to_string(),
@@ -731,7 +743,7 @@ fn main() {
     let mut harness = Harness::new()
         .progress(true)
         .observe(observe)
-        .provenance(provenance.clone());
+        .provenance(provenance);
     if let Some(n) = jobs {
         harness = harness.workers(n);
     }
@@ -744,15 +756,17 @@ fn main() {
     let outcome: Outcome = harness.run(sweeps);
 
     for fig in &wanted {
-        let series = outcome
-            .series_for(fig.name)
-            .expect("harness returns every submitted figure");
-        print_series(fig, series);
+        let rows: Vec<&Record> = outcome
+            .records
+            .iter()
+            .filter(|r| r.figure == fig.name)
+            .collect();
+        print_table(fig, &rows);
         if let Some(dir) = &csv {
-            write_csv(dir, fig.name, series);
+            write_csv(dir, fig.name, &outcome);
         }
         if let Some(dir) = &svg {
-            write_svg(dir, fig, series);
+            write_svg(dir, fig, &rows);
         }
         if let Some(dir) = &timeline_dir {
             write_timeline(dir, fig.name, &outcome);
@@ -761,20 +775,25 @@ fn main() {
             write_traces(dir, fig.name, &outcome);
         }
         if verbose {
-            print_details(series);
+            print_details(fig.name, &outcome);
         }
     }
 
     // The knee bisection runs its probes one at a time through the
     // same harness (history appends and the ticker apply per probe).
-    if let Some((knee_figure, preset)) = &knee {
-        println!(
-            "\n=== knee [{knee_figure}] (saturation threshold {:.0}%) ===",
-            explain::SATURATION_THRESHOLD * 100.0
-        );
-        let knee_outcome = run_knee(&harness, knee_figure, preset, explain::SATURATION_THRESHOLD);
-        print!("{}", knee_outcome.render());
-    }
+    let knee_rows = match &knee {
+        Some((knee_figure, preset)) => {
+            println!(
+                "\n=== knee [{knee_figure}] (saturation threshold {:.0}%) ===",
+                explain::SATURATION_THRESHOLD * 100.0
+            );
+            let knee_outcome =
+                run_knee(&harness, knee_figure, preset, explain::SATURATION_THRESHOLD);
+            print!("{}", knee_outcome.render());
+            knee_outcome.records
+        }
+        None => Vec::new(),
+    };
 
     // Attribution: rendered from the run's (deterministic) records, so
     // the stderr table and the sidecar are byte-identical across
@@ -803,7 +822,7 @@ fn main() {
             let mut agg = RunProfile::default();
             let mut events = 0u64;
             let mut wall = 0.0f64;
-            for res in outcome.results.iter().filter(|r| r.job.figure == fig.name) {
+            for res in results_of(&outcome, fig.name) {
                 agg.merge(&res.report.profile);
                 events += res.report.events_processed;
                 wall += res.wall_secs;
@@ -857,38 +876,14 @@ fn main() {
         line("suite", allocs, events, wall_secs, peak);
     }
 
-    if !outcome.results.is_empty() {
-        // Stamp the artifact with build/run provenance (captured by the
-        // crate's build script) so a saved BENCH_repro.json records
-        // exactly which build and command produced it.
-        let mut doc = outcome.artifact();
-        doc.set(
-            "provenance",
-            Json::obj(vec![
-                ("git_revision", Json::Str(provenance.git_revision.clone())),
-                ("rustc_version", Json::Str(provenance.rustc_version.clone())),
-                ("build_profile", Json::Str(provenance.build_profile.clone())),
-                (
-                    "command_line",
-                    Json::Str(
-                        std::iter::once("repro".to_string())
-                            .chain(args.iter().cloned())
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                    ),
-                ),
-            ]),
-        );
-        if let Err(e) = write_artifact(Path::new(&json_path), &doc) {
-            fail(&format!("cannot write {json_path}: {e}"));
-        }
-        eprintln!(
-            "wrote {json_path} ({} jobs, {} workers, {:.2}s wall)",
-            outcome.results.len(),
-            outcome.workers,
-            outcome.total_wall_secs
-        );
+    // The run file holds every row this invocation produced, the
+    // figure rows first and the knee probes after them.
+    let mut rows = outcome.records;
+    rows.extend(knee_rows);
+    if let Err(e) = Store::new(&json_path).append(&rows) {
+        fail(&format!("--json: cannot write {json_path}: {e}"));
     }
+    eprintln!("wrote {json_path} ({} rows)", rows.len());
 
     // Trend tables and the HTML report read the store *after* this
     // run's append, so the freshly recorded run is included.

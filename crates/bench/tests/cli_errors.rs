@@ -25,18 +25,33 @@ impl Drop for TempPath {
     }
 }
 
-/// `--trace`/`--timeline` destinations that cannot become writable
-/// directories (here: a child of a plain file) fail fast with exit 2,
-/// before the run starts.
+/// Export destinations that cannot be written (here: paths under a
+/// plain file) fail fast with exit 2, before the run starts: the
+/// `--trace`/`--timeline` directories and the `--explain`/`--json`
+/// files alike.
 #[test]
 fn unwritable_export_dir_exits_2_before_running() {
     let blocker = TempPath::new("blocker");
     fs::write(&blocker.0, b"plain file, not a directory").expect("scratch file");
-    for flag in ["--trace", "--timeline"] {
-        let bad_dir = blocker.0.join("sub");
+    // A writable run file for the runs whose --json is not under test,
+    // so none of them writes the default one into the package.
+    let run_file = TempPath::new("run.jsonl");
+    let run_path = run_file.0.to_str().expect("utf-8 path");
+    for (flag, failure) in [
+        ("--trace", "cannot create directory"),
+        ("--timeline", "cannot create directory"),
+        ("--explain", "cannot write"),
+        ("--json", "cannot write"),
+    ] {
+        let bad = blocker.0.join("sub");
+        let bad = bad.to_str().expect("utf-8 path");
+        let mut args = vec![flag, bad];
+        if flag != "--json" {
+            args.extend(["--json", run_path]);
+        }
         let started = Instant::now();
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args([flag, bad_dir.to_str().expect("utf-8 path")])
+            .args(&args)
             .output()
             .expect("spawn repro");
         assert_eq!(
@@ -45,9 +60,13 @@ fn unwritable_export_dir_exits_2_before_running() {
             "{flag}: expected exit 2, got {:?}",
             output.status
         );
+        assert!(
+            output.stdout.is_empty(),
+            "{flag}: a figure ran before the error"
+        );
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains(flag) && stderr.contains("cannot create directory"),
+            stderr.contains(flag) && stderr.contains(failure),
             "{flag}: stderr must name the flag and the failure, got: {stderr}"
         );
         // Fail-fast means validation, not a completed sweep: the

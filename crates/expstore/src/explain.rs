@@ -171,16 +171,15 @@ pub struct FigureExplain<'a> {
 }
 
 /// Attributes the rows of `records` that belong to `figure` and scans
-/// each curve (a run of consecutive rows with one curve label, ordered
-/// by node count as the harness runs them) for a knee at `threshold`.
+/// each of its [`curves`] (ordered by node count as the harness runs
+/// them) for a knee at `threshold`.
 pub fn explain_figure<'a>(
     figure: &str,
     records: &'a [Record],
     threshold: f64,
 ) -> FigureExplain<'a> {
     let points: Vec<&Record> = records.iter().filter(|r| r.figure == figure).collect();
-    let knees = points
-        .chunk_by(|a, b| a.curve == b.curve)
+    let knees = curves(&points)
         .map(|curve| CurveKnee::scan(curve, threshold))
         .collect();
     FigureExplain {
@@ -189,6 +188,12 @@ pub fn explain_figure<'a>(
         points,
         knees,
     }
+}
+
+/// A figure's curves: its runs of consecutive rows with one curve
+/// label, in the order the harness ran them.
+pub fn curves<'a>(rows: &'a [&'a Record]) -> impl Iterator<Item = &'a [&'a Record]> {
+    rows.chunk_by(|a, b| a.curve == b.curve)
 }
 
 /// `component_ms` as a fraction of the row's mean response time.

@@ -1,15 +1,14 @@
 //! A minimal, dependency-free JSON value: writer and parser.
 //!
-//! Only what the run artifacts and the experiment store need — objects
-//! (with preserved key order, so rendering is deterministic), arrays,
-//! strings, finite numbers, booleans, and null. Non-finite numbers
-//! render as `null`, keeping every emitted document
-//! standard-conformant. The parser accepts exactly the grammar the
-//! writers emit (plus arbitrary whitespace), which is what the
-//! round-trip regression tests rely on. [`Json::render`] produces the
-//! pretty document form (`BENCH_repro.json`); [`Json::render_line`]
-//! produces the compact single-line form the store's line-delimited
-//! log uses — both re-serialize byte-identically after a parse.
+//! Only what the experiment store and the benchmark's records need —
+//! objects (with preserved key order, so rendering is deterministic),
+//! arrays, strings, finite numbers, booleans, and null. Non-finite
+//! numbers render as `null`, keeping every emitted document
+//! standard-conformant. [`Json::render_line`] produces the compact
+//! single-line form the store's line-delimited log uses, which
+//! re-serializes byte-identically after a parse. The parser accepts
+//! that grammar plus arbitrary whitespace, which is what the
+//! round-trip regression tests rely on.
 
 use std::fmt;
 
@@ -97,50 +96,15 @@ impl Json {
         }
     }
 
-    /// Renders the value as a JSON document (no trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
     /// Renders the value on a single line with no whitespace — the
     /// form one record occupies in the store's line-delimited log.
     pub fn render_line(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) => self.write(out, 0),
-            Json::Arr(xs) => {
-                out.push('[');
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -155,37 +119,25 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(xs) => {
-                if xs.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent + 1);
-                    x.write(out, indent + 1);
+                    x.write(out);
                 }
-                newline_indent(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent + 1);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push(':');
+                    v.write(out);
                 }
-                newline_indent(out, indent);
                 out.push('}');
             }
         }
@@ -204,13 +156,6 @@ impl Json {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
-    }
-}
-
-fn newline_indent(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
     }
 }
 
@@ -449,12 +394,12 @@ mod tests {
 
     #[test]
     fn renders_scalars() {
-        assert_eq!(Json::Null.render(), "null");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::Num(42.0).render(), "42.0");
-        assert_eq!(Json::Num(6.5).render(), "6.5");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::Str("a\"b".into()).render(), r#""a\"b""#);
+        assert_eq!(Json::Null.render_line(), "null");
+        assert_eq!(Json::Bool(true).render_line(), "true");
+        assert_eq!(Json::Num(42.0).render_line(), "42.0");
+        assert_eq!(Json::Num(6.5).render_line(), "6.5");
+        assert_eq!(Json::Num(f64::NAN).render_line(), "null");
+        assert_eq!(Json::Str("a\"b".into()).render_line(), r#""a\"b""#);
     }
 
     #[test]
@@ -472,7 +417,7 @@ mod tests {
                 ]),
             ),
         ]);
-        let text = doc.render();
+        let text = doc.render_line();
         assert_eq!(Json::parse(&text).expect("parses"), doc);
     }
 

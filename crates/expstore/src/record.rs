@@ -20,8 +20,8 @@
 //! the `--knee` verdicts, the trend tables and the HTML report all
 //! render from these fields ([`explain`](crate::explain)).
 //!
-//! A record is also one row of the `BENCH_repro.json` artifact: the
-//! harness renders each job's record with [`Record::to_json`].
+//! A run file (`repro --json`) holds one invocation's records in the
+//! same line format as the store.
 
 use crate::json::Json;
 
@@ -115,7 +115,7 @@ pub struct Waits {
 /// The resources every record names, in order, before its disk groups.
 const FIXED_RESOURCES: [&str; 4] = ["cpu", "gem", "lock-engine", "network"];
 
-/// Per-job figures a record carries for readers of the artifact:
+/// Per-job figures a record carries for readers of the row:
 /// host allocation totals and peak heap, and the run's simulated
 /// headline numbers. The gate reads the peak heap; the trend tables
 /// read the allocation count and the peak heap.

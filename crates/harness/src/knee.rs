@@ -12,49 +12,39 @@
 //! the ticker, and history persistence all apply), and lands in the
 //! experiment store as a row whose config fingerprint matches the
 //! grid's point at that node count. The probe lines and the verdicts
-//! render from those rows.
+//! render from those rows, and [`KneeOutcome::records`] hands them,
+//! in probe order, to the caller's run file.
 
 use crate::{Harness, Record, Sweep};
 use dbshare_expstore::explain::CurveKnee;
 use dbshare_sim::experiments::{CurveGrid, RunSpec, ScalePreset};
-
-/// The result of one curve's bisection.
-#[derive(Debug, Clone)]
-pub struct KneeCurve {
-    /// The verdict, phrased exactly like `--explain`'s knee lines.
-    pub verdict: CurveKnee,
-    /// Node counts probed, in probe order.
-    pub probed: Vec<u16>,
-}
 
 /// A whole `--knee` run: one bisection per curve of the preset.
 #[derive(Debug, Clone)]
 pub struct KneeOutcome {
     /// Figure key the probes were recorded under (e.g. `"knee-full"`).
     pub figure: String,
-    /// One result per curve, in [`ScalePreset::CURVES`] order.
-    pub curves: Vec<KneeCurve>,
+    /// One verdict per curve, in [`ScalePreset::CURVES`] order, phrased
+    /// exactly like `--explain`'s knee lines.
+    pub curves: Vec<CurveKnee>,
     /// Jobs the fixed grid would have run, for the closing tally.
     pub grid_jobs: usize,
+    /// Every probe's store row, curve by curve in probe order.
+    pub records: Vec<Record>,
 }
 
 impl KneeOutcome {
-    /// Total probes across all curves.
-    pub fn total_probes(&self) -> usize {
-        self.curves.iter().map(|c| c.probed.len()).sum()
-    }
-
     /// The closing verdict block (one line per curve plus the probe
     /// tally). Deterministic: a pure function of the probed rows.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for c in &self.curves {
-            out.push_str(&c.verdict.verdict());
+            out.push_str(&c.verdict());
             out.push('\n');
         }
         out.push_str(&format!(
             "total probes: {} (fixed grid: {} jobs)\n",
-            self.total_probes(),
+            self.records.len(),
             self.grid_jobs
         ));
         out
@@ -73,9 +63,10 @@ pub fn run_knee(
     let lo0 = *preset.nodes.first().expect("preset has a node axis");
     let hi0 = *preset.nodes.last().expect("preset has a node axis");
     let mut curves = Vec::new();
+    let mut records: Vec<Record> = Vec::new();
     for &(label, coupling) in ScalePreset::CURVES.iter() {
-        let mut points: Vec<Record> = Vec::new();
-        let probed = probe_order(lo0, hi0, |n| {
+        let first = records.len();
+        probe_order(lo0, hi0, |n| {
             let row = run_probe(harness, figure, label, preset.spec(coupling, n), n);
             let [(binding, util), _] = row.constraints();
             println!(
@@ -83,27 +74,25 @@ pub fn run_knee(
                 util * 100.0,
                 row.mean_response_ms
             );
-            points.push(row);
+            records.push(row);
             util >= threshold
         });
 
         // Fold the probes into the verdict --explain prints, over the
         // preset's whole axis even where only its top was probed.
+        let mut points: Vec<&Record> = records[first..].iter().collect();
         points.sort_by_key(|r| r.nodes);
-        let refs: Vec<&Record> = points.iter().collect();
-        curves.push(KneeCurve {
-            verdict: CurveKnee {
-                lo: lo0,
-                hi: hi0,
-                ..CurveKnee::scan(&refs, threshold)
-            },
-            probed,
+        curves.push(CurveKnee {
+            lo: lo0,
+            hi: hi0,
+            ..CurveKnee::scan(&points, threshold)
         });
     }
     KneeOutcome {
         figure: figure.to_string(),
         curves,
         grid_jobs: preset.nodes.len() * ScalePreset::CURVES.len(),
+        records,
     }
 }
 
@@ -158,6 +147,7 @@ fn probe_order(lo0: u16, hi0: u16, mut saturated: impl FnMut(u16) -> bool) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint;
 
     #[test]
     fn unsaturated_curve_costs_one_probe() {
@@ -178,6 +168,43 @@ mod tests {
         // the fixed grid's 6 (3 node counts x 2 curves).
         let probed = probe_order(50, 200, |n| n > 150);
         assert_eq!(probed, [200, 50, 125, 162]);
+    }
+
+    #[test]
+    fn returned_rows_are_the_probes_in_probe_order() {
+        const TINY: ScalePreset = ScalePreset {
+            accounts: 10_000,
+            measured_per_node: 50,
+            nodes: &[2, 4],
+        };
+        // A zero threshold saturates every probe, so each curve probes
+        // its hi endpoint and then its lo endpoint.
+        let outcome = run_knee(&Harness::new().workers(2), "knee-tiny", &TINY, 0.0);
+        let rows: Vec<(&str, u16)> = outcome
+            .records
+            .iter()
+            .map(|r| (r.curve.as_str(), r.nodes))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("GEM/NOFORCE", 4),
+                ("GEM/NOFORCE", 2),
+                ("PCL/NOFORCE", 4),
+                ("PCL/NOFORCE", 2)
+            ]
+        );
+        for (row, &(_, coupling)) in outcome
+            .records
+            .iter()
+            .zip(ScalePreset::CURVES.iter().flat_map(|curve| [curve, curve]))
+        {
+            assert_eq!(row.figure, "knee-tiny");
+            assert_eq!(
+                row.config_fingerprint,
+                fingerprint(&TINY.spec(coupling, row.nodes))
+            );
+        }
     }
 
     #[test]

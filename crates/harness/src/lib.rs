@@ -7,14 +7,13 @@
 //!
 //! 1. flattens sweeps into a flat list of [`Job`]s,
 //! 2. executes them on a `std::thread` worker pool ([`pool`]) fed by a
-//!    shared `Mutex<VecDeque<_>>` queue,
-//! 3. reassembles the results into ordered [`Series`] that are
-//!    **byte-identical to a serial run** for any worker count, and
-//! 4. maps each job result, once, to one experiment-store [`Record`]
-//!    ([`Outcome::records`]): the row the store appends, the row the
-//!    `BENCH_repro.json` artifact ([`artifact`]) renders with the
-//!    in-repo dependency-free JSON value ([`json`]), and the row the
-//!    attribution views (`--explain`, `--knee`) read.
+//!    shared `Mutex<VecDeque<_>>` queue, returning the results in
+//!    input order for any worker count, and
+//! 3. maps each job result, once, to one experiment-store [`Record`]
+//!    ([`Outcome::records`]): the row the store appends, the row
+//!    `repro --json` writes to its run file in the store's line
+//!    format, and the row every view renders from (`repro`'s figure
+//!    tables and charts, `--explain`, `--knee`, the gate).
 //!
 //! ```no_run
 //! use dbshare_harness::{Harness, Sweep};
@@ -25,31 +24,29 @@
 //!     grid: fig41_grid(&[1, 2, 4], RunLength::quick()),
 //! }];
 //! let outcome = Harness::new().run(sweeps);
-//! let artifact = outcome.artifact();
+//! let first_curve = &outcome.records[0].curve;
 //! ```
 
 pub mod alloc_track;
-pub mod artifact;
 pub mod knee;
 pub mod pool;
 pub mod rss;
 pub mod ticker;
 
 pub use alloc_track::CountingAlloc;
-pub use artifact::{fingerprint, write_artifact};
 pub use knee::{run_knee, KneeOutcome};
 pub use ticker::Ticker;
 // The JSON value moved into the experiment store crate (the store is
 // the lowest persistence layer now); re-exported here so harness users
 // keep their `dbshare_harness::{json, Json}` paths.
 pub use dbshare_expstore::json::{self, Json};
-use dbshare_expstore::{JobDetail, Waits};
+use dbshare_expstore::{fnv1a_hex, JobDetail, Waits};
 pub use dbshare_expstore::{Provenance, Record, Store};
 pub use pool::{run_jobs, Job, JobResult};
 
 pub use dbshare_sim::{Observations, Observe, TimelineWindow};
 
-use dbshare_sim::experiments::{CurveGrid, Series};
+use dbshare_sim::experiments::{CurveGrid, RunSpec};
 use dbshare_sim::RunReport;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,59 +56,37 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// `sim::experiments::*_grid` presets produce.
 #[derive(Debug, Clone)]
 pub struct Sweep {
-    /// Figure key, e.g. `"fig4.1"` — labels jobs and artifact records.
+    /// Figure key, e.g. `"fig4.1"` — labels jobs and their rows.
     pub figure: String,
     /// The figure's curves as pending `(nodes, spec)` points.
     pub grid: Vec<CurveGrid>,
 }
 
-/// A figure's reassembled result: the same `Vec<Series>` that
-/// [`run_grid_serial`](dbshare_sim::experiments::run_grid_serial)
-/// returns for the figure's grid.
-#[derive(Debug, Clone)]
-pub struct FigureSeries {
-    /// Figure key, copied from the input [`Sweep`].
-    pub figure: String,
-    /// Ordered curves, identical to [`run_grid_serial`] output.
-    ///
-    /// [`run_grid_serial`]: dbshare_sim::experiments::run_grid_serial
-    pub series: Vec<Series>,
-}
-
-/// Everything a harness run produced: per-figure series in input
-/// order, the flat per-job results and their store rows, and run-wide
-/// bookkeeping.
+/// Everything a harness run produced: the per-job results and their
+/// store rows, both in flattened input order (sweep by sweep, curve by
+/// curve, point by point), and run-wide bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// One entry per input sweep, in input order.
-    pub figures: Vec<FigureSeries>,
     /// Per-job results in flattened input order.
     pub results: Vec<JobResult>,
     /// One experiment-store row per job, in the order of `results`,
-    /// stamped with this run's id and the harness's provenance.
+    /// stamped with this run's id and the harness's provenance. A
+    /// figure's curves are its runs of consecutive rows with one
+    /// curve label.
     pub records: Vec<Record>,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Logical CPUs of the host that executed the run (0 when the
-    /// count was unreadable).
-    pub host_cpus: u32,
     /// Wall-clock seconds for the whole pool run.
     pub total_wall_secs: f64,
-    /// Unix timestamp the run started, when the clock was readable.
-    pub created_unix: Option<u64>,
     /// Opaque id grouping this run's rows in the experiment store
     /// (unique per run within a machine: timestamp, pid, sequence).
     pub run_id: String,
 }
 
-impl Outcome {
-    /// The series for `figure`, if it was part of the run.
-    pub fn series_for(&self, figure: &str) -> Option<&[Series]> {
-        self.figures
-            .iter()
-            .find(|f| f.figure == figure)
-            .map(|f| f.series.as_slice())
-    }
+/// A 64-bit FNV-1a hash of the spec's full `Debug` rendering, as
+/// 16 hex digits. Two jobs share a fingerprint iff their complete
+/// configuration (every parameter, including seed and run length) is
+/// identical — cheap to compare across run files and store rows.
+pub fn fingerprint(spec: &RunSpec) -> String {
+    fnv1a_hex(&format!("{spec:?}"))
 }
 
 /// A job's experiment-store row, stamped with its run's id, start time,
@@ -266,20 +241,14 @@ impl Harness {
         self
     }
 
-    /// Flattens `sweeps` into jobs, runs the pool, and reassembles
-    /// ordered per-figure series. For any worker count the returned
-    /// [`Outcome::figures`] equals what
-    /// [`run_grid_serial`](dbshare_sim::experiments::run_grid_serial)
-    /// produces on the same grids, point for point.
+    /// Flattens `sweeps` into jobs (sweep by sweep, curve by curve,
+    /// point by point), runs them on the pool, and maps each result to
+    /// its store row. Results and rows come back in that flattened
+    /// order for any worker count.
     pub fn run(&self, sweeps: Vec<Sweep>) -> Outcome {
-        // Remember each sweep's shape (curve labels + point counts) so
-        // the flat results can be folded back without guesswork.
         let mut jobs = Vec::new();
-        let mut shapes: Vec<(String, Vec<(String, usize)>)> = Vec::new();
         for sweep in sweeps {
-            let mut curves = Vec::new();
             for curve in sweep.grid {
-                curves.push((curve.label.clone(), curve.points.len()));
                 for (nodes, spec) in curve.points {
                     jobs.push(Job {
                         figure: sweep.figure.clone(),
@@ -290,13 +259,11 @@ impl Harness {
                     });
                 }
             }
-            shapes.push((sweep.figure, curves));
         }
 
         let created_unix = SystemTime::now()
             .duration_since(UNIX_EPOCH)
-            .ok()
-            .map(|d| d.as_secs());
+            .map_or(0, |d| d.as_secs());
         let started = Instant::now();
         let ticker = self.ticker.map(|every| Ticker::spawn(every, jobs.len()));
         let results = run_jobs(
@@ -308,34 +275,12 @@ impl Harness {
         drop(ticker); // stop and join the sampler before reporting
         let total_wall_secs = started.elapsed().as_secs_f64();
 
-        // Fold the flat results back into figures: the pool preserves
-        // input order, so a single cursor walk reproduces the shape.
-        let mut cursor = results.iter();
-        let figures = shapes
-            .into_iter()
-            .map(|(figure, curves)| FigureSeries {
-                figure,
-                series: curves
-                    .into_iter()
-                    .map(|(label, len)| Series {
-                        label,
-                        points: cursor
-                            .by_ref()
-                            .take(len)
-                            .map(|r| (r.job.nodes, r.report.clone()))
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect();
-
         // Run ids only need to be unique per machine: timestamp for
         // humans, pid + process-wide sequence for uniqueness when runs
         // share a second (back-to-back invocations, test suites).
         static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
         let run_id = format!(
-            "r{}-{}-{}",
-            created_unix.unwrap_or(0),
+            "r{created_unix}-{}-{}",
             std::process::id(),
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         );
@@ -343,19 +288,12 @@ impl Harness {
         let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get()) as u32;
         let records = results
             .iter()
-            .map(|res| {
-                let created = created_unix.unwrap_or(0);
-                record(res, &run_id, created, host_cpus, &self.provenance)
-            })
+            .map(|res| record(res, &run_id, created_unix, host_cpus, &self.provenance))
             .collect();
         let outcome = Outcome {
-            figures,
             results,
             records,
-            workers: self.workers,
-            host_cpus,
             total_wall_secs,
-            created_unix,
             run_id,
         };
 
@@ -383,7 +321,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbshare_sim::experiments::{fig41_grid, RunLength};
+    use dbshare_sim::experiments::{fig41_grid, DebitCreditRun, RunLength};
 
     const TINY: RunLength = RunLength {
         warmup: 20,
@@ -402,43 +340,39 @@ mod tests {
                 grid: fig41_grid(&[1], TINY),
             },
         ];
-        let expected: Vec<(String, Vec<(String, usize)>)> = sweeps
+        let expected: Vec<(String, String, u16)> = sweeps
             .iter()
-            .map(|s| {
-                (
-                    s.figure.clone(),
-                    s.grid
+            .flat_map(|s| {
+                s.grid.iter().flat_map(move |c| {
+                    c.points
                         .iter()
-                        .map(|c| (c.label.clone(), c.points.len()))
-                        .collect(),
-                )
+                        .map(move |&(n, _)| (s.figure.clone(), c.label.clone(), n))
+                })
             })
             .collect();
         let outcome = Harness::new().workers(3).run(sweeps);
-        let shapes: Vec<(String, Vec<(String, usize)>)> = outcome
-            .figures
+        let rows: Vec<(String, String, u16)> = outcome
+            .records
             .iter()
-            .map(|f| {
-                (
-                    f.figure.clone(),
-                    f.series
-                        .iter()
-                        .map(|s| (s.label.clone(), s.points.len()))
-                        .collect(),
-                )
-            })
+            .map(|r| (r.figure.clone(), r.curve.clone(), r.nodes))
             .collect();
-        assert_eq!(shapes, expected);
-        assert!(outcome.series_for("figB").is_some());
-        assert!(outcome.series_for("figC").is_none());
-        assert_eq!(
-            outcome.results.len(),
-            outcome
-                .figures
-                .iter()
-                .flat_map(|f| &f.series)
-                .map(|s| s.points.len())
-                .sum::<usize>()
-        );
+        assert_eq!(rows, expected);
+        let jobs: Vec<(String, String, u16)> = outcome
+            .results
+            .iter()
+            .map(|r| (r.job.figure.clone(), r.job.curve.clone(), r.job.nodes))
+            .collect();
+        assert_eq!(jobs, expected);
+    }
+
+    #[test]
+    fn fingerprint_separates_specs_and_is_stable() {
+        let a = RunSpec::DebitCredit(DebitCreditRun::baseline(2, TINY));
+        let mut changed = DebitCreditRun::baseline(2, TINY);
+        changed.seed ^= 1;
+        let b = RunSpec::DebitCredit(changed);
+        assert_eq!(fingerprint(&a), fingerprint(&a));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(fingerprint(&a).len(), 16);
     }
 }

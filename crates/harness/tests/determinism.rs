@@ -1,10 +1,11 @@
 //! The harness's core guarantee, regression-tested: results are
-//! identical to a serial run for ANY worker count, and the JSON
-//! artifact round-trips through the crate's own parser, row for row
-//! into the store records the run produced.
+//! identical to running each job's spec on its own for ANY worker
+//! count, and the run file (the store's line format) reads back with
+//! the store's own parser, row for row, as the records the run built.
 
-use dbshare_harness::{Harness, Json, Provenance, Record, Sweep};
-use dbshare_sim::experiments::{fig41_grid, fig47_grid, run_grid_serial, RunLength};
+use dbshare_harness::{fingerprint, Harness, Provenance, Record, Store, Sweep};
+use dbshare_sim::experiments::{fig41_grid, fig47_grid, RunLength};
+use std::path::PathBuf;
 
 /// Short but non-degenerate: long enough for lock waits and buffer
 /// misses to occur, short enough to keep the suite fast.
@@ -26,23 +27,47 @@ fn sweeps() -> Vec<Sweep> {
     ]
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "dbshare-harness-determinism-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 #[test]
 fn one_worker_and_many_workers_match_the_serial_run_exactly() {
-    // Serial reference: the exact code path `run_grid_serial` uses.
+    // Serial reference: each job's spec executed on its own, in the
+    // grids' order. Debug strings cover every RunReport field (and are
+    // NaN-proof, unlike f64 equality).
     let serial: Vec<String> = sweeps()
         .into_iter()
-        .map(|s| format!("{:?}", run_grid_serial(s.grid)))
+        .flat_map(|s| {
+            let figure = s.figure;
+            s.grid.into_iter().flat_map(move |c| {
+                let (figure, label) = (figure.clone(), c.label);
+                c.points.into_iter().map(move |(n, spec)| {
+                    format!("{figure} | {label} | n={n}: {:?}", spec.execute())
+                })
+            })
+        })
         .collect();
 
     for workers in [1usize, 4, 13] {
         let outcome = Harness::new().workers(workers).run(sweeps());
         let parallel: Vec<String> = outcome
-            .figures
+            .results
             .iter()
-            .map(|f| format!("{:?}", f.series))
+            .map(|r| {
+                let job = &r.job;
+                format!(
+                    "{} | {} | n={}: {:?}",
+                    job.figure, job.curve, job.nodes, r.report
+                )
+            })
             .collect();
-        // Debug-string comparison covers every RunReport field (and is
-        // NaN-proof, unlike f64 equality).
         assert_eq!(
             parallel, serial,
             "results diverged from the serial run at {workers} workers"
@@ -61,67 +86,45 @@ fn artifact_round_trips_through_the_crates_own_parser() {
         .workers(3)
         .provenance(provenance)
         .run(sweeps());
-    let doc = outcome.artifact();
-    let text = doc.render();
-    let parsed = Json::parse(&text).expect("artifact parses back");
-    assert_eq!(parsed, doc, "render → parse is not the identity");
+    // The run file `repro --json` writes: the rows in the store's line
+    // format.
+    let path = temp_path("run.jsonl");
+    let run_file = Store::new(&path);
+    run_file.append(&outcome.records).expect("run file writes");
+    let read = run_file.read().expect("run file reads back");
+    std::fs::remove_file(&path).ok();
+    assert!(read.recovery.is_none());
+    assert_eq!(
+        read.records, outcome.records,
+        "rows do not read back losslessly"
+    );
 
-    // One record per job, each carrying the audit fields.
-    let records = parsed
-        .get("records")
-        .and_then(Json::as_arr)
-        .expect("records array");
-    assert_eq!(records.len(), outcome.results.len());
-    for ((record, result), row) in records.iter().zip(&outcome.results).zip(&outcome.records) {
-        assert_eq!(
-            record.get("figure").and_then(Json::as_str),
-            Some(result.job.figure.as_str())
-        );
-        assert_eq!(
-            record.get("seed").and_then(Json::as_f64),
-            Some(result.job.spec.seed() as f64)
-        );
-        assert!(record.get("wall_secs").and_then(Json::as_f64).unwrap() >= 0.0);
-        assert_eq!(
-            record.get("config_fingerprint").and_then(Json::as_str),
-            Some(dbshare_harness::fingerprint(&result.job.spec).as_str())
-        );
-        // Each artifact row is the job's store record, losslessly.
-        assert_eq!(&Record::from_json(record).expect("row is a record"), row);
+    // One row per job, each carrying the audit fields.
+    assert_eq!(read.records.len(), outcome.results.len());
+    for (row, result) in read.records.iter().zip(&outcome.results) {
+        assert_eq!(row.figure, result.job.figure);
+        assert_eq!(row.seed, result.job.spec.seed());
+        assert!(row.wall_secs >= 0.0);
+        assert_eq!(row.config_fingerprint, fingerprint(&result.job.spec));
         assert_eq!(row.provenance.git_revision, "test-rev");
     }
 }
 
 #[test]
 fn artifacts_from_different_worker_counts_agree_on_everything_but_timing() {
-    let strip_timing = |doc: &Json| -> Json {
-        fn walk(v: &Json) -> Json {
-            match v {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .iter()
-                        .filter(|(k, _)| {
-                            !matches!(
-                                k.as_str(),
-                                "wall_secs"
-                                    | "total_wall_secs"
-                                    | "created_unix"
-                                    | "run"
-                                    | "workers"
-                                    | "events_per_sec"
-                                    | "peak_rss_mb"
-                            )
-                        })
-                        .map(|(k, v)| (k.clone(), walk(v)))
-                        .collect(),
-                ),
-                Json::Arr(xs) => Json::Arr(xs.iter().map(walk).collect()),
-                other => other.clone(),
-            }
-        }
-        walk(doc)
+    let untimed = |workers: usize| -> Vec<Record> {
+        let outcome = Harness::new().workers(workers).run(sweeps());
+        outcome
+            .records
+            .into_iter()
+            .map(|r| Record {
+                run: String::new(),
+                created_unix: 0,
+                wall_secs: 0.0,
+                peak_rss_mb: None,
+                ..r
+            })
+            .collect()
     };
-    let a = Harness::new().workers(1).run(sweeps()).artifact();
-    let b = Harness::new().workers(8).run(sweeps()).artifact();
-    assert_eq!(strip_timing(&a), strip_timing(&b));
+    assert_eq!(untimed(1), untimed(8));
 }

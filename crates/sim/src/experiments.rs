@@ -2,11 +2,10 @@
 //!
 //! Each `figNN_grid` function lays out the corresponding figure's
 //! sweep: the same parameters, the same curves, as a grid of pending
-//! runs. The `dbshare-harness` worker pool executes the grids for the
-//! `repro` binary in `dbshare-bench`, and [`run_grid_serial`] executes
-//! them one point at a time into series of [`RunReport`]s, for the
-//! integration tests that assert the qualitative shapes the paper
-//! reports.
+//! runs. The `dbshare-harness` worker pool is the one runner: it
+//! executes the grids, for the `repro` binary in `dbshare-bench` and
+//! for the integration tests that assert the qualitative shapes the
+//! paper reports, one [`RunSpec::execute`] per point.
 
 use crate::progress::ProgressGauge;
 use crate::{Engine, Observations, Observe, RunReport};
@@ -56,34 +55,6 @@ impl RunLength {
             warmup: 400,
             measured: 2_500,
         }
-    }
-}
-
-/// One curve of a figure.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Curve label as in the paper's legend.
-    pub label: String,
-    /// `(nodes, report)` per swept point.
-    pub points: Vec<(u16, RunReport)>,
-}
-
-impl Series {
-    /// The report at `nodes`, if present.
-    pub fn at(&self, nodes: u16) -> Option<&RunReport> {
-        self.points
-            .iter()
-            .find(|&&(n, _)| n == nodes)
-            .map(|(_, r)| r)
-    }
-
-    /// The node counts this curve actually has points for, in sweep
-    /// order. Callers rendering several curves against a shared node
-    /// axis should consult this (or [`Series::at`], which returns
-    /// `None` for absent points) rather than assuming every curve
-    /// covers every node count.
-    pub fn node_counts(&self) -> Vec<u16> {
-        self.points.iter().map(|&(n, _)| n).collect()
     }
 }
 
@@ -173,30 +144,13 @@ impl RunSpec {
 
 /// One curve of a figure as a grid of pending runs: the shape of the
 /// sweep without any of the work. Produced by the `*_grid` preset
-/// functions; executed serially by [`run_grid_serial`] or in parallel
-/// by the `dbshare-harness` worker pool.
+/// functions and executed by the `dbshare-harness` worker pool.
 #[derive(Debug, Clone)]
 pub struct CurveGrid {
     /// Curve label as in the paper's legend.
     pub label: String,
     /// `(nodes, spec)` per swept point.
     pub points: Vec<(u16, RunSpec)>,
-}
-
-/// Executes a grid serially, point by point, in declaration order.
-/// The parallel harness reassembles its results into exactly this
-/// shape, so the two are interchangeable.
-pub fn run_grid_serial(grid: Vec<CurveGrid>) -> Vec<Series> {
-    grid.into_iter()
-        .map(|c| Series {
-            label: c.label,
-            points: c
-                .points
-                .into_iter()
-                .map(|(n, spec)| (n, spec.execute()))
-                .collect(),
-        })
-        .collect()
 }
 
 /// Parameters of one debit-credit run.

@@ -194,7 +194,7 @@ impl Counters {
 /// dispatched into. Counts cover the whole run (including warm-up) and
 /// mirror the deterministic event stream, so two runs of the same
 /// configuration produce identical profiles; wall-clock-derived rates
-/// (events per second) live in the harness artifacts, not here.
+/// (events per second) live in the harness's store rows, not here.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunProfile {
     /// `Arrival` events (open-system source admissions).

@@ -10,7 +10,26 @@
 
 use dbshare::prelude::*;
 use dbshare_bench::chart::Chart;
-use dbshare_harness::{Harness, Sweep};
+use dbshare_harness::{Harness, Outcome, Record, Sweep};
+
+/// Adds one chart series per curve of `figure`: its runs of consecutive
+/// rows with one curve label, each point `(nodes, metric(row))`.
+fn add_curves(chart: &mut Chart, outcome: &Outcome, figure: &str, metric: fn(&Record) -> f64) {
+    let rows: Vec<&Record> = outcome
+        .records
+        .iter()
+        .filter(|r| r.figure == figure)
+        .collect();
+    for curve in rows.chunk_by(|a, b| a.curve == b.curve) {
+        chart.add_series(
+            &curve[0].curve,
+            curve
+                .iter()
+                .map(|r| (f64::from(r.nodes), metric(r)))
+                .collect(),
+        );
+    }
+}
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "figures".into());
@@ -19,8 +38,8 @@ fn main() {
     let run = RunLength::quick();
 
     // One pool run covers both figures; per-job progress goes to
-    // stderr, and the reassembled series are identical to running
-    // each grid with experiments::run_grid_serial.
+    // stderr, and the charts render from the run's store rows, in the
+    // grids' order for any worker count.
     let outcome = Harness::new().progress(true).run(vec![
         Sweep {
             figure: "fig41".into(),
@@ -38,16 +57,7 @@ fn main() {
         "nodes",
         "mean response time [ms]",
     );
-    for series in outcome.series_for("fig41").expect("fig41 was submitted") {
-        fig41.add_series(
-            &series.label,
-            series
-                .points
-                .iter()
-                .map(|(n, r)| (*n as f64, r.mean_response_ms))
-                .collect(),
-        );
-    }
+    add_curves(&mut fig41, &outcome, "fig41", |r| r.mean_response_ms);
     let path = format!("{dir}/fig41.svg");
     std::fs::write(&path, fig41.render(860, 480)).expect("write svg");
     println!("wrote {path}");
@@ -58,16 +68,9 @@ fn main() {
         "nodes",
         "TPS per node at 80% CPU",
     );
-    for series in outcome.series_for("fig46").expect("fig46 was submitted") {
-        fig46.add_series(
-            &series.label,
-            series
-                .points
-                .iter()
-                .map(|(n, r)| (*n as f64, r.tps_per_node_at_80pct_cpu))
-                .collect(),
-        );
-    }
+    add_curves(&mut fig46, &outcome, "fig46", |r| {
+        r.detail.tps_per_node_at_80pct_cpu
+    });
     let path = format!("{dir}/fig46.svg");
     std::fs::write(&path, fig46.render(860, 480)).expect("write svg");
     println!("wrote {path}");

@@ -41,7 +41,7 @@
 //! | [`dbshare_lockmgr`] | 2PL tables, GEM GLT, PCL, deadlock detection |
 //! | [`dbshare_node`] | buffer manager, CPU cost model |
 //! | [`dbshare_sim`] | the engine, metrics, experiment presets |
-//! | [`dbshare_harness`] | parallel sweep orchestration, JSON run artifacts |
+//! | [`dbshare_harness`] | parallel sweep orchestration, one experiment-store row per job |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,9 +2,8 @@
 //! configurations, the throughput-at-utilization search agrees with
 //! the extrapolated Fig. 4.6 metric, and replication intervals behave.
 
-use dbshare::prelude::experiments::{
-    find_tps_at_cpu, replicate, run_grid_serial, CurveGrid, Series,
-};
+use dbshare::harness::Record;
+use dbshare::prelude::experiments::{find_tps_at_cpu, replicate, CurveGrid};
 use dbshare::prelude::*;
 
 fn quick() -> RunLength {
@@ -22,14 +21,23 @@ fn fig_presets_produce_the_right_curves() {
         measured: 300,
     };
     let check = |grid: fn(&[u16], RunLength) -> Vec<CurveGrid>, expect_curves: usize| {
-        let series: Vec<Series> = run_grid_serial(grid(&nodes, run));
-        assert_eq!(series.len(), expect_curves);
-        for s in &series {
-            assert_eq!(s.points.len(), nodes.len(), "{}", s.label);
-            assert!(s.at(1).is_some() && s.at(2).is_some());
-            assert!(s.at(3).is_none());
-            for (_, r) in &s.points {
-                assert_eq!(r.measured_txns, run.measured);
+        let outcome = Harness::new().run(vec![Sweep {
+            figure: "fig".into(),
+            grid: grid(&nodes, run),
+        }]);
+        // A curve is a run of consecutive rows with one label.
+        let curves: Vec<&[Record]> = outcome
+            .records
+            .chunk_by(|a, b| a.curve == b.curve)
+            .collect();
+        assert_eq!(curves.len(), expect_curves);
+        for curve in &curves {
+            let at = |n: u16| curve.iter().find(|r| r.nodes == n);
+            assert_eq!(curve.len(), nodes.len(), "{}", curve[0].curve);
+            assert!(at(1).is_some() && at(2).is_some());
+            assert!(at(3).is_none());
+            for r in curve.iter() {
+                assert_eq!(r.detail.measured_txns, run.measured);
             }
         }
     };
