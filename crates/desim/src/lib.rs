@@ -23,8 +23,7 @@
 //!   with percentiles, and batch means for confidence intervals,
 //! * [`fxhash`] — a fast deterministic hasher ([`fxhash::FxHashMap`] /
 //!   [`fxhash::FxHashSet`]) for the per-event state lookups,
-//! * [`InlineVec`] — an inline small-vector for per-event element
-//!   lists, so steady state never touches the global allocator,
+//! * [`lru`] — an O(1) LRU cache for the buffers and disk caches,
 //! * [`trace`] — structured, sim-time-stamped event records
 //!   for deterministic (diffable) execution traces.
 //!
@@ -70,12 +69,10 @@ mod time;
 pub mod dist;
 pub mod fxhash;
 pub mod lru;
-pub mod smallvec;
 pub mod stats;
 pub mod trace;
 
 pub use calendar::Calendar;
 pub use rng::Rng;
 pub use server::{MultiServer, Resource};
-pub use smallvec::InlineVec;
 pub use time::{SimDuration, SimTime};

@@ -220,58 +220,6 @@ fn rng_streams_are_reproducible() {
     }
 }
 
-#[test]
-fn inline_vec_matches_vec_model() {
-    use desim::smallvec::InlineVec;
-    let mut rng = Rng::seed_from_u64(0x66C0_FFEE);
-    for _ in 0..CASES {
-        let ops = rng.range_inclusive(1, 199);
-        let mut real: InlineVec<u64, 4> = InlineVec::new();
-        let mut model: Vec<u64> = Vec::new();
-        for _ in 0..ops {
-            match rng.below(6) {
-                0 | 1 => {
-                    // bias toward pushes so spills are exercised often
-                    let v = rng.below(1000);
-                    real.push(v);
-                    model.push(v);
-                }
-                2 => {
-                    assert_eq!(real.pop(), model.pop());
-                }
-                3 => {
-                    let keep = rng.below(1000);
-                    real.retain(|&x| x >= keep);
-                    model.retain(|&x| x >= keep);
-                }
-                4 => {
-                    if rng.chance(0.2) {
-                        real.clear();
-                        model.clear();
-                        assert!(!real.spilled());
-                    }
-                }
-                _ => {
-                    let probe = rng.below(1000);
-                    assert_eq!(real.contains(&probe), model.contains(&probe));
-                }
-            }
-            assert_eq!(real.len(), model.len());
-            assert_eq!(real.is_empty(), model.is_empty());
-            assert_eq!(real.as_slice(), model.as_slice());
-            // spilling is sticky until clear(): len > N forces it, but
-            // pops below N do not undo it
-            if model.len() > 4 {
-                assert!(real.spilled());
-            }
-            assert_eq!(real.iter().copied().sum::<u64>(), model.iter().sum());
-        }
-        let cloned = real.clone();
-        assert_eq!(cloned, real);
-        assert_eq!(cloned.as_slice(), model.as_slice());
-    }
-}
-
 /// Erlang-C: probability an arrival waits in an M/M/k queue.
 fn erlang_c(k: usize, offered: f64) -> f64 {
     // offered load a = lambda/mu (in Erlangs), k servers

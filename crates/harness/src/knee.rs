@@ -22,8 +22,6 @@ use dbshare_sim::experiments::{CurveGrid, RunSpec, ScalePreset};
 /// A whole `--knee` run: one bisection per curve of the preset.
 #[derive(Debug, Clone)]
 pub struct KneeOutcome {
-    /// Figure key the probes were recorded under (e.g. `"knee-full"`).
-    pub figure: String,
     /// One verdict per curve, in [`ScalePreset::CURVES`] order, phrased
     /// exactly like `--explain`'s knee lines.
     pub curves: Vec<CurveKnee>,
@@ -89,7 +87,6 @@ pub fn run_knee(
         });
     }
     KneeOutcome {
-        figure: figure.to_string(),
         curves,
         grid_jobs: preset.nodes.len() * ScalePreset::CURVES.len(),
         records,

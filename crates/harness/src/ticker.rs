@@ -7,7 +7,7 @@
 //! cadence and prints one stderr line per tick — jobs done/running,
 //! aggregate event rate, simulated time reached, an ETA from committed
 //! transactions, and current peak RSS. Strictly observer-only: the
-//! sampler never writes into the simulation, and `sim/tests/explain.rs`
+//! sampler never writes into the simulation, and `sim/tests/progress.rs`
 //! pins that a gauge-carrying run reports bit-identical metrics.
 //! Everything goes to stderr, so captured stdout stays byte-identical
 //! with the ticker on or off.

@@ -16,7 +16,7 @@ static ALLOC: dbshare_harness::CountingAlloc = dbshare_harness::CountingAlloc;
 use dbshare_harness::{Harness, Sweep};
 use dbshare_sim::experiments::{fig41_grid, RunLength};
 
-/// Generous ceiling: the release build measures ~0.03 allocs/event on
+/// Generous ceiling: the release build measures ~0.019 allocs/event on
 /// this figure; before the pooling work it was ~0.47.
 const MAX_ALLOCS_PER_EVENT: f64 = 0.10;
 

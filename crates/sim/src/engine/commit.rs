@@ -4,9 +4,9 @@
 //! (`locking.rs`).
 
 use super::io::IoOp;
-use super::txn::{CommitWrite, Grantor};
+use super::txn::Grantor;
 use super::{Cont, Engine, Job, Phase};
-use dbshare_model::{TxnId, UpdateStrategy};
+use dbshare_model::TxnId;
 use desim::SimTime;
 
 impl Engine {
@@ -18,39 +18,19 @@ impl Engine {
         self.dispatch(now, node, Job::cpu(svc, Some(id), Cont::CommitInit(id)));
     }
 
-    /// Builds the commit-write list (phase 1) and starts the write
-    /// chain. Force-writes and the log write are performed one after
-    /// another (sequential device operations, as in the paper's FORCE
-    /// model — this is what makes the force-write latency of each
-    /// individual file visible, §4.4).
-    pub(crate) fn commit_init(&mut self, now: SimTime, id: TxnId) {
-        let Some(t) = self.txns.get_mut(&id) else {
-            return;
+    /// Starts the `idx`-th commit write ([`Txn::commit_target`]), or
+    /// phase 2 after the last one. Force-writes and the log write are
+    /// performed one after another (sequential device operations, as in
+    /// the paper's FORCE model — this is what makes the force-write
+    /// latency of each individual file visible, §4.4).
+    ///
+    /// [`Txn::commit_target`]: super::Txn::commit_target
+    pub(crate) fn commit_write(&mut self, now: SimTime, txn: TxnId, idx: usize) {
+        let Some(t) = self.txns.get(&txn) else { return };
+        let Some(target) = t.commit_target(self.cfg.update, idx) else {
+            return self.phase2_begin(now, txn);
         };
-        let force = self.cfg.update == UpdateStrategy::Force;
-        t.commit_writes.clear();
-        if force {
-            for i in 0..t.modified.len() {
-                let p = t.modified[i];
-                t.commit_writes.push(CommitWrite { page: Some(p) });
-            }
-        }
-        if !t.modified.is_empty() {
-            // One log page per update transaction (§3.2), written after
-            // the force-writes.
-            t.commit_writes.push(CommitWrite { page: None });
-        }
-        self.commit_write(now, id, 0);
-    }
-
-    /// Starts the `idx`-th commit write, or phase 2 after the last one.
-    pub(crate) fn commit_write(&mut self, now: SimTime, id: TxnId, idx: usize) {
-        let Some(t) = self.txns.get(&id) else { return };
-        if idx < t.commit_writes.len() {
-            self.start_io(now, IoOp::Commit { txn: id, idx });
-        } else {
-            self.phase2_begin(now, id);
-        }
+        self.start_io(now, IoOp::Commit { txn, idx, target });
     }
 
     /// Begins phase 2: the lock-release CPU slice, one lock operation

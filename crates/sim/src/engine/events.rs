@@ -272,4 +272,11 @@ mod tests {
         assert!(std::mem::size_of::<Cont>() <= 64);
         assert!(std::mem::size_of::<Event>() <= 104);
     }
+
+    /// Every transaction slot pays this fixed size, however short its
+    /// held and modified lists are.
+    #[test]
+    fn txn_slots_stay_small() {
+        assert!(std::mem::size_of::<super::super::Txn>() <= 216);
+    }
 }

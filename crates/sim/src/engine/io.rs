@@ -35,8 +35,10 @@ pub(crate) enum IoOp {
     Commit {
         /// Committing transaction.
         txn: TxnId,
-        /// Index into its commit write list.
+        /// Position in its phase-1 write chain.
         idx: usize,
+        /// The FORCE page or the log page it writes.
+        target: IoTarget,
     },
     /// The write-back of a dirty page evicted from `node`'s buffer (a
     /// system job: no transaction waits for it).
@@ -78,12 +80,8 @@ impl Engine {
                 let target = IoTarget::Read(t.access().0);
                 (t.node, Some(id), self.storage.io_path(target))
             }
-            IoOp::Commit { txn, idx } => {
-                let t = self.txn(txn);
-                let target = t.commit_writes[idx]
-                    .page
-                    .map_or(IoTarget::Log, IoTarget::Write);
-                (t.node, Some(txn), self.storage.io_path(target))
+            IoOp::Commit { txn, target, .. } => {
+                (self.txn(txn).node, Some(txn), self.storage.io_path(target))
             }
             IoOp::WriteBack { node, page } => {
                 self.counters.evict_writes += 1;
@@ -134,12 +132,15 @@ impl Engine {
                 self.emit(now, TraceEventKind::PageRead, node, Some(id), Some(page), 0);
                 self.storage.read_page(now, page)
             }
-            IoOp::Commit { txn, idx } => {
+            IoOp::Commit { txn, target, .. } => {
                 let Some(t) = self.txns.get_mut(&txn) else {
                     return;
                 };
                 let node = t.node;
-                let page = t.commit_writes[idx].page;
+                let page = match target {
+                    IoTarget::Write(p) => Some(p),
+                    _ => None,
+                };
                 t.begin_wait(now, Phase::CommitIo, None);
                 self.emit(now, TraceEventKind::CommitIo, node, Some(txn), page, 0);
                 if let Some(p) = page {
@@ -174,7 +175,7 @@ impl Engine {
                 }
                 self.install_page(now, id, seqno, Arrival::Read);
             }
-            IoOp::Commit { txn, idx } => {
+            IoOp::Commit { txn, idx, .. } => {
                 let Some(t) = self.txns.get_mut(&txn) else {
                     return;
                 };

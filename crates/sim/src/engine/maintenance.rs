@@ -229,10 +229,9 @@ impl Engine {
         for t in self.txns.values() {
             if matches!(t.phase, Phase::Running | Phase::PageWait | Phase::CommitIo) {
                 eprintln!(
-                    "  ACTIVE {:?} node={} phase={:?} step={}/{} waiting={:?} held={:?} modified={:?} commit_writes={}",
+                    "  ACTIVE {:?} node={} phase={:?} step={}/{} waiting={:?} held={:?} modified={:?}",
                     t.id, t.node, t.phase, t.step, t.spec.refs().len(),
                     t.waiting_page, t.held, t.modified,
-                    t.commit_writes.len(),
                 );
             }
         }

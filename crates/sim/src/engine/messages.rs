@@ -121,7 +121,7 @@ impl Engine {
     /// Receive CPU finished: act on the message.
     pub(crate) fn handle_msg(&mut self, now: SimTime, msg: Msg) {
         // Take the body apart by value: cloning it would copy the
-        // Release page list (a heap allocation whenever it spilled).
+        // Release page list into a new heap buffer.
         let Msg { from, to, body } = msg;
         match body {
             MsgBody::LockReq {

@@ -397,7 +397,7 @@ impl Engine {
             Cont::ReleaseExec(t) => self.release_exec(now, t),
             Cont::SendDone { msg, last_of } => self.send_done(now, msg, last_of),
             Cont::RecvDone { msg } => self.handle_msg(now, msg),
-            Cont::CommitInit(t) => self.commit_init(now, t),
+            Cont::CommitInit(t) => self.commit_write(now, t, 0),
             Cont::IoIssue(op) => self.io_issue(now, op),
             Cont::IoDone { op, sync } => self.io_done(now, op, sync),
             Cont::GemOwnerClear { node, page } => self.gem_owner_clear(node, page),

@@ -1,9 +1,9 @@
 //! Per-transaction runtime state.
 
 use dbshare_lockmgr::LockMode;
-use dbshare_model::{NodeId, PageId, TxnId, TxnSpec};
+use dbshare_model::{NodeId, PageId, TxnId, TxnSpec, UpdateStrategy};
+use dbshare_storage::IoTarget;
 use desim::fxhash::FxHashMap;
-use desim::smallvec::InlineVec;
 use desim::{SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 
@@ -21,14 +21,6 @@ pub(crate) enum Phase {
     PageWait,
     /// Commit phase 1: waiting for log/force writes.
     CommitIo,
-}
-
-/// A commit-time page write (phase 1).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CommitWrite {
-    /// The page to write (None = the log record, which goes to the
-    /// node's log disks).
-    pub page: Option<PageId>,
 }
 
 /// Where a held lock was granted, recorded at grant time: commit and
@@ -120,16 +112,14 @@ pub(crate) struct Txn {
     /// Every lock this transaction holds, in grant order, with its
     /// grantor. The order fixes the page order of release messages and
     /// deferred revocation acknowledgements.
-    pub held: InlineVec<(PageId, Grantor), 8>,
+    pub held: Vec<(PageId, Grantor)>,
     /// The lock index: every lock in `held`, by page, with its mode,
     /// grantor and the page version learned at grant time (used to
     /// predict the post-commit version for remote authorities). It
     /// answers "is `page` locked, and how" in one probe.
     pub locks: FxHashMap<PageId, HeldLock>,
-    /// Pages modified (ordered, deduplicated).
-    pub modified: InlineVec<PageId, 8>,
-    /// Commit phase 1 write list (performed as a sequential chain).
-    pub commit_writes: InlineVec<CommitWrite, 8>,
+    /// Pages modified, in first-modification order (deduplicated).
+    pub modified: Vec<PageId>,
     /// The page a lock is being waited on.
     pub waiting_page: Option<PageId>,
     /// When the current wait began.
@@ -158,10 +148,9 @@ impl Txn {
             admitted: arrival,
             step: 0,
             phase: Phase::InputQueue,
-            held: InlineVec::new(),
+            held: Vec::new(),
             locks: FxHashMap::default(),
-            modified: InlineVec::new(),
-            commit_writes: InlineVec::new(),
+            modified: Vec::new(),
             waiting_page: None,
             wait_since: SimTime::ZERO,
             restarts,
@@ -173,9 +162,9 @@ impl Txn {
     }
 
     /// Reinitialises a recycled transaction slot for a new admission,
-    /// keeping every collection's capacity (spill buffers, hash-map
-    /// storage). Equivalent to `*self = Txn::new(..)` without the
-    /// allocations.
+    /// keeping every collection's capacity (the held and modified
+    /// lists, the lock index). Equivalent to `*self = Txn::new(..)`
+    /// without the allocations.
     pub fn renew(
         &mut self,
         id: TxnId,
@@ -199,7 +188,6 @@ impl Txn {
         self.held.clear();
         self.locks.clear();
         self.modified.clear();
-        self.commit_writes.clear();
         self.waiting_page = None;
         self.wait_since = SimTime::ZERO;
         self.restarts = restarts;
@@ -271,6 +259,26 @@ impl Txn {
         }
     }
 
+    /// The `idx`-th write of commit phase 1 under `update`, `None` past
+    /// the last: under FORCE each modified page in first-modification
+    /// order, then the log page; under NOFORCE the log page only. One
+    /// log page per update transaction (§3.2), so a transaction that
+    /// modified nothing writes nothing.
+    pub fn commit_target(&self, update: UpdateStrategy, idx: usize) -> Option<IoTarget> {
+        if self.modified.is_empty() {
+            return None;
+        }
+        let forced: &[PageId] = match update {
+            UpdateStrategy::Force => &self.modified,
+            UpdateStrategy::NoForce => &[],
+        };
+        match forced.get(idx) {
+            Some(&page) => Some(IoTarget::Write(page)),
+            None if idx == forced.len() => Some(IoTarget::Log),
+            None => None,
+        }
+    }
+
     /// Begins a wait at `now` (lock or page).
     pub fn begin_wait(&mut self, now: SimTime, phase: Phase, page: Option<PageId>) {
         self.phase = phase;
@@ -298,5 +306,59 @@ impl Txn {
         self.phase = Phase::Running;
         self.waiting_page = None;
         waited
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbshare_model::{PageRef, TxnTypeId};
+    use dbshare_workload::debit_credit::{ACCOUNT, BT, HISTORY};
+
+    fn txn(refs: Vec<PageRef>) -> Txn {
+        let spec = TxnSpec::new(TxnTypeId::new(0), 0, refs);
+        Txn::new(TxnId::new(0), NodeId::new(0), spec, SimTime::ZERO, 0)
+    }
+
+    /// The phase-1 chain under `update`: every write up to the first
+    /// index that yields none, checking that the next yields none too.
+    fn chain(t: &Txn, update: UpdateStrategy) -> Vec<IoTarget> {
+        let writes: Vec<_> = (0..)
+            .map_while(|idx| t.commit_target(update, idx))
+            .collect();
+        assert_eq!(t.commit_target(update, writes.len() + 1), None);
+        writes
+    }
+
+    #[test]
+    fn commit_writes_follow_the_modified_pages_and_the_update_strategy() {
+        let account = PageId::new(ACCOUNT, 7);
+        let history = PageId::new(HISTORY, 0);
+        let bt = PageId::new(BT, 3);
+        let mut t = txn(vec![
+            PageRef::write(account),
+            PageRef::append(history),
+            PageRef::write(bt),
+        ]);
+        for page in [account, history, bt, account] {
+            t.note_modified(page);
+        }
+        assert_eq!(
+            chain(&t, UpdateStrategy::Force),
+            [
+                IoTarget::Write(account),
+                IoTarget::Write(history),
+                IoTarget::Write(bt),
+                IoTarget::Log
+            ]
+        );
+        assert_eq!(chain(&t, UpdateStrategy::NoForce), [IoTarget::Log]);
+    }
+
+    #[test]
+    fn a_transaction_that_modified_nothing_writes_nothing() {
+        let t = txn(vec![PageRef::read(PageId::new(ACCOUNT, 7))]);
+        assert_eq!(chain(&t, UpdateStrategy::Force), []);
+        assert_eq!(chain(&t, UpdateStrategy::NoForce), []);
     }
 }

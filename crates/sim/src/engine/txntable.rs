@@ -101,7 +101,7 @@ impl TxnTable {
 
     /// Admits a transaction, reusing a freed slot when one exists. A
     /// retired predecessor in that slot is renewed *in place*
-    /// ([`Txn::renew`]), so its spill buffers and hash-map storage —
+    /// ([`Txn::renew`]), so its list buffers and hash-map storage —
     /// and the slot's bytes themselves — are recycled without either
     /// an allocation or a `Txn`-sized move through the stack. `id`
     /// must be fresh (higher than every id ever admitted) —
@@ -165,37 +165,6 @@ impl TxnTable {
         }
     }
 
-    /// Registers a pre-built transaction. `id` must be fresh (higher
-    /// than every id ever inserted) — guaranteed by the engine's
-    /// monotonic id allocation. The engine itself admits through
-    /// [`Self::admit`]; this is the test-side primitive.
-    #[cfg(test)]
-    pub fn insert(&mut self, id: TxnId, txn: Txn) {
-        self.compact();
-        let raw = self
-            .pos_of(id.raw())
-            .expect("TxnId below the slid-out window — ids must be fresh");
-        debug_assert!(
-            raw >= self.index.len(),
-            "TxnId {raw} reused — ids must be fresh"
-        );
-        if raw >= self.index.len() {
-            self.index.resize(raw + 1, NIL);
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(txn);
-                s
-            }
-            None => {
-                self.slots.push(Some(txn));
-                checked_slot(self.slots.len() - 1)
-            }
-        };
-        self.index[raw] = slot;
-        self.live += 1;
-    }
-
     #[inline]
     pub fn get(&self, id: &TxnId) -> Option<&Txn> {
         self.slots[self.slot_of(*id)?].as_ref()
@@ -253,21 +222,22 @@ mod tests {
     use dbshare_model::{NodeId, TxnSpec, TxnTypeId};
     use desim::SimTime;
 
-    fn mk(id: u64) -> Txn {
-        Txn::new(
+    /// Admits transaction `id` with an empty program on node 0.
+    fn admit(t: &mut TxnTable, id: u64) {
+        t.admit(
             TxnId::new(id),
             NodeId::new(0),
             TxnSpec::new(TxnTypeId::new(0), 0, Vec::new()),
             SimTime::ZERO,
             0,
-        )
+        );
     }
 
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut t = TxnTable::with_capacity(4);
-        t.insert(TxnId::new(0), mk(0));
-        t.insert(TxnId::new(1), mk(1));
+        admit(&mut t, 0);
+        admit(&mut t, 1);
         assert_eq!(t.len(), 2);
         assert!(t.contains_key(&TxnId::new(0)));
         assert_eq!(t.get(&TxnId::new(1)).unwrap().id, TxnId::new(1));
@@ -283,7 +253,7 @@ mod tests {
     fn slots_recycle_but_ids_do_not() {
         let mut t = TxnTable::with_capacity(2);
         for id in 0..50u64 {
-            t.insert(TxnId::new(id), mk(id));
+            admit(&mut t, id);
             if id >= 2 {
                 t.remove(&TxnId::new(id - 2));
             }
@@ -300,7 +270,7 @@ mod tests {
     #[test]
     fn retire_keeps_storage_for_renewal_in_place() {
         let mut t = TxnTable::with_capacity(2);
-        t.insert(TxnId::new(0), mk(0));
+        admit(&mut t, 0);
         t.get_mut(&TxnId::new(0)).unwrap().step = 9;
         t.retire(&TxnId::new(0));
         // the corpse is unreachable and invisible to iteration...
@@ -308,13 +278,7 @@ mod tests {
         assert!(!t.contains_key(&TxnId::new(0)));
         assert_eq!(t.values().count(), 0);
         // ...but its slot (and storage) is renewed by the next admit
-        t.admit(
-            TxnId::new(1),
-            NodeId::new(0),
-            TxnSpec::new(TxnTypeId::new(0), 0, Vec::new()),
-            SimTime::ZERO,
-            0,
-        );
+        admit(&mut t, 1);
         assert_eq!(t.len(), 1);
         assert!(t.slots.len() <= 1, "slot was not reused");
         let renewed = t.get(&TxnId::new(1)).unwrap();
@@ -331,7 +295,7 @@ mod tests {
         // Drive far past COMPACT_MIN with a bounded live set.
         let total = (COMPACT_MIN * 3) as u64;
         for id in 0..total {
-            t.insert(TxnId::new(id), mk(id));
+            admit(&mut t, id);
             if id >= 2 {
                 t.remove(&TxnId::new(id - 2));
             }
@@ -372,7 +336,7 @@ mod tests {
     #[test]
     fn get_mut_mutates_in_place() {
         let mut t = TxnTable::with_capacity(1);
-        t.insert(TxnId::new(0), mk(0));
+        admit(&mut t, 0);
         t.get_mut(&TxnId::new(0)).unwrap().step = 7;
         assert_eq!(t.get(&TxnId::new(0)).unwrap().step, 7);
     }
